@@ -13,18 +13,15 @@ from .ar_process import (
     ArModel,
     CustomLaw,
     Gaussian,
-    GaussianLaw,
     LaplaceLaw,
     Mixture,
     SeriesSample,
     StudentTLaw,
     TwoPointLaw,
     UniformLaw,
-    UserLaw,
     ZeroMeanLaw,
     default_burn_in,
     ma_coefficients,
-    sample_innovation,
     simulate_ar,
 )
 from .errors import DegenerateDataError, EstimationError
@@ -55,7 +52,6 @@ from .limit_law import (
     LimitLawTable,
     ShiftSpec,
     StatKind,
-    asymptotic_power,
     cov_eval,
     cov_matrix,
     load_table,
@@ -63,7 +59,6 @@ from .limit_law import (
     mc_p_value,
     quantile,
     save_table,
-    simulate_limit_functionals,
     simulate_limit_tables,
 )
 from .power_lab import (
@@ -71,9 +66,7 @@ from .power_lab import (
     PowerReport,
     PowerRow,
     pipeline_statistics,
-    run_power_experiment,
     run_power_study,
-    run_size_experiment,
     run_size_study,
     write_power_csv,
 )
@@ -86,7 +79,6 @@ __all__ = [
     "ArModel",
     "SeriesSample",
     "ZeroMeanLaw",
-    "GaussianLaw",
     "LaplaceLaw",
     "UniformLaw",
     "StudentTLaw",
@@ -94,8 +86,6 @@ __all__ = [
     "CustomLaw",
     "Gaussian",
     "Mixture",
-    "UserLaw",
-    "sample_innovation",
     "ma_coefficients",
     "default_burn_in",
     "simulate_ar",
@@ -126,11 +116,9 @@ __all__ = [
     "cov_eval",
     "cov_matrix",
     "local_shift",
-    "simulate_limit_functionals",
     "simulate_limit_tables",
     "quantile",
     "mc_p_value",
-    "asymptotic_power",
     "save_table",
     "load_table",
     "SUP_CONTINUITY_BETA",
@@ -139,9 +127,7 @@ __all__ = [
     "PowerReport",
     "PowerRow",
     "pipeline_statistics",
-    "run_size_experiment",
     "run_size_study",
-    "run_power_experiment",
     "run_power_study",
     "write_power_csv",
     # errors

@@ -10,10 +10,10 @@ model construction, so every model in this package has a moving-average
 representation ``u_t = sum_j ma[j] * e_{t-j}`` with geometrically decaying
 weights.
 
-Innovation laws come in three flavours: exact Gaussian, a root-n mixture
-that contaminates the Gaussian with a user-chosen zero-mean law at weight
-``n**-0.5`` (the local alternative used by the power experiments), and a
-plain wrapper around an arbitrary zero-mean law.
+Innovations follow any :class:`ZeroMeanLaw`: exact :class:`Gaussian` under
+the null, or the root-n :class:`Mixture` that contaminates the Gaussian with
+another zero-mean law at weight ``n**-0.5`` (the local alternative used by
+the power experiments).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .rng import make_rng
 
 __all__ = [
     "ZeroMeanLaw",
-    "GaussianLaw",
+    "Gaussian",
     "LaplaceLaw",
     "UniformLaw",
     "StudentTLaw",
@@ -40,11 +40,7 @@ __all__ = [
     "law_descriptor",
     "law_from_descriptor",
     "parse_alternative_law",
-    "InnovationLaw",
-    "Gaussian",
     "Mixture",
-    "UserLaw",
-    "sample_innovation",
     "ArModel",
     "SeriesSample",
     "char_root_radius",
@@ -89,8 +85,12 @@ class ZeroMeanLaw(abc.ABC):
 
 
 @dataclass(frozen=True)
-class GaussianLaw(ZeroMeanLaw):
-    """Centered normal law with standard deviation ``sigma``."""
+class Gaussian(ZeroMeanLaw):
+    """Centered normal law with standard deviation ``sigma``.
+
+    The null innovation law, and the contaminant of ``gauss-scale``
+    alternatives.
+    """
 
     sigma: float
     lipschitz_density = True
@@ -266,7 +266,7 @@ class CustomLaw(ZeroMeanLaw):
 
 def law_descriptor(law: ZeroMeanLaw) -> str:
     """Serialize a built-in law as ``family:p1[,p2]`` with absolute params."""
-    if isinstance(law, GaussianLaw):
+    if isinstance(law, Gaussian):
         return f"gauss:{float(law.sigma)!r}"
     if isinstance(law, LaplaceLaw):
         return f"laplace:{float(law.variance_)!r}"
@@ -288,7 +288,7 @@ def law_from_descriptor(text: str) -> ZeroMeanLaw:
         raise ValueError(f"invalid law descriptor {text!r}: {exc}") from None
     try:
         if family == "gauss" and len(params) == 1:
-            return GaussianLaw(params[0])
+            return Gaussian(params[0])
         if family == "laplace" and len(params) == 1:
             return LaplaceLaw(params[0])
         if family == "uniform" and len(params) == 1:
@@ -318,56 +318,17 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
             raise ValueError(f"invalid law descriptor {text!r}") from None
         if not c > 0:
             raise ValueError(f"invalid law descriptor {text!r}: scale must be positive")
-        return GaussianLaw(c * sigma0)
+        return Gaussian(c * sigma0)
     return law_from_descriptor(text)
 
 
 # ---------------------------------------------------------------------------
-# innovation laws
+# the root-n local alternative
 # ---------------------------------------------------------------------------
 
 
-class InnovationLaw(abc.ABC):
-    """Zero-mean innovation distribution driving the autoregression."""
-
-    @property
-    def mean(self) -> float:
-        return 0.0
-
-    @property
-    @abc.abstractmethod
-    def variance(self) -> float: ...
-
-    @abc.abstractmethod
-    def cdf(self, x): ...
-
-    @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size: int | None = None): ...
-
-
 @dataclass(frozen=True)
-class Gaussian(InnovationLaw):
-    """Exact normal innovations with standard deviation ``sigma0``."""
-
-    sigma0: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
-
-    @property
-    def variance(self) -> float:
-        return self.sigma0**2
-
-    def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float) / self.sigma0)
-
-    def sample(self, rng, size=None):
-        return rng.normal(0.0, self.sigma0, size)
-
-
-@dataclass(frozen=True)
-class Mixture(InnovationLaw):
+class Mixture(ZeroMeanLaw):
     """Root-n contamination of a normal law: the finite-sample alternative.
 
     With probability ``n**-0.5`` a draw comes from the zero-mean law ``h``,
@@ -425,32 +386,6 @@ class Mixture(InnovationLaw):
         return out
 
 
-@dataclass(frozen=True)
-class UserLaw(InnovationLaw):
-    """Innovations drawn directly from an arbitrary zero-mean law."""
-
-    h: ZeroMeanLaw
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.h, ZeroMeanLaw):
-            raise TypeError("h must be a ZeroMeanLaw")
-
-    @property
-    def variance(self) -> float:
-        return self.h.variance
-
-    def cdf(self, x):
-        return self.h.cdf(x)
-
-    def sample(self, rng, size=None):
-        return self.h.sample(rng, size)
-
-
-def sample_innovation(law: InnovationLaw, rng: np.random.Generator):
-    """Draw a single innovation from ``law`` using ``rng``."""
-    return law.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # model and simulation
 # ---------------------------------------------------------------------------
@@ -478,7 +413,7 @@ class ArModel:
 
     coeffs: np.ndarray
     mean: float
-    innovation: InnovationLaw
+    innovation: ZeroMeanLaw
 
     def __post_init__(self) -> None:
         coeffs = np.atleast_1d(np.array(self.coeffs, dtype=float, copy=True))
@@ -494,8 +429,8 @@ class ArModel:
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        if not isinstance(self.innovation, InnovationLaw):
-            raise TypeError("innovation must be an InnovationLaw")
+        if not isinstance(self.innovation, ZeroMeanLaw):
+            raise TypeError("innovation must be a ZeroMeanLaw")
 
     @property
     def order(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,7 +40,7 @@ from .limit_law import (
     load_table,
     quantile,
     save_table,
-    simulate_limit_functionals,
+    simulate_limit_tables,
 )
 from .power_lab import (
     ExperimentSpec,
@@ -177,11 +178,14 @@ def _read_series(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno} is not a number: {line!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno} is not finite: {line!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no observations found")
     return np.asarray(values, dtype=float)
@@ -201,11 +205,11 @@ def _resolve_tables(args) -> dict[StatKind, "object"]:
         if table.kind in tables:
             raise ValueError(f"{path}: duplicate table for {table.kind.value}")
         tables[table.kind] = table
-    for kind in StatKind:
-        if kind not in tables:
-            tables[kind] = simulate_limit_functionals(
-                kind, None, args.grid, args.reps, args.seed, args.workers
-            )
+    missing = [kind for kind in StatKind if kind not in tables]
+    if missing:
+        tables.update(
+            simulate_limit_tables(missing, None, args.grid, args.reps, args.seed, args.workers)
+        )
     return tables
 
 
@@ -251,9 +255,9 @@ def _cmd_quantiles(args) -> int:
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     kind = StatKind(args.kind)
-    table = simulate_limit_functionals(
-        kind, None, args.grid, args.reps, args.seed, args.workers
-    )
+    table = simulate_limit_tables(
+        (kind,), None, args.grid, args.reps, args.seed, args.workers
+    )[kind]
     config = {
         "command": "quantiles",
         "kind": kind.value,
@@ -289,14 +293,24 @@ def _load_power_config(path) -> dict:
         raise ValueError(f"{path}: unknown config field: {sorted(unknown)[0]}")
     config = dict(_POWER_DEFAULTS)
     config.update(raw)
-    config["n"] = [int(v) for v in np.atleast_1d(config["n"]).tolist()]
-    h = config["h"]
-    config["h"] = [str(v) for v in (h if isinstance(h, list) else [h])]
-    stats = config["statistics"]
-    config["statistics"] = [str(v) for v in (stats if isinstance(stats, list) else [stats])]
+
+    def listed(name, types, what, scalar_ok=True):
+        value = config[name]
+        if scalar_ok and not isinstance(value, list):
+            value = [value]
+        if not isinstance(value, list) or not all(
+            isinstance(v, types) and not isinstance(v, bool) for v in value
+        ):
+            raise ValueError(f"{path}: {name} must be {what}")
+        return value
+
+    config["n"] = listed("n", int, "an integer or a list of integers")
+    config["h"] = listed("h", str, "a string or a list of strings")
+    config["statistics"] = listed("statistics", str, "a string or a list of strings")
     if not config["statistics"]:
         raise ValueError(f"{path}: statistics must name at least one statistic")
-    config["beta"] = [float(v) for v in config["beta"]]
+    beta = listed("beta", (int, float), "a list of numbers", scalar_ok=False)
+    config["beta"] = [float(v) for v in beta]
     if config["burn_in"] is not None:
         config["burn_in"] = int(config["burn_in"])
     return config
@@ -331,7 +345,6 @@ def _cmd_power(args) -> int:
                 n=n,
                 n_reps=int(config["n_reps"]),
                 alpha=float(config["alpha"]),
-                statistic_kind=kinds[0],
                 seed=int(config["seed"]),
                 grid_size=int(config["grid"]),
                 limit_reps=int(config["limit_reps"]),

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .ar_process import GaussianLaw, ZeroMeanLaw, law_descriptor, law_from_descriptor
-from .rng import derive_seed, substream
+from .ar_process import Gaussian, ZeroMeanLaw, law_descriptor, law_from_descriptor
+from .rng import substream
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -50,11 +50,9 @@ __all__ = [
     "cov_eval",
     "cov_matrix",
     "local_shift",
-    "simulate_limit_functionals",
     "simulate_limit_tables",
     "quantile",
     "mc_p_value",
-    "asymptotic_power",
     "save_table",
     "load_table",
 ]
@@ -88,23 +86,19 @@ def _normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def _pdf_at_quantile(t):
-    """``pdf(quantile(t))`` extended by continuity to 0 at t in {0, 1}."""
+def _pdf_terms(t):
+    """``pdf(q_t)`` and ``q_t * pdf(q_t)`` with ``q_t`` the normal quantile of ``t``.
+
+    Both are extended by continuity to 0 at t in {0, 1}.
+    """
     t = np.asarray(t, dtype=float)
     interior = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    out[interior] = _normal_pdf(ndtri(t[interior]))
-    return out
-
-
-def _quantile_pdf_product(t):
-    """``quantile(t) * pdf(quantile(t))`` extended to 0 at t in {0, 1}."""
-    t = np.asarray(t, dtype=float)
-    interior = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
+    a = np.zeros_like(t)
+    b = np.zeros_like(t)
     q = ndtri(t[interior])
-    out[interior] = q * _normal_pdf(q)
-    return out
+    a[interior] = _normal_pdf(q)
+    b[interior] = q * a[interior]
+    return a, b
 
 
 def cov_eval(s, t):
@@ -113,12 +107,9 @@ def cov_eval(s, t):
     t = np.asarray(t, dtype=float)
     if np.any((s < 0) | (s > 1)) or np.any((t < 0) | (t > 1)):
         raise ValueError("kernel arguments must lie in [0, 1]")
-    value = (
-        np.minimum(s, t)
-        - s * t
-        - _pdf_at_quantile(s) * _pdf_at_quantile(t)
-        - 0.5 * _quantile_pdf_product(s) * _quantile_pdf_product(t)
-    )
+    a_s, b_s = _pdf_terms(s)
+    a_t, b_t = _pdf_terms(t)
+    value = np.minimum(s, t) - s * t - a_s * a_t - 0.5 * b_s * b_t
     if value.ndim == 0:
         return float(value)
     return value
@@ -161,7 +152,7 @@ def local_shift(spec: ShiftSpec, t):
     if np.any((t_arr < 0) | (t_arr > 1)):
         raise ValueError("t must lie in [0, 1]")
     out = np.zeros_like(t_arr)
-    if isinstance(spec.h, GaussianLaw) and spec.h.sigma == spec.sigma0:
+    if isinstance(spec.h, Gaussian) and spec.h.sigma == spec.sigma0:
         # Mixing the innovation law with itself changes nothing; return exact
         # zeros instead of round-trip noise so downstream tables stay
         # bit-reproducible against the unshifted ones.
@@ -205,6 +196,8 @@ class LimitLawTable:
             raise ValueError("n_reps must equal the number of samples")
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
         if np.any(np.diff(samples) < 0):
             raise ValueError("samples must be sorted in ascending order")
         samples.setflags(write=False)
@@ -319,20 +312,6 @@ def simulate_limit_tables(
     return tables
 
 
-def simulate_limit_functionals(
-    kind: StatKind,
-    shift: ShiftSpec | None,
-    grid_size: int,
-    n_reps: int,
-    seed: int,
-    workers: int = 1,
-) -> LimitLawTable:
-    """Monte Carlo table for a single functional; see :func:`simulate_limit_tables`."""
-    return simulate_limit_tables((kind,), shift, grid_size, n_reps, seed, workers)[
-        StatKind(kind)
-    ]
-
-
 def quantile(table: LimitLawTable, alpha: float) -> float:
     """Upper ``alpha`` critical value: nearest-rank (1 - alpha) quantile."""
     if not 0.0 < alpha < 1.0:
@@ -354,32 +333,6 @@ def mc_p_value(table: LimitLawTable, value: float) -> float:
         raise ValueError("value must be finite")
     r = table.n_reps - int(np.searchsorted(table.samples, value, side="left"))
     return (r + 1) / (table.n_reps + 1)
-
-
-def asymptotic_power(
-    kind: StatKind,
-    shift: ShiftSpec,
-    alpha: float,
-    grid_size: int,
-    n_reps: int,
-    seed: int,
-    workers: int = 1,
-) -> float:
-    """Limiting rejection probability of the level-``alpha`` test under ``shift``.
-
-    Simulates a null table and a shifted table from independent derived
-    substreams and returns the fraction of shifted samples exceeding the
-    null critical value.
-    """
-    kind = StatKind(kind)
-    null_table = simulate_limit_functionals(
-        kind, None, grid_size, n_reps, derive_seed(seed, 0), workers
-    )
-    shifted = simulate_limit_functionals(
-        kind, shift, grid_size, n_reps, derive_seed(seed, 1), workers
-    )
-    critical = quantile(null_table, alpha)
-    return float(np.mean(shifted.samples > critical))
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +400,14 @@ def load_table(path) -> LimitLawTable:
             if not line or line.startswith("#"):
                 continue
             samples.append(float(line))
-    return LimitLawTable(
-        kind=kind,
-        shift=shift,
-        samples=np.asarray(samples, dtype=float),
-        grid_size=grid_size,
-        n_reps=n_reps,
-        seed=seed,
-    )
+    try:
+        return LimitLawTable(
+            kind=kind,
+            shift=shift,
+            samples=np.asarray(samples, dtype=float),
+            grid_size=grid_size,
+            n_reps=n_reps,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -36,9 +36,7 @@ __all__ = [
     "PowerReport",
     "PowerRow",
     "pipeline_statistics",
-    "run_size_experiment",
     "run_size_study",
-    "run_power_experiment",
     "run_power_study",
     "write_power_csv",
 ]
@@ -50,13 +48,12 @@ _PIPELINE_BRANCH = 2
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Configuration of one size or power experiment."""
+    """Configuration of one size or power study; the statistics are named per call."""
 
     model: ArModel
     n: int
     n_reps: int
     alpha: float
-    statistic_kind: StatKind
     seed: int
     grid_size: int = 512
     limit_reps: int = 100_000
@@ -71,7 +68,6 @@ class ExperimentSpec:
             raise ValueError("series too short: requires n >= p + 1")
         if self.limit_reps < 1:
             raise ValueError("limit_reps must be at least 1")
-        object.__setattr__(self, "statistic_kind", StatKind(self.statistic_kind))
 
 
 @dataclass(frozen=True)
@@ -205,15 +201,6 @@ def run_size_study(
     return _run_study(spec, kinds, None, workers, keep_statistics)
 
 
-def run_size_experiment(
-    spec: ExperimentSpec, workers: int = 1, keep_statistics: bool = False
-) -> PowerReport:
-    """Null rejection rate for the statistic named in ``spec``."""
-    return run_size_study(spec, (spec.statistic_kind,), workers, keep_statistics)[
-        spec.statistic_kind
-    ]
-
-
 def run_power_study(
     spec: ExperimentSpec, kinds, workers: int = 1, keep_statistics: bool = False
 ) -> dict[StatKind, PowerReport]:
@@ -233,15 +220,6 @@ def run_power_study(
         )
     shift = ShiftSpec(h=innovation.h, sigma0=innovation.sigma0)
     return _run_study(spec, kinds, shift, workers, keep_statistics)
-
-
-def run_power_experiment(
-    spec: ExperimentSpec, workers: int = 1, keep_statistics: bool = False
-) -> PowerReport:
-    """Power under the mixture alternative for the statistic named in ``spec``."""
-    return run_power_study(spec, (spec.statistic_kind,), workers, keep_statistics)[
-        spec.statistic_kind
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from arnorm import (
     ArModel,
     ExperimentSpec,
     Gaussian,
-    GaussianLaw,
     LaplaceLaw,
     Mixture,
     ResidualFit,
@@ -63,8 +62,7 @@ def _power_spec(h, *, coeffs=(0.5,), seed=POWER_SEED):
     mixture = Mixture(sigma0=1.0, h=h, n=N)
     model = ArModel(coeffs=coeffs, mean=0.0, innovation=mixture)
     return ExperimentSpec(
-        model=model, n=N, n_reps=PIPELINE_REPS, alpha=0.05,
-        statistic_kind=StatKind.KOLMOGOROV, seed=seed,
+        model=model, n=N, n_reps=PIPELINE_REPS, alpha=0.05, seed=seed,
         grid_size=GRID, limit_reps=LIMIT_REPS,
     )
 
@@ -72,7 +70,7 @@ def _power_spec(h, *, coeffs=(0.5,), seed=POWER_SEED):
 @pytest.fixture(scope="module")
 def strong_scale_reports():
     """Power study for contamination by a normal at three times the scale."""
-    return run_power_study(_power_spec(GaussianLaw(3.0)), BOTH)
+    return run_power_study(_power_spec(Gaussian(3.0)), BOTH)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +83,7 @@ def laplace_reports():
 def strong_scale_iid_reports():
     """The same strong-scale contamination driven through an i.i.d. pipeline."""
     return run_power_study(
-        _power_spec(GaussianLaw(3.0), coeffs=(), seed=IID_POWER_SEED), BOTH
+        _power_spec(Gaussian(3.0), coeffs=(), seed=IID_POWER_SEED), BOTH
     )
 
 
@@ -132,11 +130,11 @@ def test_c2_local_power_matches_limit(strong_scale_reports, laplace_reports):
 
 
 def test_c3_null_mixture_collapses():
-    spec = ShiftSpec(h=GaussianLaw(1.0), sigma0=1.0)
+    spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
     t = np.linspace(0.0, 1.0, 1000)
     max_shift = float(np.max(np.abs(local_shift(spec, t))))
     reports = run_power_study(
-        _power_spec(GaussianLaw(1.0), seed=SIZE_SEED), BOTH
+        _power_spec(Gaussian(1.0), seed=SIZE_SEED), BOTH
     )
     lines = [f"max |shift| {max_shift:.2e} (tol 1e-12)"]
     ok = max_shift < 1e-12

@@ -8,14 +8,12 @@ from arnorm import (
     ArModel,
     CustomLaw,
     Gaussian,
-    GaussianLaw,
     LaplaceLaw,
     Mixture,
     SeriesSample,
     StudentTLaw,
     TwoPointLaw,
     UniformLaw,
-    UserLaw,
     default_burn_in,
     ma_coefficients,
     simulate_ar,
@@ -152,7 +150,7 @@ class TestSimulateAr:
 
 
 LAW_CASES = [
-    GaussianLaw(1.5),
+    Gaussian(1.5),
     LaplaceLaw(2.0),
     UniformLaw(0.5),
     StudentTLaw(5, 4.0),
@@ -220,7 +218,7 @@ class TestZeroMeanLaws:
         assert law.sample(substream(8)) == draws[0]
 
     def test_lipschitz_flags(self):
-        assert GaussianLaw(1.0).lipschitz_density
+        assert Gaussian(1.0).lipschitz_density
         assert LaplaceLaw(1.0).lipschitz_density
         assert StudentTLaw(5, 1.0).lipschitz_density
         assert not UniformLaw(1.0).lipschitz_density
@@ -237,7 +235,7 @@ class TestDescriptors:
 
     def test_parse_alternative_scales_against_baseline(self):
         law = parse_alternative_law("gauss-scale:2.0", sigma0=1.5)
-        assert isinstance(law, GaussianLaw)
+        assert isinstance(law, Gaussian)
         assert law.sigma == pytest.approx(3.0)
 
     def test_parse_absolute_families(self):
@@ -268,7 +266,7 @@ class TestMixture:
         assert abs(freq - 0.1) < 5.0 * se
 
     def test_null_contaminant_collapses_to_normal(self):
-        mix = Mixture(sigma0=1.0, h=GaussianLaw(1.0), n=50)
+        mix = Mixture(sigma0=1.0, h=Gaussian(1.0), n=50)
         draws = mix.sample(substream(23), size=10_000)
         reference = substream(29).normal(0.0, 1.0, size=10_000)
         assert stats.ks_2samp(draws, reference).pvalue > 0.01
@@ -292,14 +290,17 @@ class TestMixture:
             Mixture(sigma0=1.0, h=LaplaceLaw(1.0), n=1)
 
     def test_user_law_passthrough(self):
-        law = UserLaw(h=TwoPointLaw(2.0))
-        draws = law.sample(substream(5), size=1000)
+        # any zero-mean law drives the model directly, with no wrapper
+        law = TwoPointLaw(2.0)
+        model = ArModel(coeffs=(), mean=0.0, innovation=law)
+        draws = simulate_ar(model, n=1000, burn_in=0, seed=5).values
         assert set(np.unique(draws)) == {-2.0, 2.0}
-        assert law.variance == pytest.approx(4.0)
+        np.testing.assert_array_equal(draws, law.sample(make_rng(5), size=1000))
+        assert model.innovation.variance == pytest.approx(4.0)
 
     def test_gaussian_innovation(self):
-        law = Gaussian(sigma0=1.5)
+        law = Gaussian(sigma=1.5)
         draws = law.sample(substream(6), size=50_000)
         assert abs(np.std(draws) - 1.5) < 0.02
         with pytest.raises(ValueError):
-            Gaussian(sigma0=-1.0)
+            Gaussian(sigma=-1.0)

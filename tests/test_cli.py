@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arnorm
 from arnorm import load_table, quantile
 from arnorm.cli import main
 from arnorm.rng import substream
@@ -12,6 +15,15 @@ from arnorm.rng import substream
 
 def _write_series(path, values):
     path.write_text("".join(f"{float(v)!r}\n" for v in values))
+
+
+def _run_cli(argv, cwd):
+    """Run ``python -m arnorm`` in a fresh interpreter, so warnings reach stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "arnorm", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +138,16 @@ class TestTest:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-Infinity"])
+    def test_non_finite_line_reported_with_number(self, tmp_path, bad):
+        series = tmp_path / "bad.txt"
+        values = substream(129).normal(size=6)
+        series.write_text("".join(f"{float(v)!r}\n" for v in values) + f"{bad}\n")
+        proc = _run_cli(["test", str(series), "--grid", "16", "--reps", "100"], tmp_path)
+        assert proc.returncode == 2
+        assert "line 7" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_comments_and_blanks_tolerated(self, tmp_path, capsys, small_tables):
         series = tmp_path / "ok.txt"
         values = substream(126).normal(size=300)
@@ -158,6 +180,44 @@ class TestTest:
         series = tmp_path / "short.txt"
         _write_series(series, [1.0, 2.0, 3.0])
         assert main(["test", str(series), "--p", "5", "--reps", "100"]) == 2
+
+    def test_nan_in_table_file_exits_2(self, tmp_path, capsys, small_tables):
+        table = tmp_path / "kolmogorov.table"
+        lines = Path(small_tables["kolmogorov"]).read_text().splitlines()
+        middle = len(lines) // 2
+        assert not lines[middle].startswith("#")
+        lines[middle] = "nan"
+        table.write_text("\n".join(lines) + "\n")
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(130).normal(size=200))
+        code = main([
+            "test", str(series), "--table", str(table), "--table", small_tables["omega2"],
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(table) in err and "finite" in err
+
+    def test_simulated_tables_match_quantiles_tables(self, tmp_path, capsys, small_tables):
+        # without --table, the null tables are simulated from the same grid,
+        # reps and seed that `arnorm quantiles` wrote small_tables with
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(131).normal(size=400))
+        capsys.readouterr()
+        assert main([
+            "test", str(series), "--table", small_tables["kolmogorov"],
+            "--table", small_tables["omega2"],
+        ]) == 0
+        cached = capsys.readouterr().out
+        assert main([
+            "test", str(series), "--grid", "128", "--reps", "20000", "--seed", "77",
+        ]) == 0
+        simulated = capsys.readouterr().out
+
+        def statistic_lines(text):
+            return [l for l in text.splitlines() if l.startswith("statistic=")]
+
+        assert len(statistic_lines(cached)) == 2
+        assert statistic_lines(simulated) == statistic_lines(cached)
 
     def test_duplicate_table_kind_rejected(self, tmp_path, capsys, small_tables):
         series = tmp_path / "series.txt"
@@ -317,6 +377,24 @@ class TestPower:
     def test_bad_alternative_descriptor_exits_2(self, tmp_path, capsys):
         config = _power_config(tmp_path, h=["dirichlet:1"])
         assert main(["power", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", "0"),
+            ("beta", [0.5, "0.2"]),
+            ("n", 200.0),
+            ("n", [200, True]),
+            ("h", None),
+            ("statistics", [1]),
+        ],
+        ids=["beta-string", "beta-string-item", "n-float", "n-bool-item", "h-null",
+             "statistics-number"],
+    )
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, field, value):
+        config = _power_config(tmp_path, **{field: value})
+        assert main(["power", str(config)]) == 2
+        assert f"{config}: {field} must be" in capsys.readouterr().err
 
     def test_empty_statistics_exits_2(self, tmp_path, capsys):
         config = _power_config(tmp_path, statistics=[])

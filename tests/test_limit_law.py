@@ -5,13 +5,12 @@ from scipy.special import ndtr
 import arnorm.limit_law as limit_law
 from arnorm import (
     CustomLaw,
-    GaussianLaw,
+    Gaussian,
     LaplaceLaw,
     LimitLawTable,
     ShiftSpec,
     StatKind,
     StudentTLaw,
-    asymptotic_power,
     cov_eval,
     cov_matrix,
     load_table,
@@ -19,14 +18,15 @@ from arnorm import (
     mc_p_value,
     quantile,
     save_table,
-    simulate_limit_functionals,
     simulate_limit_tables,
 )
+from arnorm.rng import derive_seed
 
 from conftest import upper_quantile
 from oracles import corrected_bridge_sup_check
 
-BOTH = (StatKind.KOLMOGOROV, StatKind.OMEGA2)
+SUP, OMEGA2 = StatKind.KOLMOGOROV, StatKind.OMEGA2
+BOTH = (SUP, OMEGA2)
 
 
 class TestCovKernel:
@@ -80,7 +80,7 @@ class TestCovKernel:
 
 class TestLocalShift:
     def test_null_contamination_is_exactly_zero(self):
-        spec = ShiftSpec(h=GaussianLaw(1.5), sigma0=1.5)
+        spec = ShiftSpec(h=Gaussian(1.5), sigma0=1.5)
         t = np.linspace(0.0, 1.0, 1001)
         assert np.all(local_shift(spec, t) == 0.0)
 
@@ -97,7 +97,7 @@ class TestLocalShift:
     def test_double_scale_value_at_one_sigma(self):
         # hand computation for contamination by a normal at twice the scale:
         # cdf term ndtr(0.5) - ndtr(1), variance term (3/2) pdf(1)
-        spec = ShiftSpec(h=GaussianLaw(2.0), sigma0=1.0)
+        spec = ShiftSpec(h=Gaussian(2.0), sigma0=1.0)
         expected = (ndtr(0.5) - ndtr(1.0)
                     + 1.5 * np.exp(-0.5) / np.sqrt(2.0 * np.pi))
         got = local_shift(spec, float(ndtr(1.0)))
@@ -159,18 +159,22 @@ class TestQuantileAndPValue:
             LimitLawTable(kind=StatKind.KOLMOGOROV, shift=None,
                           samples=np.array([1.0, 2.0]), grid_size=2,
                           n_reps=3, seed=0)  # length mismatch
+        with pytest.raises(ValueError, match="finite"):
+            LimitLawTable(kind=StatKind.KOLMOGOROV, shift=None,
+                          samples=np.array([1.0, np.nan, 2.0]), grid_size=2,
+                          n_reps=3, seed=0)  # NaN passes the sortedness check
 
 
 class TestSimulation:
     def test_same_seed_reproduces(self):
-        a = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 300, seed=5)
-        b = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 300, seed=5)
+        a = simulate_limit_tables((SUP,), None, 64, 300, seed=5)[SUP]
+        b = simulate_limit_tables((SUP,), None, 64, 300, seed=5)[SUP]
         np.testing.assert_array_equal(a.samples, b.samples)
-        c = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 300, seed=6)
+        c = simulate_limit_tables((SUP,), None, 64, 300, seed=6)[SUP]
         assert not np.array_equal(a.samples, c.samples)
 
     def test_samples_sorted_and_positive(self):
-        table = simulate_limit_functionals(StatKind.OMEGA2, None, 64, 500, seed=7)
+        table = simulate_limit_tables((OMEGA2,), None, 64, 500, seed=7)[OMEGA2]
         assert np.all(np.diff(table.samples) >= 0)
         assert table.samples[0] > 0.0
         assert table.n_reps == 500 and table.grid_size == 64
@@ -185,16 +189,16 @@ class TestSimulation:
             np.testing.assert_array_equal(serial[kind].samples, parallel[kind].samples)
 
     def test_null_mixture_shift_reproduces_null_table(self):
-        spec = ShiftSpec(h=GaussianLaw(1.0), sigma0=1.0)
-        null = simulate_limit_functionals(StatKind.OMEGA2, None, 64, 400, seed=13)
-        shifted = simulate_limit_functionals(StatKind.OMEGA2, spec, 64, 400, seed=13)
+        spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
+        null = simulate_limit_tables((OMEGA2,), None, 64, 400, seed=13)[OMEGA2]
+        shifted = simulate_limit_tables((OMEGA2,), spec, 64, 400, seed=13)[OMEGA2]
         np.testing.assert_array_equal(null.samples, shifted.samples)
 
     def test_both_kinds_share_one_stream(self):
         # tables for the two statistics come from the same simulated paths,
         # so building them together or separately gives identical samples
         pair = simulate_limit_tables(BOTH, None, 64, 300, seed=17)
-        single = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 300, seed=17)
+        single = simulate_limit_tables((SUP,), None, 64, 300, seed=17)[SUP]
         np.testing.assert_array_equal(pair[StatKind.KOLMOGOROV].samples, single.samples)
 
     def test_grid_refinement_stability(self):
@@ -222,15 +226,15 @@ class TestSimulation:
         monkeypatch.setattr(limit_law, "cov_matrix", lambda t: -np.eye(t.size))
         try:
             with pytest.raises(RuntimeError):
-                simulate_limit_functionals(StatKind.KOLMOGOROV, None, 7, 10, seed=0)
+                simulate_limit_tables((SUP,), None, 7, 10, seed=0)
         finally:
             limit_law._path_factor.cache_clear()
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            simulate_limit_functionals(StatKind.KOLMOGOROV, None, 1, 100, seed=0)
+            simulate_limit_tables((SUP,), None, 1, 100, seed=0)
         with pytest.raises(ValueError):
-            simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 0, seed=0)
+            simulate_limit_tables((SUP,), None, 64, 0, seed=0)
 
 
 def _quantile_stderr(table, alpha):
@@ -254,7 +258,7 @@ class TestContinuityCorrection:
         # both levels; with the continuity correction both estimate the sup
         # over [0, 1] and agree to Monte Carlo error (~0.003 at 5%)
         coarse, fine = (
-            simulate_limit_functionals(StatKind.KOLMOGOROV, None, grid, 40_000, seed=31)
+            simulate_limit_tables((SUP,), None, grid, 40_000, seed=31)[SUP]
             for grid in (64, 1024)
         )
         for alpha in (0.05, 0.5):
@@ -270,28 +274,36 @@ class TestContinuityCorrection:
             assert abs(corrected - exact) <= 4.0 * stderr, (alpha, corrected, exact)
 
 
+def _limit_power(kind, shift, alpha, grid_size, n_reps, seed):
+    """Share of shifted-table samples above the null table's critical value.
+
+    The two tables come from independent derived streams, as in the power
+    studies.
+    """
+    null = simulate_limit_tables((kind,), None, grid_size, n_reps, derive_seed(seed, 0))[kind]
+    shifted = simulate_limit_tables((kind,), shift, grid_size, n_reps, derive_seed(seed, 1))[kind]
+    return float(np.mean(shifted.samples > quantile(null, alpha)))
+
+
 class TestAsymptoticPower:
     def test_null_contamination_recovers_level(self):
-        spec = ShiftSpec(h=GaussianLaw(1.0), sigma0=1.0)
-        power = asymptotic_power(StatKind.KOLMOGOROV, spec, alpha=0.05,
-                                 grid_size=128, n_reps=20_000, seed=3)
+        spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
+        power = _limit_power(SUP, spec, alpha=0.05, grid_size=128, n_reps=20_000, seed=3)
         # null and shifted tables use independent streams, so both carry
         # Monte Carlo noise: se ~ sqrt(2 * 0.05 * 0.95 / 20000) ~ 0.0022
         assert power == pytest.approx(0.05, abs=0.007)
 
     def test_strong_alternative_beats_level(self):
-        spec = ShiftSpec(h=GaussianLaw(3.0), sigma0=1.0)
-        power = asymptotic_power(StatKind.OMEGA2, spec, alpha=0.05,
-                                 grid_size=256, n_reps=20_000, seed=3)
+        spec = ShiftSpec(h=Gaussian(3.0), sigma0=1.0)
+        power = _limit_power(OMEGA2, spec, alpha=0.05, grid_size=256, n_reps=20_000, seed=3)
         assert power > 0.5
 
     def test_power_increases_with_contaminating_scale(self):
         powers = []
         for scale in (1.0, 1.5, 2.0, 3.0):
-            spec = ShiftSpec(h=GaussianLaw(scale), sigma0=1.0)
+            spec = ShiftSpec(h=Gaussian(scale), sigma0=1.0)
             powers.append(
-                asymptotic_power(StatKind.KOLMOGOROV, spec, alpha=0.05,
-                                 grid_size=256, n_reps=20_000, seed=5)
+                _limit_power(SUP, spec, alpha=0.05, grid_size=256, n_reps=20_000, seed=5)
             )
         for lo, hi in zip(powers, powers[1:]):
             assert hi > lo - 0.02  # nondecreasing up to Monte Carlo noise
@@ -300,7 +312,7 @@ class TestAsymptoticPower:
 
 class TestTableSerialization:
     def test_roundtrip_null_table(self, tmp_path):
-        table = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 500, seed=23)
+        table = simulate_limit_tables((SUP,), None, 64, 500, seed=23)[SUP]
         path = tmp_path / "null.table"
         save_table(table, path)
         back = load_table(path)
@@ -313,7 +325,7 @@ class TestTableSerialization:
 
     def test_roundtrip_shifted_table(self, tmp_path):
         spec = ShiftSpec(h=StudentTLaw(5, 4.0), sigma0=1.5)
-        table = simulate_limit_functionals(StatKind.OMEGA2, spec, 64, 400, seed=29)
+        table = simulate_limit_tables((OMEGA2,), spec, 64, 400, seed=29)[OMEGA2]
         path = tmp_path / "shifted.table"
         save_table(table, path, comments=("made by the test suite",))
         back = load_table(path)
@@ -324,7 +336,7 @@ class TestTableSerialization:
         assert back.shift.sigma0 == 1.5
 
     def test_loaded_table_serves_quantiles(self, tmp_path):
-        table = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 500, seed=23)
+        table = simulate_limit_tables((SUP,), None, 64, 500, seed=23)[SUP]
         path = tmp_path / "t.table"
         save_table(table, path)
         back = load_table(path)
@@ -337,7 +349,7 @@ class TestTableSerialization:
             load_table(path)
 
     def test_rejects_truncated_header(self, tmp_path):
-        table = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 100, seed=1)
+        table = simulate_limit_tables((SUP,), None, 64, 100, seed=1)[SUP]
         path = tmp_path / "t.table"
         save_table(table, path)
         lines = path.read_text().splitlines()
@@ -347,7 +359,7 @@ class TestTableSerialization:
             load_table(path)
 
     def test_rejects_sample_count_mismatch(self, tmp_path):
-        table = simulate_limit_functionals(StatKind.KOLMOGOROV, None, 64, 100, seed=1)
+        table = simulate_limit_tables((SUP,), None, 64, 100, seed=1)[SUP]
         path = tmp_path / "t.table"
         save_table(table, path)
         lines = path.read_text().splitlines()

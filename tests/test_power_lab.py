@@ -8,21 +8,19 @@ from arnorm import (
     ArModel,
     ExperimentSpec,
     Gaussian,
-    GaussianLaw,
     LaplaceLaw,
     Mixture,
     PowerReport,
     PowerRow,
     StatKind,
     pipeline_statistics,
-    run_power_experiment,
     run_power_study,
-    run_size_experiment,
     run_size_study,
     write_power_csv,
 )
 
-BOTH = (StatKind.KOLMOGOROV, StatKind.OMEGA2)
+SUP = StatKind.KOLMOGOROV
+BOTH = (SUP, StatKind.OMEGA2)
 
 
 def _size_spec(**overrides):
@@ -31,7 +29,6 @@ def _size_spec(**overrides):
         n=400,
         n_reps=400,
         alpha=0.05,
-        statistic_kind=StatKind.KOLMOGOROV,
         seed=100,
         grid_size=128,
         limit_reps=20_000,
@@ -41,13 +38,12 @@ def _size_spec(**overrides):
 
 
 def _power_spec(scale=2.0, n=400, **overrides):
-    mixture = Mixture(sigma0=1.0, h=GaussianLaw(scale), n=n)
+    mixture = Mixture(sigma0=1.0, h=Gaussian(scale), n=n)
     base = dict(
         model=ArModel(coeffs=(0.5,), mean=0.0, innovation=mixture),
         n=n,
         n_reps=400,
         alpha=0.05,
-        statistic_kind=StatKind.KOLMOGOROV,
         seed=200,
         grid_size=128,
         limit_reps=20_000,
@@ -116,7 +112,7 @@ class TestSizeStudy:
         spec = _size_spec(
             model=ArModel(coeffs=(), mean=2.0, innovation=Gaussian(1.5)), n=300
         )
-        report = run_size_experiment(spec)
+        report = run_size_study(spec, (SUP,))[SUP]
         assert abs(report.empirical_rejection_rate - 0.05) < 0.04
 
     def test_requires_gaussian_innovation(self):
@@ -125,14 +121,14 @@ class TestSizeStudy:
             run_size_study(spec, BOTH)
 
     def test_stderr_matches_binomial_formula(self):
-        report = run_size_experiment(_size_spec())
+        report = run_size_study(_size_spec(), (SUP,))[SUP]
         rate = report.empirical_rejection_rate
         expected = np.sqrt(rate * (1.0 - rate) / report.n_reps)
         assert report.mc_stderr == pytest.approx(expected, rel=1e-12)
 
     def test_keep_statistics_roundtrip(self):
         spec = _size_spec(n_reps=120)
-        report = run_size_experiment(spec, keep_statistics=True)
+        report = run_size_study(spec, (SUP,), keep_statistics=True)[SUP]
         assert report.statistics.shape == (120,)
         rate = np.mean(report.statistics > report.critical_value)
         assert rate == pytest.approx(report.empirical_rejection_rate)
@@ -140,7 +136,9 @@ class TestSizeStudy:
     def test_stderr_consistent_with_batch_spread(self):
         # split the kept statistics into 10 batches; the spread of batch
         # rejection rates should be on the scale the binomial stderr predicts
-        report = run_size_experiment(_size_spec(n_reps=1000), keep_statistics=True)
+        report = run_size_study(
+            _size_spec(n_reps=1000), (SUP,), keep_statistics=True
+        )[SUP]
         rejected = report.statistics > report.critical_value
         batch_rates = rejected.reshape(10, 100).mean(axis=1)
         batch_se = np.std(batch_rates, ddof=1) / np.sqrt(10)
@@ -158,7 +156,7 @@ class TestPowerStudy:
             assert report.critical_value > 0.0
 
     def test_power_beats_level_for_strong_alternative(self):
-        report = run_power_experiment(_power_spec(scale=3.0))
+        report = run_power_study(_power_spec(scale=3.0), (SUP,))[SUP]
         assert report.empirical_rejection_rate > 0.05 + 5.0 * report.mc_stderr
 
     def test_requires_mixture_innovation(self):
@@ -168,17 +166,16 @@ class TestPowerStudy:
     def test_mixture_coupling_enforced(self):
         # mixture built for one n must not silently drive an experiment at
         # another n: the contamination weight would be wrong
-        mixture = Mixture(sigma0=1.0, h=GaussianLaw(2.0), n=500)
+        mixture = Mixture(sigma0=1.0, h=Gaussian(2.0), n=500)
         model = ArModel(coeffs=(0.5,), mean=0.0, innovation=mixture)
         spec = ExperimentSpec(
-            model=model, n=400, n_reps=400, alpha=0.05,
-            statistic_kind=StatKind.KOLMOGOROV, seed=0,
+            model=model, n=400, n_reps=400, alpha=0.05, seed=0,
         )
         with pytest.raises(ValueError, match="coupled"):
             run_power_study(spec, BOTH)
 
     def test_null_mixture_power_near_level(self):
-        report = run_power_experiment(_power_spec(scale=1.0, n_reps=500))
+        report = run_power_study(_power_spec(scale=1.0, n_reps=500), (SUP,))[SUP]
         assert abs(report.empirical_rejection_rate - 0.05) < 0.04
         assert abs(report.asymptotic_power - 0.05) < 0.01
 
@@ -202,7 +199,7 @@ class TestPowerStudy:
                     scale=2.0, n=n, n_reps=150, seed=seed,
                     grid_size=128, limit_reps=10_000,
                 )
-                report = run_power_experiment(spec)
+                report = run_power_study(spec, (SUP,))[SUP]
                 medians.append(
                     abs(report.empirical_rejection_rate - report.asymptotic_power)
                 )
@@ -226,8 +223,9 @@ class TestValidation:
             _size_spec(n=1)
 
     def test_kind_coerced_from_string(self):
-        spec = _size_spec(statistic_kind="omega2")
-        assert spec.statistic_kind is StatKind.OMEGA2
+        reports = run_size_study(_size_spec(n_reps=100, limit_reps=1000), ("omega2",))
+        assert list(reports) == [StatKind.OMEGA2]
+        assert reports[StatKind.OMEGA2].statistic_kind is StatKind.OMEGA2
 
 
 class TestCsvOutput:
