@@ -337,10 +337,13 @@ class Mixture(ZeroMeanLaw):
     the contamination vanishes at the root-n rate along the sequence of
     experiments.
 
-    Draw order contract: each draw consumes exactly one uniform (the branch
-    indicator) followed by exactly one draw from the selected branch, so a
-    vector of draws equals the sequence of single draws from the same
-    stream.
+    Stream layout of ``sample(rng, size)``: ``size`` uniforms (a position is
+    contaminated where its uniform falls below the weight), then ``size``
+    normals with scale ``sigma0``, then one ``h.sample(rng, k)`` call whose
+    ``k`` draws fill the contaminated positions in order.  A single draw is
+    ``sample(rng, 1)[0]``.  A longer draw therefore does not extend a
+    shorter one from the same stream, and a vector of draws is not the
+    sequence of single draws.
     """
 
     sigma0: float
@@ -372,17 +375,10 @@ class Mixture(ZeroMeanLaw):
 
     def sample(self, rng, size=None):
         if size is None:
-            if rng.random() < self.weight:
-                return self.h.sample(rng)
-            return rng.normal(0.0, self.sigma0)
-        # scalar loop: the per-draw stream layout above is part of the
-        # contract, so the branches cannot be batched
-        w = self.weight
-        s0 = self.sigma0
-        uniform, normal, h_sample = rng.random, rng.normal, self.h.sample
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = h_sample(rng) if uniform() < w else normal(0.0, s0)
+            return self.sample(rng, 1)[0]
+        contaminated = rng.random(size) < self.weight
+        out = rng.normal(0.0, self.sigma0, size)
+        out[contaminated] = self.h.sample(rng, int(np.count_nonzero(contaminated)))
         return out
 
 

@@ -8,7 +8,8 @@ Subcommands
 ``simulate``   dump a simulated series for use in pipelines
 
 Every run prints the library version, the resolved configuration, and the
-seed; identical invocations produce byte-identical output.  The
+seed (``test`` prints each table's kind, grid, reps, seed and source
+instead); identical invocations produce byte-identical output.  The
 ``--workers`` flag changes wall time only, never output bytes.  Exit codes:
 0 success, 2 invalid input or configuration, 3 degenerate data (the fit or
 the test statistic is undefined for the given series).
@@ -150,14 +151,17 @@ def main(argv=None) -> int:
         return 2
 
 
-def _header_lines(command: str, config: dict, seed: int) -> list[str]:
+def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
     """Deterministic provenance header; excludes fields (out, workers) that
-    must not affect output bytes."""
-    return [
+    must not affect output bytes.  ``seed=None`` omits the seed line, for
+    commands whose seeds belong to their tables."""
+    lines = [
         f"arnorm {__version__} {command}",
         "config: " + json.dumps(config, sort_keys=True),
-        f"seed: {seed}",
     ]
+    if seed is not None:
+        lines.append(f"seed: {seed}")
+    return lines
 
 
 def _emit(lines, out_path) -> None:
@@ -191,13 +195,17 @@ def _read_series(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _resolve_tables(args) -> dict[StatKind, "object"]:
-    """Load tables given on the command line, then build the missing kinds."""
+def _resolve_tables(args) -> tuple[dict, dict]:
+    """Load tables given on the command line, then build the missing kinds.
+
+    Returns the tables by kind and, by kind, where each came from: its file
+    path, or ``"simulated"`` for a kind built on the fly.
+    """
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
-    tables = {}
+    tables, sources = {}, {}
     for path in args.table:
         table = load_table(path)
         if table.shift is not None:
@@ -205,12 +213,14 @@ def _resolve_tables(args) -> dict[StatKind, "object"]:
         if table.kind in tables:
             raise ValueError(f"{path}: duplicate table for {table.kind.value}")
         tables[table.kind] = table
+        sources[table.kind] = path
     missing = [kind for kind in StatKind if kind not in tables]
     if missing:
         tables.update(
             simulate_limit_tables(missing, None, args.grid, args.reps, args.seed, args.workers)
         )
-    return tables
+        sources.update(dict.fromkeys(missing, "simulated"))
+    return tables, sources
 
 
 def _cmd_test(args) -> int:
@@ -220,7 +230,7 @@ def _cmd_test(args) -> int:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     values = _read_series(args.series)
     sample = SeriesSample.from_values(values, args.p)
-    tables = _resolve_tables(args)
+    tables, sources = _resolve_tables(args)
     fit = fit_ar(sample)
     results = [
         kolmogorov_stat(fit, tables[StatKind.KOLMOGOROV], args.alpha),
@@ -231,10 +241,18 @@ def _cmd_test(args) -> int:
         "series": args.series,
         "p": args.p,
         "alpha": args.alpha,
-        "grid": args.grid,
-        "reps": args.reps,
-        "tables": sorted(args.table),
     }
+    header = _header_lines("test", config, None)
+    for kind in StatKind:
+        table = tables[kind]
+        provenance = {
+            "kind": kind.value,
+            "source": sources[kind],
+            "grid_size": table.grid_size,
+            "n_reps": table.n_reps,
+            "seed": table.seed,
+        }
+        header.append("table: " + json.dumps(provenance, sort_keys=True))
     body = [
         f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"
     ]
@@ -245,7 +263,7 @@ def _cmd_test(args) -> int:
             f"p_value={res.p_value!r} alpha={res.alpha!r} "
             f"critical_value={res.critical_value!r} verdict={verdict}"
         )
-    _emit((_header_lines("test", config, args.seed), body), args.out)
+    _emit((header, body), args.out)
     return 0
 
 
@@ -294,25 +312,33 @@ def _load_power_config(path) -> dict:
     config = dict(_POWER_DEFAULTS)
     config.update(raw)
 
+    def typed(value, types):
+        return isinstance(value, types) and not isinstance(value, bool)
+
     def listed(name, types, what, scalar_ok=True):
         value = config[name]
         if scalar_ok and not isinstance(value, list):
             value = [value]
-        if not isinstance(value, list) or not all(
-            isinstance(v, types) and not isinstance(v, bool) for v in value
-        ):
+        if not isinstance(value, list) or not all(typed(v, types) for v in value):
             raise ValueError(f"{path}: {name} must be {what}")
         return value
 
     config["n"] = listed("n", int, "an integer or a list of integers")
     config["h"] = listed("h", str, "a string or a list of strings")
     config["statistics"] = listed("statistics", str, "a string or a list of strings")
-    if not config["statistics"]:
-        raise ValueError(f"{path}: statistics must name at least one statistic")
+    for name in ("n", "h", "statistics"):
+        if not config[name]:
+            raise ValueError(f"{path}: {name} must not be empty")
     beta = listed("beta", (int, float), "a list of numbers", scalar_ok=False)
     config["beta"] = [float(v) for v in beta]
-    if config["burn_in"] is not None:
-        config["burn_in"] = int(config["burn_in"])
+    for name in ("mu", "sigma0", "alpha"):
+        if not typed(config[name], (int, float)) or not math.isfinite(config[name]):
+            raise ValueError(f"{path}: {name} must be a finite number")
+    for name in ("n_reps", "seed", "grid", "limit_reps"):
+        if not typed(config[name], int):
+            raise ValueError(f"{path}: {name} must be an integer")
+    if config["burn_in"] is not None and not typed(config["burn_in"], int):
+        raise ValueError(f"{path}: burn_in must be an integer or null")
     return config
 
 
@@ -343,11 +369,11 @@ def _cmd_power(args) -> int:
             spec = ExperimentSpec(
                 model=model,
                 n=n,
-                n_reps=int(config["n_reps"]),
+                n_reps=config["n_reps"],
                 alpha=float(config["alpha"]),
-                seed=int(config["seed"]),
-                grid_size=int(config["grid"]),
-                limit_reps=int(config["limit_reps"]),
+                seed=config["seed"],
+                grid_size=config["grid"],
+                limit_reps=config["limit_reps"],
                 burn_in=config["burn_in"],
             )
             if h_text == "none":
@@ -360,7 +386,7 @@ def _cmd_power(args) -> int:
                         n, h_text, spec.alpha, spec.seed, reports[kind]
                     )
                 )
-    header = _header_lines("power", {"command": "power", **config}, int(config["seed"]))
+    header = _header_lines("power", {"command": "power", **config}, config["seed"])
     header.extend(notes)
     if args.out:
         with open(args.out, "w") as fh:

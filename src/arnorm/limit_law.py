@@ -394,12 +394,22 @@ def load_table(path) -> LimitLawTable:
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed table header: {exc}") from None
             shift = ShiftSpec(h=law_from_descriptor(shift_text), sigma0=sigma0)
-        samples = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            samples.append(float(line))
+        try:
+            samples = [
+                float(line) for line in map(str.strip, fh) if line and not line.startswith("#")
+            ]
+        except ValueError:
+            # read again line by line, only to name the offending line
+            fh.seek(0)
+            for lineno, line in enumerate(map(str.strip, fh), start=1):
+                try:
+                    if line and not line.startswith("#"):
+                        float(line)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno} is not a number: {line!r}"
+                    ) from None
+            raise
     try:
         return LimitLawTable(
             kind=kind,

@@ -276,12 +276,26 @@ class TestMixture:
         w = mix.weight
         assert mix.variance == pytest.approx((1 - w) * 1.0 + w * 4.0)
 
-    def test_scalar_vector_order(self):
-        mix = Mixture(sigma0=1.0, h=UniformLaw(0.5), n=25)
+    def test_stream_layout(self):
+        # size uniforms flag the contaminated positions, then size normals
+        # with scale sigma0, then one h draw per flagged position, in order
+        mix = Mixture(sigma0=1.5, h=UniformLaw(0.5), n=25)
         vec = mix.sample(substream(41), size=30)
         rng = substream(41)
-        one_by_one = np.array([mix.sample(rng) for _ in range(30)])
-        np.testing.assert_array_equal(vec, one_by_one)
+        flagged = rng.random(30) < mix.weight
+        expected = rng.normal(0.0, 1.5, 30)
+        expected[flagged] = mix.h.sample(rng, int(np.count_nonzero(flagged)))
+        assert 0 < np.count_nonzero(flagged) < 30
+        np.testing.assert_array_equal(vec, expected)
+        assert mix.sample(substream(42)) == mix.sample(substream(42), 1)[0]
+
+    def test_draws_follow_mixture_cdf(self):
+        # weight 0.5 with distinct branch scales: a mis-scaled or dropped
+        # branch moves the draws far from the mixture cdf
+        mix = Mixture(sigma0=1.5, h=Gaussian(3.0), n=4)
+        assert mix.weight == 0.5
+        draws = mix.sample(substream(43), size=50_000)
+        assert stats.kstest(draws, mix.cdf).pvalue > 0.01
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

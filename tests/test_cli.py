@@ -197,6 +197,22 @@ class TestTest:
         err = capsys.readouterr().err
         assert str(table) in err and "finite" in err
 
+    def test_non_numeric_table_line_reported_with_number(self, tmp_path, capsys, small_tables):
+        table = tmp_path / "kolmogorov.table"
+        lines = Path(small_tables["kolmogorov"]).read_text().splitlines()
+        middle = len(lines) // 2
+        assert not lines[middle].startswith("#")
+        lines[middle] = "abc"
+        table.write_text("\n".join(lines) + "\n")
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(130).normal(size=200))
+        code = main([
+            "test", str(series), "--table", str(table), "--table", small_tables["omega2"],
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{table}: line {middle + 1} is not a number: 'abc'" in err
+
     def test_simulated_tables_match_quantiles_tables(self, tmp_path, capsys, small_tables):
         # without --table, the null tables are simulated from the same grid,
         # reps and seed that `arnorm quantiles` wrote small_tables with
@@ -218,6 +234,39 @@ class TestTest:
 
         assert len(statistic_lines(cached)) == 2
         assert statistic_lines(simulated) == statistic_lines(cached)
+
+    def test_header_reports_table_provenance(self, tmp_path, capsys):
+        # the header names each table's own grid, reps and seed, not the
+        # --grid/--reps/--seed defaults
+        paths = {}
+        for kind in ("kolmogorov", "omega2"):
+            paths[kind] = str(tmp_path / f"{kind}.table")
+            assert main(["quantiles", "--kind", kind, "--grid", "64", "--reps", "5000",
+                         "--seed", "3", "--out", paths[kind]]) == 0
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(132).normal(size=300))
+
+        def table_headers(argv):
+            capsys.readouterr()
+            assert main(["test", str(series), *argv]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert not any(l.startswith("# seed:") for l in lines)
+            return [json.loads(l[len("# table: "):]) for l in lines
+                    if l.startswith("# table: ")]
+
+        loaded = table_headers(["--table", paths["kolmogorov"], "--table", paths["omega2"]])
+        assert loaded == [
+            {"kind": kind, "source": paths[kind], "grid_size": 64, "n_reps": 5000, "seed": 3}
+            for kind in ("kolmogorov", "omega2")
+        ]
+        mixed = table_headers(["--table", paths["omega2"], "--grid", "32",
+                               "--reps", "500", "--seed", "5"])
+        assert mixed == [
+            {"kind": "kolmogorov", "source": "simulated", "grid_size": 32,
+             "n_reps": 500, "seed": 5},
+            {"kind": "omega2", "source": paths["omega2"], "grid_size": 64,
+             "n_reps": 5000, "seed": 3},
+        ]
 
     def test_duplicate_table_kind_rejected(self, tmp_path, capsys, small_tables):
         series = tmp_path / "series.txt"
@@ -387,9 +436,20 @@ class TestPower:
             ("n", [200, True]),
             ("h", None),
             ("statistics", [1]),
+            ("mu", "1e300"),
+            ("mu", float("nan")),
+            ("sigma0", True),
+            ("alpha", "0.05"),
+            ("n_reps", 150.0),
+            ("seed", True),
+            ("grid", "128"),
+            ("limit_reps", 5000.5),
+            ("burn_in", 100.0),
         ],
         ids=["beta-string", "beta-string-item", "n-float", "n-bool-item", "h-null",
-             "statistics-number"],
+             "statistics-number", "mu-string", "mu-nan", "sigma0-bool", "alpha-string",
+             "n_reps-float", "seed-bool", "grid-string", "limit_reps-float",
+             "burn_in-float"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, field, value):
         config = _power_config(tmp_path, **{field: value})
@@ -399,6 +459,13 @@ class TestPower:
     def test_empty_statistics_exits_2(self, tmp_path, capsys):
         config = _power_config(tmp_path, statistics=[])
         assert main(["power", str(config)]) == 2
+
+    @pytest.mark.parametrize("field", ["n", "h"])
+    def test_empty_grid_axis_exits_2(self, tmp_path, capsys, field):
+        # an empty axis would otherwise write a CSV with a header and no rows
+        config = _power_config(tmp_path, **{field: []})
+        assert main(["power", str(config)]) == 2
+        assert f"{config}: {field} must not be empty" in capsys.readouterr().err
 
 
 class TestEntryPoint:
