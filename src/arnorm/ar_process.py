@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.signal import lfilter
-from scipy.special import ndtr
+from scipy.special import ndtr, stdtr
 
 from .rng import make_rng
 
@@ -52,6 +50,12 @@ __all__ = [
 # Margin used by the stationarity gate: the largest characteristic root must
 # have modulus below 1 - _STATIONARITY_MARGIN.
 _STATIONARITY_MARGIN = 1e-8
+
+
+def _require_positive(name: str, value) -> None:
+    """Reject a scale or variance parameter that is not positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +100,7 @@ class Gaussian(ZeroMeanLaw):
     lipschitz_density = True
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        _require_positive("sigma", self.sigma)
 
     @property
     def variance(self) -> float:
@@ -118,8 +121,7 @@ class LaplaceLaw(ZeroMeanLaw):
     lipschitz_density = True
 
     def __post_init__(self) -> None:
-        if not self.variance_ > 0:
-            raise ValueError("variance must be positive")
+        _require_positive("variance", self.variance_)
 
     @property
     def variance(self) -> float:
@@ -149,8 +151,7 @@ class UniformLaw(ZeroMeanLaw):
     lipschitz_density = False  # density is discontinuous at the endpoints
 
     def __post_init__(self) -> None:
-        if not self.variance_ > 0:
-            raise ValueError("variance must be positive")
+        _require_positive("variance", self.variance_)
 
     @property
     def variance(self) -> float:
@@ -178,10 +179,9 @@ class StudentTLaw(ZeroMeanLaw):
     lipschitz_density = True
 
     def __post_init__(self) -> None:
-        if not self.df > 2:
-            raise ValueError("df must exceed 2 for a finite variance")
-        if not self.variance_ > 0:
-            raise ValueError("variance must be positive")
+        if not 2.0 < self.df < math.inf:
+            raise ValueError("df must be finite and exceed 2 for a finite variance")
+        _require_positive("variance", self.variance_)
 
     @property
     def variance(self) -> float:
@@ -193,7 +193,7 @@ class StudentTLaw(ZeroMeanLaw):
         return math.sqrt(self.variance_ * (self.df - 2.0) / self.df)
 
     def cdf(self, x):
-        return stats.t.cdf(np.asarray(x, dtype=float) / self.scale, self.df)
+        return stdtr(self.df, np.asarray(x, dtype=float) / self.scale)
 
     def sample(self, rng, size=None):
         return self.scale * rng.standard_t(self.df, size)
@@ -211,8 +211,7 @@ class TwoPointLaw(ZeroMeanLaw):
     lipschitz_density = False
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("a must be positive")
+        _require_positive("a", self.a)
 
     @property
     def variance(self) -> float:
@@ -238,8 +237,7 @@ class CustomLaw(ZeroMeanLaw):
     """
 
     def __init__(self, cdf, sampler, variance: float, lipschitz_density: bool = False):
-        if not variance > 0:
-            raise ValueError("variance must be positive")
+        _require_positive("variance", variance)
         self._cdf = cdf
         self._sampler = sampler
         self._variance = float(variance)
@@ -316,8 +314,10 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
             (c,) = [float(tok) for tok in tail.split(",")] if tail else []
         except ValueError:
             raise ValueError(f"invalid law descriptor {text!r}") from None
-        if not c > 0:
-            raise ValueError(f"invalid law descriptor {text!r}: scale must be positive")
+        if not 0.0 < c < math.inf:
+            raise ValueError(
+                f"invalid law descriptor {text!r}: scale must be positive and finite"
+            )
         return Gaussian(c * sigma0)
     return law_from_descriptor(text)
 
@@ -351,8 +351,7 @@ class Mixture(ZeroMeanLaw):
     n: int
 
     def __post_init__(self) -> None:
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        _require_positive("sigma0", self.sigma0)
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError("n must be an integer >= 2")
         if not isinstance(self.h, ZeroMeanLaw):
@@ -423,6 +422,8 @@ class ArModel:
                 f"model is not stationary: characteristic root radius {radius:.6g} "
                 f"is not below {1.0 - _STATIONARITY_MARGIN}"
             )
+        if not math.isfinite(self.mean):
+            raise ValueError("mean must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if not isinstance(self.innovation, ZeroMeanLaw):
@@ -467,6 +468,13 @@ class SeriesSample:
         return cls(values=values, p=int(p), n=int(values.size) - int(p))
 
 
+def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Run ``x`` through the all-pole filter ``1 / (1 - sum_k coeffs[k-1] B^k)``."""
+    from scipy.signal import lfilter  # on first use: it loads scipy.stats, slow to import
+
+    return lfilter([1.0], np.r_[1.0, -coeffs], x)
+
+
 def ma_coefficients(coeffs: np.ndarray, m: int) -> np.ndarray:
     """First ``m + 1`` moving-average weights of the stationary solution.
 
@@ -480,7 +488,7 @@ def ma_coefficients(coeffs: np.ndarray, m: int) -> np.ndarray:
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     impulse = np.zeros(m + 1)
     impulse[0] = 1.0
-    return lfilter([1.0], np.r_[1.0, -coeffs], impulse)
+    return _ar_filter(coeffs, impulse)
 
 
 def default_burn_in(p: int) -> int:
@@ -517,6 +525,6 @@ def simulate_ar(
         raise ValueError("burn_in must be nonnegative")
     rng = make_rng(seed)
     eps = model.innovation.sample(rng, burn_in + n + p)
-    centered = lfilter([1.0], np.r_[1.0, -model.coeffs], eps)
+    centered = _ar_filter(model.coeffs, eps)
     values = model.mean + centered[burn_in:]
     return SeriesSample(values=values, p=p, n=n)

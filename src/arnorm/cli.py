@@ -229,7 +229,11 @@ def _cmd_test(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     values = _read_series(args.series)
-    sample = SeriesSample.from_values(values, args.p)
+    # The statistics are scale-invariant: fit the series scaled exactly by a
+    # power of two into [0.5, 1), so that a series at 1e200 (or 1e-200)
+    # scale cannot overflow (or underflow) the squares in the fit.
+    exponent = int(np.frexp(np.max(np.abs(values)))[1])
+    sample = SeriesSample.from_values(np.ldexp(values, -exponent), args.p)
     tables, sources = _resolve_tables(args)
     fit = fit_ar(sample)
     results = [
@@ -253,9 +257,9 @@ def _cmd_test(args) -> int:
             "seed": table.seed,
         }
         header.append("table: " + json.dumps(provenance, sort_keys=True))
-    body = [
-        f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"
-    ]
+    mean_hat = math.ldexp(fit.mean_hat, exponent)
+    s_hat = math.ldexp(fit.s_hat, exponent)
+    body = [f"n={sample.n} p={sample.p} mean_hat={mean_hat!r} s_hat={s_hat!r}"]
     for res in results:
         verdict = "rejected" if res.rejected else "not-rejected"
         body.append(
@@ -404,8 +408,10 @@ def _cmd_simulate(args) -> int:
         if args.beta
         else np.empty(0)
     )
-    if not args.sigma0 > 0:
-        raise ValueError("--sigma0 must be positive")
+    if not math.isfinite(args.mu):
+        raise ValueError("--mu must be finite")
+    if not 0.0 < args.sigma0 < math.inf:
+        raise ValueError("--sigma0 must be positive and finite")
     if args.h is None:
         innovation = Gaussian(args.sigma0)
     else:

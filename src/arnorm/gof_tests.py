@@ -70,14 +70,23 @@ class GofResult:
         return self.value > self.critical_value
 
 
+def _check_scale(fit: ResidualFit) -> None:
+    """Reject a scale estimate that is zero or overflows: the standardized
+    residuals would be undefined, or all zero with every transform 0.5."""
+    if not fit.s2_hat > 0.0:
+        raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
+    if not fit.s2_hat < np.inf:
+        raise DegenerateDataError("residual scale estimate overflows; rescale the series")
+
+
 def probability_transforms(fit: ResidualFit) -> np.ndarray:
     """Sorted values ``Phi(residual / s_hat)``, the shared core of both tests.
 
     Raises :class:`~arnorm.errors.DegenerateDataError` when the scale
-    estimate vanishes (all residuals zero), since the transform is undefined.
+    estimate vanishes (all residuals zero) or overflows, since the
+    transform is then undefined.
     """
-    if not fit.s2_hat > 0.0:
-        raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
+    _check_scale(fit)
     return ndtr(np.sort(fit.residuals) / fit.s_hat)
 
 
@@ -176,8 +185,7 @@ def eval_process(fit: ResidualFit, t_grid) -> EmpiricalProcessEval:
         raise ValueError("grid points must lie strictly inside (0, 1)")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("grid points must be strictly increasing")
-    if not fit.s2_hat > 0.0:
-        raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
+    _check_scale(fit)
     x = fit.s_hat * ndtri(t_grid)
     values = np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
     return EmpiricalProcessEval(t_grid=t_grid, values=values, n=fit.n)

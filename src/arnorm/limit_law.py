@@ -133,8 +133,8 @@ class ShiftSpec:
     sigma0: float
 
     def __post_init__(self) -> None:
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ValueError("sigma0 must be positive and finite")
         if not isinstance(self.h, ZeroMeanLaw):
             raise TypeError("h must be a ZeroMeanLaw")
 

@@ -71,6 +71,11 @@ class TestArModel:
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.mean = 1.0
 
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            ArModel(coeffs=(0.5,), mean=mean, innovation=Gaussian(1.0))
+
     def test_does_not_alias_caller_array(self):
         raw = np.array([0.5])
         model = ArModel(coeffs=raw, mean=0.0, innovation=Gaussian(1.0))
@@ -204,6 +209,28 @@ class TestZeroMeanLaws:
             StudentTLaw(2, 1.0)
         with pytest.raises(ValueError):
             StudentTLaw(5, -1.0)
+        with pytest.raises(ValueError):
+            StudentTLaw(np.inf, 1.0)
+
+    @pytest.mark.parametrize("build", [Gaussian, LaplaceLaw, UniformLaw, TwoPointLaw,
+                                       lambda v: StudentTLaw(5, v)],
+                             ids=["Gaussian", "LaplaceLaw", "UniformLaw", "TwoPointLaw",
+                                  "StudentTLaw"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
+
+    @pytest.mark.parametrize("df", [2.5, 3.0, 4.0, 5.0, 30.0, 1e6])
+    def test_student_cdf_is_scipy_t_cdf_bitwise(self, df):
+        # the law evaluates scipy.special.stdtr, which scipy.stats.t.cdf wraps
+        law = StudentTLaw(df, 2.0)
+        x = np.concatenate([
+            substream(315).normal(0.0, 10.0, size=10_000),
+            [np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300, 1e-300],
+        ])
+        expected = stats.t.cdf(x / law.scale, df)
+        np.testing.assert_array_equal(law.cdf(x).view(np.uint64), expected.view(np.uint64))
 
     def test_custom_law_wraps_callables(self):
         base = stats.logistic(scale=0.6)
@@ -245,7 +272,8 @@ class TestDescriptors:
         assert isinstance(law, StudentTLaw) and law.df == 5
         assert isinstance(parse_alternative_law("twopoint:1.0", sigma0=1.0), TwoPointLaw)
 
-    @pytest.mark.parametrize("text", ["gauss-scale", "dirichlet:1.0", "student:5", "laplace:zero", ""])
+    @pytest.mark.parametrize("text", ["gauss-scale", "dirichlet:1.0", "student:5", "laplace:zero", "",
+                                      "gauss-scale:inf", "laplace:inf"])
     def test_malformed_descriptor_rejected(self, text):
         with pytest.raises(ValueError):
             parse_alternative_law(text, sigma0=1.0)
@@ -302,6 +330,9 @@ class TestMixture:
             Mixture(sigma0=0.0, h=LaplaceLaw(1.0), n=100)
         with pytest.raises(ValueError):
             Mixture(sigma0=1.0, h=LaplaceLaw(1.0), n=1)
+        for sigma0 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+                Mixture(sigma0=sigma0, h=LaplaceLaw(1.0), n=100)
 
     def test_user_law_passthrough(self):
         # any zero-mean law drives the model directly, with no wrapper

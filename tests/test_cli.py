@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +75,22 @@ class TestSimulate:
         assert main(["simulate", "--n", "30", "--beta", "1.0"]) == 2
         assert "arnorm:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_exits_2(self, capsys, value):
+        assert main(["simulate", "--n", "30", f"--mu={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "arnorm: --mu must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("h", [None, "gauss-scale:3"])
+    def test_non_finite_sigma0_exits_2(self, capsys, value, h):
+        argv = ["simulate", "--n", "30", "--sigma0", value]
+        assert main(argv + (["--h", h] if h else [])) == 2
+        captured = capsys.readouterr()
+        assert "arnorm: --sigma0 must be positive and finite" in captured.err
+        assert captured.out == ""
+
 
 class TestTest:
     def test_gaussian_series_not_rejected(self, tmp_path, capsys, small_tables):
@@ -126,6 +143,64 @@ class TestTest:
         assert code == 0
         text = report.read_text()
         assert "p_value=" in text and "critical_value=" in text
+
+    def _report(self, capsys, series, p, tables):
+        capsys.readouterr()
+        code = main(["test", str(series), "--p", str(p),
+                     "--table", tables["kolmogorov"], "--table", tables["omega2"]])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _statistics(text):
+        lines = [l for l in text.splitlines() if l.startswith("statistic=")]
+        return {l.split()[0]: float(l.split()[1].partition("=")[2]) for l in lines}
+
+    def _scaled_reports(self, tmp_path, capsys, tables, factor):
+        model = arnorm.ArModel((0.5,), 1.5, arnorm.Gaussian(1.0))
+        values = arnorm.simulate_ar(model, 400, seed=133).values
+        plain, scaled = tmp_path / "plain.txt", tmp_path / "scaled.txt"
+        _write_series(plain, values)
+        _write_series(scaled, factor * values)
+        for p in (0, 1):
+            yield self._report(capsys, plain, p, tables), self._report(capsys, scaled, p, tables)
+
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_power_of_two_scale_keeps_statistic_bytes(self, tmp_path, capsys, small_tables,
+                                                       factor):
+        # the series is rescaled by a power of two before the fit, which is
+        # exact; unscaled, 2**600 overflowed the squares and 2**-600 flushed
+        # them to zero
+        for plain, scaled in self._scaled_reports(tmp_path, capsys, small_tables, factor):
+            assert plain[0] == scaled[0] == 0, scaled[2]
+            assert ([l for l in scaled[1].splitlines() if l.startswith("statistic=")]
+                    == [l for l in plain[1].splitlines() if l.startswith("statistic=")])
+
+    def test_huge_scale_series_matches_unscaled(self, tmp_path, capsys, small_tables):
+        # at 1e200 s2_hat overflowed: --p 0 printed a verdict from transforms
+        # that were all 0.5, and --p 1 failed in the Cholesky solve
+        for plain, scaled in self._scaled_reports(tmp_path, capsys, small_tables, 1e200):
+            assert plain[0] == scaled[0] == 0, scaled[2]
+            want, got = self._statistics(plain[1]), self._statistics(scaled[1])
+            assert set(got) == {"statistic=kolmogorov", "statistic=omega2"}
+            for kind, value in want.items():
+                assert got[kind] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_overflowing_scale_estimate_prints_no_verdict(self, tmp_path, capsys,
+                                                          small_tables, monkeypatch):
+        # the CLI's rescaling keeps real series away from this, so force a
+        # fit whose mean squared residual overflows
+        residuals = np.full(40, 1e200)
+        with np.errstate(over="ignore"):
+            overflowing = arnorm.ResidualFit(beta_hat=np.empty(0), residuals=residuals,
+                                             s2_hat=math.inf)
+        monkeypatch.setattr(arnorm.cli, "fit_ar", lambda sample: overflowing)
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(134).normal(size=40))
+        code, out, err = self._report(capsys, series, 0, small_tables)
+        assert code in (2, 3)
+        assert "arnorm: residual scale estimate overflows" in err
+        assert "verdict=" not in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["test", str(tmp_path / "nope.txt"), "--reps", "100"]) == 2
@@ -476,6 +551,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "quantiles" in proc.stdout
+
+    def test_test_command_leaves_scipy_stats_and_signal_unloaded(self, tmp_path,
+                                                                  small_tables):
+        # scipy.stats and scipy.signal cost most of the start-up of a fresh
+        # process; only simulation needs scipy.signal, and it loads it itself
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(135).normal(size=300))
+        argv = ["test", str(series), "--p", "1",
+                "--table", small_tables["kolmogorov"], "--table", small_tables["omega2"]]
+        script = (
+            "import contextlib, io, sys\n"
+            "import arnorm, arnorm.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert arnorm.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))\n"
+            "model = arnorm.ArModel((0.5,), 0.0, arnorm.Gaussian(1.0))\n"
+            "sample = arnorm.simulate_ar(model, 50, seed=1)\n"
+            "print(sample.values.size, 'scipy.signal' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "51 True"]
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):

@@ -115,8 +115,9 @@ class TestLocalShift:
             local_shift(spec, 1.5)
 
     def test_sigma0_validated(self):
-        with pytest.raises(ValueError):
-            ShiftSpec(h=LaplaceLaw(1.0), sigma0=0.0)
+        for sigma0 in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ShiftSpec(h=LaplaceLaw(1.0), sigma0=sigma0)
 
 
 def _tiny_table(samples, kind=StatKind.KOLMOGOROV):

@@ -1,0 +1,128 @@
+"""Property tests (hypothesis) for contracts the example-based tests pin at a few points.
+
+* a table written by ``save_table`` loads back bit for bit;
+* a Monte Carlo p-value lies in (0, 1] and does not increase with the
+  observed value;
+* both statistics are invariant under ``a + 2**k * x``: bit for bit in the
+  power-of-two scale, to rounding in the shift.
+
+Examples are derandomized, so every run checks the same cases, and capped so
+the module stays within a few seconds.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arnorm import (
+    ArModel,
+    Gaussian,
+    LaplaceLaw,
+    LimitLawTable,
+    SeriesSample,
+    ShiftSpec,
+    StatKind,
+    StudentTLaw,
+    TwoPointLaw,
+    UniformLaw,
+    fit_ar,
+    kolmogorov_stat,
+    load_table,
+    mc_p_value,
+    omega2_stat,
+    save_table,
+    simulate_ar,
+)
+from arnorm.ar_process import law_descriptor
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def tables(draw, max_reps=200):
+    samples = np.sort(np.array(draw(st.lists(finite, min_size=1, max_size=max_reps))))
+    shift = draw(st.none() | st.builds(
+        ShiftSpec,
+        h=st.one_of(
+            st.builds(Gaussian, positive),
+            st.builds(LaplaceLaw, positive),
+            st.builds(UniformLaw, positive),
+            st.builds(StudentTLaw, st.floats(min_value=2.0, max_value=1e300, exclude_min=True),
+                      positive),
+            st.builds(TwoPointLaw, positive),
+        ),
+        sigma0=positive,
+    ))
+    return LimitLawTable(
+        kind=draw(st.sampled_from(StatKind)),
+        shift=shift,
+        samples=samples,
+        grid_size=draw(st.integers(2, 1 << 20)),
+        n_reps=samples.size,
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("property-tables")
+
+
+@PROPERTY_SETTINGS
+@given(table=tables(), comments=st.lists(st.text("abc =:0.9-", max_size=20), max_size=3))
+def test_table_save_load_roundtrip_is_bit_exact(table_dir, table, comments):
+    path = table_dir / "table.txt"
+    save_table(table, path, comments=comments)
+    back = load_table(path)
+    assert (back.kind, back.grid_size, back.n_reps, back.seed) == (
+        table.kind, table.grid_size, table.n_reps, table.seed)
+    np.testing.assert_array_equal(_bits(back.samples), _bits(table.samples))
+    if table.shift is None:
+        assert back.shift is None
+    else:
+        assert law_descriptor(back.shift.h) == law_descriptor(table.shift.h)
+        assert _bits(back.shift.sigma0) == _bits(table.shift.sigma0)
+
+
+@PROPERTY_SETTINGS
+@given(table=tables(), values=st.lists(finite, min_size=2, max_size=6))
+def test_p_value_in_unit_interval_and_nonincreasing(table, values):
+    p_values = [mc_p_value(table, v) for v in sorted(values)]
+    assert all(0.0 < p <= 1.0 for p in p_values)
+    assert all(a >= b for a, b in zip(p_values, p_values[1:]))
+
+
+_MODELS = [(), (0.5,), (0.4, 0.25), (0.3, -0.2, 0.1)]
+
+
+def _statistics(values, p):
+    fit = fit_ar(SeriesSample.from_values(values, p))
+    return kolmogorov_stat(fit).value, omega2_stat(fit).value
+
+
+@PROPERTY_SETTINGS
+@given(
+    coeffs=st.sampled_from(_MODELS),
+    n=st.integers(20, 400),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(min_value=-1e3, max_value=1e3),
+    k=st.integers(-300, 300),
+)
+def test_statistics_invariant_under_shift_and_power_of_two_scale(coeffs, n, seed, c, k):
+    model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+    x = simulate_ar(model, n, seed=seed).values
+    p = len(coeffs)
+    shifted = c + x
+    # a + 2**k * x with a = c * 2**k is 2**k * (c + x), rounded the same way
+    transformed = c * 2.0**k + 2.0**k * x
+    np.testing.assert_array_equal(transformed, 2.0**k * shifted)
+    base, moved, scaled = _statistics(x, p), _statistics(shifted, p), _statistics(transformed, p)
+    assert scaled == moved
+    assert moved == pytest.approx(base, rel=1e-9, abs=0.0)
