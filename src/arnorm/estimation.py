@@ -152,7 +152,10 @@ def ols_estimate(centered, p: int | None = None) -> np.ndarray:
         raise ValueError("series too short: requires n >= p + 1")
     if p == 0:
         return np.empty(0)
-    y, X = _lag_design(values, p)
+    # beta_hat is scale-free: scaling exactly by a power of two into [0.5, 1)
+    # keeps the Gram matrix of a series at 1e200 scale from overflowing
+    exponent = int(np.frexp(np.max(np.abs(values)))[1])
+    y, X = _lag_design(np.ldexp(values, -exponent), p)
     # einsum keeps the reduction order fixed regardless of BLAS threading,
     # so repeated fits are bit-identical
     gram = np.einsum("ti,tj->ij", X, X)

@@ -17,10 +17,12 @@ Under root-n contamination of the innovation law by a zero-mean law ``h``
 deterministic mean shift :func:`local_shift`, and asymptotic test power is
 a tail probability of a functional of the shifted process.
 
-Functionals are simulated on a uniform interior grid ``i / grid_size`` by
-drawing grid marginals of the Gaussian process (eigenvalue factorization of
-the kernel matrix), each replication from its own derived substream, so
-tables are reproducible and worker-count independent.
+Functionals are simulated on the interior grid ``i / grid_size`` from
+Durbin's (1973, Ann. Statist. 1:279) form ``X = B + a Z1 + 0.5 b Z2`` of the
+process, with ``Z1 = int q dW`` and ``Z2 = int (q**2 - 1) dW`` on the Brownian
+motion ``W`` of the bridge ``B``: O(grid_size) per path, each replication on
+its own from its own substream, so tables are reproducible, worker-count
+independent, and extended by longer runs.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -32,15 +34,13 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
 from .ar_process import Gaussian, ZeroMeanLaw, law_descriptor, law_from_descriptor
-from .rng import substream
+from .rng import map_replications, substream
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -67,12 +67,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # limit process qualifies: the bridge part has unit diffusion and the
 # estimation terms are smooth in the interior of [0, 1].
 SUP_CONTINUITY_BETA = 0.5825971579390107
-
-# A kernel matrix eigenvalue below this is a bug, not roundoff.
-_PSD_TOL = -1e-8
-
-# Replication block width: ~16 MB of path storage at grid 512.
-_BLOCK = 4096
 
 
 class StatKind(str, enum.Enum):
@@ -204,54 +198,73 @@ class LimitLawTable:
         object.__setattr__(self, "samples", samples)
 
 
-@lru_cache(maxsize=8)
-def _path_factor(grid_size: int):
-    """Interior grid and a matrix A with ``A @ A.T`` equal to the kernel matrix.
+def _path_weights(grid_size: int):
+    """Grid, ``a``, ``b / 2``, cell weights and top-up factor for the paths.
 
-    Eigenvalues in ``[-1e-8, 0)`` are clipped to zero (roundoff);  anything
-    below that aborts, because the kernel is positive semidefinite in exact
-    arithmetic and such an eigenvalue would mean the implementation is wrong.
+    With ``m`` cells of width ``1 / m``, the projection of ``int_cell q dW``
+    on the cell's increment of ``W``, in units of ``1 / sqrt(m)``, has weight
+    ``wa_i = sqrt(m) (a(t_{i-1}) - a(t_i))``, exact as ``a' = -q``; ``wb``
+    likewise from ``b' = 1 - q**2``.  The rest of ``(Z1, Z2)`` is independent
+    of the increments, with covariance ``[[1 - sum wa**2, -sum wa wb],
+    [., 2 - sum wb**2]]`` and lower Cholesky factor ``(l11, l21, l22)``.
     """
-    t_grid = np.arange(1, grid_size) / grid_size
-    kernel = cov_matrix(t_grid)
-    eigvals, eigvecs = np.linalg.eigh(kernel)
-    if float(eigvals[0]) < _PSD_TOL:
-        raise RuntimeError(
-            f"kernel matrix on grid {grid_size} has eigenvalue {eigvals[0]:.3e} "
-            f"below {_PSD_TOL}; covariance kernel implementation is broken"
-        )
-    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return t_grid, factor
+    m = grid_size
+    t = np.arange(m + 1) / m
+    a, b = _pdf_terms(t)
+    root_m = math.sqrt(m)
+    wa = root_m * (a[:-1] - a[1:])
+    wb = root_m * (b[:-1] - b[1:])
+    l11 = math.sqrt(1.0 - math.fsum(wa * wa))
+    l21 = -math.fsum(wa * wb) / l11
+    l22 = math.sqrt(2.0 - math.fsum(wb * wb) - l21 * l21)
+    return t[1:-1], a[1:-1], 0.5 * b[1:-1], wa, wb, (l11, l21, l22)
 
 
-def _functional_chunk(kinds, shift, grid_size, seed, n_reps, start, stop):
-    """Functional samples for replications ``start..stop-1``.
+def _assemble_paths(normals, weights):
+    """Grid values of the limit process, one path per row of ``normals``.
 
-    Replication ``r`` draws its grid normals from ``substream(seed, r)``,
-    and the matrix products are evaluated in blocks aligned to global
-    multiples of ``_BLOCK`` (``start`` must sit on a block boundary), so
-    every replication goes through an identically shaped product and the
-    result does not depend on how replications are split across workers.
+    A row holds the ``m`` cell increments of ``W`` (in units of
+    ``1 / sqrt(m)``) and the two top-up normals; it is overwritten, and the
+    paths are a view into it.  No step mixes rows or calls BLAS, so a path
+    does not depend on the block it is computed in.
     """
-    t_grid, factor = _path_factor(grid_size)
+    t_grid, a, half_b, wa, wb, (l11, l21, l22) = weights
+    m = wa.size
+    increments, top_up = normals[:, :m], normals[:, m:]
+    z1 = np.einsum("ij,j->i", increments, wa) + l11 * top_up[:, 0]
+    z2 = np.einsum("ij,j->i", increments, wb) + l21 * top_up[:, 0] + l22 * top_up[:, 1]
+    walk = np.cumsum(increments, axis=1, out=increments)
+    walk /= math.sqrt(m)
+    paths = walk[:, :-1]
+    term = np.multiply.outer(walk[:, -1], t_grid)
+    paths -= term
+    paths += np.multiply.outer(z1, a, out=term)
+    paths += np.multiply.outer(z2, half_b, out=term)
+    return paths
+
+
+def _functional_chunk(kinds, shift, grid_size, seed, start, stop):
+    """Functional samples for replications ``start..stop-1``; replication
+    ``r`` draws its ``grid_size + 2`` normals from ``substream(seed, r)``."""
+    weights = _path_weights(grid_size)
     sup_correction = SUP_CONTINUITY_BETA / math.sqrt(grid_size)
-    shift_values = local_shift(shift, t_grid)[:, None] if shift is not None else None
-    m = grid_size - 1
+    shift_values = local_shift(shift, weights[0]) if shift is not None else None
+    block = max(1, 2**21 // grid_size)  # rows of 16 MB of normals in all
     out = {kind: np.empty(stop - start) for kind in kinds}
-    for block_start in range(start, stop, _BLOCK):
-        block_stop = min(block_start + _BLOCK, stop, n_reps)
-        normals = np.empty((m, block_stop - block_start))
-        for j, rep in enumerate(range(block_start, block_stop)):
-            normals[:, j] = substream(seed, rep).standard_normal(m)
-        paths = factor @ normals
+    for block_start in range(start, stop, block):
+        block_stop = min(block_start + block, stop)
+        normals = np.empty((block_stop - block_start, grid_size + 2))
+        for row, rep in zip(normals, range(block_start, block_stop)):
+            substream(seed, rep).standard_normal(out=row)
+        paths = _assemble_paths(normals, weights)
         if shift_values is not None:
             paths += shift_values
         sel = slice(block_start - start, block_stop - start)
         for kind in kinds:
             if kind is StatKind.KOLMOGOROV:
-                out[kind][sel] = np.max(np.abs(paths), axis=0) + sup_correction
+                out[kind][sel] = np.max(np.abs(paths), axis=1) + sup_correction
             else:
-                out[kind][sel] = np.einsum("ij,ij->j", paths, paths) / grid_size
+                out[kind][sel] = np.einsum("ij,ij->i", paths, paths) / grid_size
     return out
 
 
@@ -270,46 +283,21 @@ def simulate_limit_tables(
     Monte Carlo noise.  Sup samples include the continuity correction, so
     their law is that of the sup over [0, 1] for any grid fine enough for
     the first-order correction.  Output is bit-identical for any
-    ``workers >= 1``.
+    ``workers >= 1``, and the samples of a run are among those of any run
+    with more replications and the same seed.
     """
     kinds = tuple(StatKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate statistic kinds")
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    # worker ranges must meet at _BLOCK boundaries so the product shapes
-    # (and hence the float rounding) match the single-worker run exactly
-    n_blocks = -(-n_reps // _BLOCK)
-    if workers == 1 or n_blocks < 2:
-        chunks = [_functional_chunk(kinds, shift, grid_size, seed, n_reps, 0, n_reps)]
-    else:
-        block_bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
-        ranges = [
-            (lo * _BLOCK, min(hi * _BLOCK, n_reps))
-            for lo, hi in zip(block_bounds[:-1], block_bounds[1:])
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_functional_chunk, kinds, shift, grid_size, seed, n_reps, lo, hi)
-                for lo, hi in ranges
-            ]
-            chunks = [f.result() for f in futures]
-    tables = {}
-    for kind in kinds:
-        samples = np.sort(np.concatenate([chunk[kind] for chunk in chunks]))
-        tables[kind] = LimitLawTable(
-            kind=kind,
-            shift=shift,
-            samples=samples,
-            grid_size=grid_size,
-            n_reps=n_reps,
-            seed=seed,
-        )
-    return tables
+    args = (kinds, shift, grid_size, seed)
+    samples = map_replications(_functional_chunk, args, n_reps, workers)
+    return {
+        kind: LimitLawTable(kind=kind, shift=shift, samples=np.sort(samples[kind]),
+                            grid_size=grid_size, n_reps=n_reps, seed=seed)
+        for kind in kinds
+    }
 
 
 def quantile(table: LimitLawTable, alpha: float) -> float:

@@ -16,7 +16,6 @@ enforced, since the contamination weight is meaningful only on that scale.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .gof_tests import (
     probability_transforms,
 )
 from .limit_law import ShiftSpec, StatKind, quantile, simulate_limit_tables
-from .rng import derive_seed, substream
+from .rng import derive_seed, map_replications, substream
 
 __all__ = [
     "ExperimentSpec",
@@ -115,23 +114,9 @@ def pipeline_statistics(
     kinds = tuple(StatKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate statistic kinds")
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers == 1 or n_reps < 2 * workers:
-        chunks = [_pipeline_chunk(model, n, burn_in, kinds, seed, 0, n_reps)]
-    else:
-        bounds = np.linspace(0, n_reps, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_pipeline_chunk, model, n, burn_in, kinds, seed, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            chunks = [f.result() for f in futures]
-    return {
-        kind: np.concatenate([chunk[kind] for chunk in chunks]) for kind in kinds
-    }
+    return map_replications(
+        _pipeline_chunk, (model, n, burn_in, kinds, seed), n_reps, workers
+    )
 
 
 def _binomial_stderr(rate: float, n_reps: int) -> float:

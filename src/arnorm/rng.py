@@ -14,10 +14,12 @@ streams were created before it.
 from __future__ import annotations
 
 import operator
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
-__all__ = ["make_rng", "substream", "derive_seed"]
+__all__ = ["make_rng", "substream", "derive_seed", "map_replications"]
 
 
 def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
@@ -43,3 +45,23 @@ def derive_seed(seed: int, *key: int) -> int:
         operator.index(seed), spawn_key=tuple(operator.index(k) for k in key)
     )
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def map_replications(chunk, args, n_reps: int, workers: int = 1) -> dict:
+    """Join ``chunk(*args, start, stop)`` over replications ``0..n_reps-1``.
+
+    ``chunk`` returns a dict of per-replication arrays.  Each replication
+    must draw from its own keyed substream and be computed on its own; the
+    range is then cut into ``workers`` pieces without changing the output.
+    """
+    if n_reps < 1:
+        raise ValueError("n_reps must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers == 1 or n_reps < 2 * workers:
+        chunks = [chunk(*args, 0, n_reps)]
+    else:
+        bounds = np.linspace(0, n_reps, workers + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(partial(chunk, *args), bounds[:-1], bounds[1:]))
+    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}

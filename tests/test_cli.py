@@ -383,8 +383,8 @@ class TestQuantiles:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_invisible_in_output(self, tmp_path):
-        # 6000 replications span two scheduling blocks, so two workers
-        # genuinely split the work; the file must not change
+        # two workers split the 6000 replications between them; the file
+        # must not change
         base = ["quantiles", "--kind", "kolmogorov", "--grid", "64",
                 "--reps", "6000", "--seed", "6"]
         a, b = tmp_path / "w1.table", tmp_path / "w2.table"
@@ -545,10 +545,7 @@ class TestPower:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "arnorm", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = _run_cli(["--help"], cwd=None)
         assert proc.returncode == 0
         assert "quantiles" in proc.stdout
 
@@ -575,6 +572,25 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "51 True"]
+
+    @pytest.mark.parametrize("kind", ["kolmogorov", "omega2"])
+    def test_table_bytes_free_of_blas_threads(self, tmp_path, kind):
+        # path sampling calls no BLAS, so the BLAS thread count of a fresh
+        # process cannot move a bit of the table
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{kind}-{threads}.table"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "arnorm", "quantiles", "--kind", kind,
+                 "--grid", "256", "--reps", "2000", "--seed", "20240801",
+                 "--out", str(out)],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):

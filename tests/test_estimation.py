@@ -5,6 +5,7 @@ from scipy.linalg import toeplitz
 from arnorm import (
     ArModel,
     CenteredSeries,
+    DegenerateDataError,
     EstimationError,
     Gaussian,
     ResidualFit,
@@ -13,6 +14,7 @@ from arnorm import (
     center_series,
     fit_ar,
     ols_estimate,
+    probability_transforms,
     residuals,
     simulate_ar,
 )
@@ -165,6 +167,20 @@ class TestFitAr:
         np.testing.assert_array_equal(fit0.residuals, fit1.residuals)
         assert fit0.s2_hat == fit1.s2_hat
         assert fit1.mean_hat == fit0.mean_hat + 64.0
+
+    def test_huge_scale_fit_matches_unscaled(self, ar1_model):
+        # the Gram matrix of a 1e200-scale series overflows; ols_estimate
+        # solves for the series scaled by a power of two, which is exact
+        # (the squared residuals still overflow; that is checked below)
+        x = simulate_ar(ar1_model, n=400, seed=21).values
+        base = fit_ar(SeriesSample.from_values(x, p=1)).beta_hat
+        with np.errstate(over="ignore"):
+            exact = fit_ar(SeriesSample.from_values(2.0**600 * x, p=1)).beta_hat
+            huge = fit_ar(SeriesSample.from_values(1e200 * x, p=1))
+        np.testing.assert_array_equal(exact, base)
+        np.testing.assert_allclose(huge.beta_hat, base, rtol=0, atol=1e-12)
+        with pytest.raises(DegenerateDataError, match="overflows"):
+            probability_transforms(huge)
 
     def test_mean_shift_invariance_float_case(self, ar1_model):
         sample = simulate_ar(ar1_model, n=500, seed=12)

@@ -180,14 +180,43 @@ class TestSimulation:
         assert table.samples[0] > 0.0
         assert table.n_reps == 500 and table.grid_size == 64
 
-    def test_worker_count_does_not_change_results(self):
-        # 6000 replications span two evaluation blocks, so two workers
-        # genuinely split the work
-        kwargs = dict(grid_size=64, n_reps=6000, seed=11)
+    @staticmethod
+    def _assert_workers_agree(n_reps):
+        kwargs = dict(grid_size=64, n_reps=n_reps, seed=11)
         serial = simulate_limit_tables(BOTH, None, workers=1, **kwargs)
         parallel = simulate_limit_tables(BOTH, None, workers=2, **kwargs)
         for kind in BOTH:
             np.testing.assert_array_equal(serial[kind].samples, parallel[kind].samples)
+
+    def test_worker_count_does_not_change_results(self):
+        self._assert_workers_agree(6000)
+
+    def test_worker_split_off_block_boundary(self):
+        # two workers split 301 replications at 150, which sits on no block
+        # boundary; every path is computed on its own, so the split cannot
+        # change a bit
+        self._assert_workers_agree(301)
+
+    @pytest.mark.parametrize("grid_size", [64, 512])
+    def test_longer_run_extends_shorter(self, grid_size):
+        # replication r's sample depends on (seed, r, grid) alone, so every
+        # sample of a short run recurs in a longer run with the same seed
+        short = simulate_limit_tables(BOTH, None, grid_size, 300, seed=47)
+        long = simulate_limit_tables(BOTH, None, grid_size, 6000, seed=47)
+        for kind in BOTH:
+            assert np.all(np.isin(short[kind].samples, long[kind].samples)), kind
+
+    def test_block_width_does_not_change_samples(self):
+        # the same replications in one block, in single rows, and in a
+        # block that starts off any block boundary
+        args = (BOTH, None, 64, 13)
+        whole = limit_law._functional_chunk(*args, 0, 200)
+        tail = limit_law._functional_chunk(*args, 37, 200)
+        for kind in BOTH:
+            np.testing.assert_array_equal(tail[kind], whole[kind][37:])
+            for rep in (0, 1, 99, 199):
+                single = limit_law._functional_chunk(*args, rep, rep + 1)[kind]
+                np.testing.assert_array_equal(single, whole[kind][rep : rep + 1])
 
     def test_null_mixture_shift_reproduces_null_table(self):
         spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
@@ -222,20 +251,24 @@ class TestSimulation:
         assert 0.85 < quantile(null_tables[StatKind.KOLMOGOROV], 0.05) < 0.92
         assert 0.115 < quantile(null_tables[StatKind.OMEGA2], 0.05) < 0.135
 
-    def test_degenerate_kernel_guard(self, monkeypatch):
-        limit_law._path_factor.cache_clear()
-        monkeypatch.setattr(limit_law, "cov_matrix", lambda t: -np.eye(t.size))
-        try:
-            with pytest.raises(RuntimeError):
-                simulate_limit_tables((SUP,), None, 7, 10, seed=0)
-        finally:
-            limit_law._path_factor.cache_clear()
+    @pytest.mark.parametrize("grid_size", [2, 3, 64, 512])
+    def test_paths_have_exact_kernel_covariance(self, grid_size):
+        # the grid values are linear in the m + 2 normals of a replication;
+        # fed the identity rows, the sampler returns the matrix M of that
+        # map, so M.T @ M is the covariance of the sampled grid values and
+        # must be the kernel matrix on the interior grid
+        weights = limit_law._path_weights(grid_size)
+        paths = limit_law._assemble_paths(np.eye(grid_size + 2), weights)
+        t = np.arange(1, grid_size) / grid_size
+        np.testing.assert_allclose(paths.T @ paths, cov_matrix(t), rtol=0, atol=1e-14)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             simulate_limit_tables((SUP,), None, 1, 100, seed=0)
         with pytest.raises(ValueError):
             simulate_limit_tables((SUP,), None, 64, 0, seed=0)
+        with pytest.raises(ValueError):
+            simulate_limit_tables((SUP,), None, 64, 10, seed=0, workers=0)
 
 
 def _quantile_stderr(table, alpha):

@@ -4,7 +4,9 @@
 * a Monte Carlo p-value lies in (0, 1] and does not increase with the
   observed value;
 * both statistics are invariant under ``a + 2**k * x``: bit for bit in the
-  power-of-two scale, to rounding in the shift.
+  power-of-two scale, to rounding in the shift;
+* tables and pipeline statistics do not change with the number of workers,
+  and a table's samples recur in a longer run with the same seed.
 
 Examples are derandomized, so every run checks the same cases, and capped so
 the module stays within a few seconds.
@@ -32,10 +34,14 @@ from arnorm import (
     omega2_stat,
     save_table,
     simulate_ar,
+    simulate_limit_tables,
 )
 from arnorm.ar_process import law_descriptor
+from arnorm.power_lab import pipeline_statistics
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# each example starts a process pool, so these run fewer examples
+WORKER_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-300, max_value=1e300)
@@ -126,3 +132,30 @@ def test_statistics_invariant_under_shift_and_power_of_two_scale(coeffs, n, seed
     base, moved, scaled = _statistics(x, p), _statistics(shifted, p), _statistics(transformed, p)
     assert scaled == moved
     assert moved == pytest.approx(base, rel=1e-9, abs=0.0)
+
+
+@WORKER_SETTINGS
+@given(
+    n_reps=st.integers(2, 300),
+    grid_size=st.integers(2, 80),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_tables_free_of_workers_and_run_length(n_reps, grid_size, seed):
+    kinds = tuple(StatKind)
+    serial = simulate_limit_tables(kinds, None, grid_size, n_reps, seed, workers=1)
+    split = simulate_limit_tables(kinds, None, grid_size, n_reps, seed, workers=2)
+    shorter = simulate_limit_tables(kinds, None, grid_size, n_reps // 2, seed)
+    for kind in kinds:
+        np.testing.assert_array_equal(_bits(split[kind].samples), _bits(serial[kind].samples))
+        assert np.all(np.isin(shorter[kind].samples, serial[kind].samples))
+
+
+@WORKER_SETTINGS
+@given(n_reps=st.integers(1, 12), seed=st.integers(0, 2**63 - 1))
+def test_pipeline_free_of_workers(n_reps, seed):
+    model = ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(1.0))
+    kinds = tuple(StatKind)
+    serial = pipeline_statistics(model, 60, kinds, n_reps, seed, workers=1)
+    split = pipeline_statistics(model, 60, kinds, n_reps, seed, workers=2)
+    for kind in kinds:
+        np.testing.assert_array_equal(_bits(split[kind]), _bits(serial[kind]))
