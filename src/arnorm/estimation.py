@@ -15,7 +15,7 @@ and they scale exactly with the series under rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, toeplitz
@@ -25,10 +25,7 @@ from .errors import EstimationError
 
 __all__ = [
     "MAX_ORDER",
-    "CenteredSeries",
     "ResidualFit",
-    "AutocovMatrix",
-    "center_series",
     "ols_estimate",
     "residuals",
     "fit_ar",
@@ -43,34 +40,17 @@ _MA_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CenteredSeries:
-    """A series with its working-sample mean removed from every value."""
-
-    values: np.ndarray
-    p: int
-    n: int
-    mean_hat: float
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.size != self.n + self.p:
-            raise ValueError("expected n + p values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class ResidualFit:
     """Fitted coefficients, residuals, and the innovation scale estimate.
 
-    ``s2_hat`` must equal ``np.mean(residuals**2)`` exactly; the constructor
-    enforces the identity so downstream statistics can rely on it.
+    ``s2_hat`` is not an argument: it is the mean squared residual, set once
+    at construction.
     """
 
     beta_hat: np.ndarray
     residuals: np.ndarray
-    s2_hat: float
     mean_hat: float = 0.0
+    s2_hat: float = field(init=False)
 
     def __post_init__(self) -> None:
         beta = np.atleast_1d(np.array(self.beta_hat, dtype=float, copy=True))
@@ -79,12 +59,11 @@ class ResidualFit:
             raise ValueError("residuals must be nonempty")
         if not np.all(np.isfinite(resid)):
             raise ValueError("residuals must be finite")
-        if self.s2_hat != float(np.mean(np.square(resid))):
-            raise ValueError("s2_hat must equal the mean squared residual exactly")
         beta.setflags(write=False)
         resid.setflags(write=False)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "residuals", resid)
+        object.__setattr__(self, "s2_hat", float(np.mean(np.square(resid))))
 
     @property
     def n(self) -> int:
@@ -99,26 +78,10 @@ class ResidualFit:
         return float(np.sqrt(self.s2_hat))
 
 
-def center_series(sample: SeriesSample) -> CenteredSeries:
-    """Subtract the working-sample average from all ``n + p`` values."""
+def _centered(sample: SeriesSample) -> tuple[np.ndarray, float]:
+    """All ``n + p`` values minus the working-sample average, and that average."""
     mean_hat = float(np.mean(sample.values[sample.p :]))
-    return CenteredSeries(
-        values=sample.values - mean_hat, p=sample.p, n=sample.n, mean_hat=mean_hat
-    )
-
-
-def _unwrap(centered, p):
-    if isinstance(centered, CenteredSeries):
-        values = centered.values
-        if p is None:
-            p = centered.p
-        elif p != centered.p:
-            raise ValueError("requested order does not match the series pre-sample length")
-    else:
-        values = np.asarray(centered, dtype=float)
-        if p is None:
-            raise ValueError("p is required when passing a raw vector")
-    return values, int(p)
+    return sample.values - mean_hat, mean_hat
 
 
 def _lag_design(values: np.ndarray, p: int):
@@ -133,25 +96,19 @@ def _lag_design(values: np.ndarray, p: int):
     return y, X
 
 
-def ols_estimate(centered, p: int | None = None) -> np.ndarray:
-    """Least-squares AR coefficients of a centered series.
+def ols_estimate(sample: SeriesSample) -> np.ndarray:
+    """Least-squares AR coefficients of the centered series.
 
-    Accepts a :class:`CenteredSeries` (order taken from it) or a raw vector
-    together with ``p``.  The first ``p`` entries condition the regression;
-    no observations are lost beyond them.  Raises
-    :class:`~arnorm.errors.EstimationError` when the normal equations are
-    singular (degenerate series).
+    The first ``p`` values condition the regression; no observations are
+    lost beyond them.  Raises :class:`~arnorm.errors.EstimationError` when
+    the normal equations are singular (degenerate series).
     """
-    values, p = _unwrap(centered, p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    p = sample.p
     if p > MAX_ORDER:
         raise ValueError(f"p must not exceed {MAX_ORDER}")
-    n = values.size - p
-    if n < p + 1:
-        raise ValueError("series too short: requires n >= p + 1")
     if p == 0:
         return np.empty(0)
+    values, _ = _centered(sample)
     # beta_hat is scale-free: scaling exactly by a power of two into [0.5, 1)
     # keeps the Gram matrix of a series at 1e200 scale from overflowing
     exponent = int(np.frexp(np.max(np.abs(values)))[1])
@@ -169,64 +126,39 @@ def ols_estimate(centered, p: int | None = None) -> np.ndarray:
     return cho_solve((chol, True), rhs)
 
 
-def residuals(centered, beta_hat, *, mean_hat: float | None = None) -> ResidualFit:
-    """Residuals of the lag regression and the scale estimate.
+def residuals(sample: SeriesSample, beta_hat) -> ResidualFit:
+    """Residuals of the lag regression of the centered series on ``beta_hat``.
 
-    ``residual_t = values_t - sum_k beta_hat[k-1] * values_{t-k}`` for the
-    ``n`` working time points; ``s2_hat`` is their mean square.
+    ``residual_t = u_t - sum_k beta_hat[k-1] * u_{t-k}`` for the ``n``
+    working time points, where ``u`` is the series minus its working-sample
+    average.  ``beta_hat`` may come from any estimator but must have
+    ``sample.p`` entries.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
-    values, p = _unwrap(centered, beta_hat.size)
-    if mean_hat is None:
-        mean_hat = centered.mean_hat if isinstance(centered, CenteredSeries) else 0.0
-    if values.size - p < p + 1:
-        raise ValueError("series too short: requires n >= p + 1")
-    if p == 0:
-        eps = values.copy()
+    if beta_hat.size != sample.p:
+        raise ValueError(
+            f"beta_hat has {beta_hat.size} coefficients; the sample has order {sample.p}"
+        )
+    values, mean_hat = _centered(sample)
+    if sample.p == 0:
+        eps = values
     else:
-        y, X = _lag_design(values, p)
+        y, X = _lag_design(values, sample.p)
         eps = y - X @ beta_hat
-    s2_hat = float(np.mean(np.square(eps)))
-    return ResidualFit(beta_hat=beta_hat, residuals=eps, s2_hat=s2_hat, mean_hat=float(mean_hat))
+    return ResidualFit(beta_hat=beta_hat, residuals=eps, mean_hat=mean_hat)
 
 
 def fit_ar(sample: SeriesSample) -> ResidualFit:
     """Full pipeline: center, estimate coefficients, extract residuals."""
-    centered = center_series(sample)
-    beta_hat = ols_estimate(centered)
-    return residuals(centered, beta_hat, mean_hat=centered.mean_hat)
+    return residuals(sample, ols_estimate(sample))
 
 
-@dataclass(frozen=True)
-class AutocovMatrix:
-    """Lag-covariance (Toeplitz) matrix of the stationary centered process.
-
-    Entry ``(i, j)`` is ``Cov(u_t, u_{t+|i-j|})``; this matrix normalizes
-    the asymptotic covariance of the least-squares coefficient estimate
-    (which is ``sigma0**2`` times its inverse).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float, copy=True)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if entries.size:
-            if not np.array_equal(entries, entries.T):
-                raise ValueError("entries must be symmetric")
-            if float(np.linalg.eigvalsh(entries)[0]) <= 0.0:
-                raise ValueError("entries must be positive definite")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return int(self.entries.shape[0])
-
-
-def autocov_matrix(coeffs, sigma0: float) -> AutocovMatrix:
+def autocov_matrix(coeffs, sigma0: float) -> np.ndarray:
     """Covariance matrix of ``p`` consecutive values of the centered process.
+
+    Entry ``(i, j)`` is ``Cov(u_t, u_{t+|i-j|})``, a symmetric Toeplitz
+    matrix; it normalizes the asymptotic covariance of the least-squares
+    coefficient estimate (which is ``sigma0**2`` times its inverse).
 
     Computed from the moving-average representation:
     ``Cov(u_t, u_{t+d}) = sigma0**2 * sum_m ma[m] * ma[m+d]``, with the
@@ -238,7 +170,7 @@ def autocov_matrix(coeffs, sigma0: float) -> AutocovMatrix:
         raise ValueError("sigma0 must be positive")
     p = coeffs.size
     if p == 0:
-        return AutocovMatrix(entries=np.empty((0, 0)))
+        return np.empty((0, 0))
     radius = char_root_radius(coeffs)
     if radius >= 1.0:
         raise ValueError("coefficients are not stationary")
@@ -259,4 +191,4 @@ def autocov_matrix(coeffs, sigma0: float) -> AutocovMatrix:
     first_row = np.array(
         [sigma0**2 * float(np.dot(ma[: ma.size - d], ma[d:])) for d in range(p)]
     )
-    return AutocovMatrix(entries=toeplitz(first_row))
+    return toeplitz(first_row)

@@ -30,7 +30,6 @@ from .limit_law import LimitLawTable, StatKind, mc_p_value, quantile
 
 __all__ = [
     "GofResult",
-    "EmpiricalProcessEval",
     "probability_transforms",
     "kolmogorov_from_transforms",
     "omega2_from_transforms",
@@ -162,21 +161,13 @@ def residual_edf(fit: ResidualFit, x):
     return values
 
 
-@dataclass(frozen=True)
-class EmpiricalProcessEval:
-    """Normalized residual empirical process sampled on a probability grid."""
-
-    t_grid: np.ndarray
-    values: np.ndarray
-    n: int
-
-
-def eval_process(fit: ResidualFit, t_grid) -> EmpiricalProcessEval:
+def eval_process(fit: ResidualFit, t_grid) -> np.ndarray:
     """Evaluate ``sqrt(n) * (EDF(s_hat * quantile(t)) - t)`` on a grid.
 
     ``t_grid`` must be strictly increasing with all points in the open
     interval (0, 1).  The supremum of ``|values|`` over a fine grid lower
     bounds the supremum statistic (the process jumps between grid points).
+    Returns the process values, one per grid point.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -187,8 +178,7 @@ def eval_process(fit: ResidualFit, t_grid) -> EmpiricalProcessEval:
         raise ValueError("grid points must be strictly increasing")
     _check_scale(fit)
     x = fit.s_hat * ndtri(t_grid)
-    values = np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
-    return EmpiricalProcessEval(t_grid=t_grid, values=values, n=fit.n)
+    return np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
 
 
 def innovation_edf_gap(fit: ResidualFit, innovations: np.ndarray) -> float:

@@ -14,6 +14,7 @@ streams were created before it.
 from __future__ import annotations
 
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -22,29 +23,37 @@ import numpy as np
 __all__ = ["make_rng", "substream", "derive_seed", "map_replications"]
 
 
+def _seed_sequence(seed: int, key=()) -> np.random.SeedSequence:
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=tuple(operator.index(k) for k in key))
+
+
 def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
     """Coerce ``seed`` to a Generator; Generators pass through unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(operator.index(seed))))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _seed_sequence(seed)
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Child stream identified by an integer key path under ``seed``."""
-    ss = np.random.SeedSequence(
-        operator.index(seed), spawn_key=tuple(operator.index(k) for k in key)
-    )
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 63-bit integer seed derived from ``(seed, key)``, for nested use."""
-    ss = np.random.SeedSequence(
-        operator.index(seed), spawn_key=tuple(operator.index(k) for k in key)
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(_seed_sequence(seed, key).generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def map_replications(chunk, args, n_reps: int, workers: int = 1) -> dict:
@@ -52,7 +61,8 @@ def map_replications(chunk, args, n_reps: int, workers: int = 1) -> dict:
 
     ``chunk`` returns a dict of per-replication arrays.  Each replication
     must draw from its own keyed substream and be computed on its own; the
-    range is then cut into ``workers`` pieces without changing the output.
+    range is then cut into ``workers`` pieces without changing the output,
+    and the pieces run on at most as many processes as there are CPUs.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -62,6 +72,6 @@ def map_replications(chunk, args, n_reps: int, workers: int = 1) -> dict:
         chunks = [chunk(*args, 0, n_reps)]
     else:
         bounds = np.linspace(0, n_reps, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, _available_cpus())) as pool:
             chunks = list(pool.map(partial(chunk, *args), bounds[:-1], bounds[1:]))
     return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}

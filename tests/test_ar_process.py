@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arnorm import (
-    ArModel,
+from arnorm import ArModel, Gaussian, SeriesSample, simulate_ar
+from arnorm.ar_process import (
     CustomLaw,
-    Gaussian,
     LaplaceLaw,
     Mixture,
-    SeriesSample,
     StudentTLaw,
     TwoPointLaw,
     UniformLaw,
+    char_root_radius,
     default_burn_in,
+    law_descriptor,
+    law_from_descriptor,
     ma_coefficients,
-    simulate_ar,
+    parse_alternative_law,
 )
-from arnorm.ar_process import char_root_radius, parse_alternative_law, law_descriptor, law_from_descriptor
 from arnorm.rng import make_rng, substream
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ import pytest
 import arnorm
 from arnorm import load_table, quantile
 from arnorm.cli import main
+from arnorm.estimation import ResidualFit
 from arnorm.rng import substream
 
 
@@ -192,8 +192,7 @@ class TestTest:
         # fit whose mean squared residual overflows
         residuals = np.full(40, 1e200)
         with np.errstate(over="ignore"):
-            overflowing = arnorm.ResidualFit(beta_hat=np.empty(0), residuals=residuals,
-                                             s2_hat=math.inf)
+            overflowing = ResidualFit(beta_hat=np.empty(0), residuals=residuals)
         monkeypatch.setattr(arnorm.cli, "fit_ar", lambda sample: overflowing)
         series = tmp_path / "series.txt"
         _write_series(series, substream(134).normal(size=40))
@@ -544,6 +543,23 @@ class TestPower:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["simulate", "quantiles", "test", "power"])
+    def test_negative_seed_named_in_error(self, tmp_path, capsys, command):
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(136).normal(size=60))
+        argv = {
+            "simulate": ["simulate", "--n", "30", "--seed", "-1"],
+            "quantiles": ["quantiles", "--kind", "omega2", "--grid", "16", "--reps", "100",
+                          "--seed", "-1"],
+            "test": ["test", str(series), "--grid", "16", "--reps", "100", "--seed", "-1"],
+            "power": ["power", str(_power_config(tmp_path, n_reps=100, limit_reps=100,
+                                                 grid=16, seed=-1))],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "arnorm: seed must be a non-negative integer, got -1" in captured.err
+        assert "verdict=" not in captured.out
+
     def test_module_invocation(self):
         proc = _run_cli(["--help"], cwd=None)
         assert proc.returncode == 0

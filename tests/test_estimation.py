@@ -2,66 +2,52 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from arnorm import (
-    ArModel,
-    CenteredSeries,
-    DegenerateDataError,
-    EstimationError,
-    Gaussian,
-    ResidualFit,
-    SeriesSample,
-    autocov_matrix,
-    center_series,
-    fit_ar,
-    ols_estimate,
-    probability_transforms,
-    residuals,
-    simulate_ar,
-)
-from arnorm.estimation import MAX_ORDER
+from arnorm import ArModel, Gaussian, SeriesSample, fit_ar, simulate_ar
+from arnorm.errors import DegenerateDataError, EstimationError
+from arnorm.estimation import MAX_ORDER, ResidualFit, autocov_matrix, ols_estimate, residuals
+from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
 
 
 class TestCenterSeries:
+    # centering is private to the fit; residuals() shows it through mean_hat
+
     def test_small_example(self):
         sample = SeriesSample.from_values([3.0, 1.0, 2.0, 3.0], p=1)
-        centered = center_series(sample)
-        assert centered.mean_hat == 2.0  # mean of the n = 3 working values only
-        np.testing.assert_array_equal(centered.values, [1.0, -1.0, 0.0, 1.0])
+        fit = residuals(sample, [1.0])
+        assert fit.mean_hat == 2.0  # mean of the n = 3 working values only
+        # centered values [1, -1, 0, 1], differenced
+        np.testing.assert_array_equal(fit.residuals, [-2.0, 1.0, 1.0])
 
     def test_constant_series_centers_to_zero(self):
-        sample = SeriesSample.from_values(np.full(7, 5.25), p=2)
-        centered = center_series(sample)
-        assert centered.mean_hat == 5.25
-        np.testing.assert_array_equal(centered.values, np.zeros(7))
+        fit = residuals(SeriesSample.from_values(np.full(7, 5.25), p=2), [0.3, -0.2])
+        assert fit.mean_hat == 5.25
+        np.testing.assert_array_equal(fit.residuals, np.zeros(5))
 
     def test_presample_values_share_the_same_mean(self):
-        # the pre-sample values are centered by the working-sample mean,
-        # not by a mean of their own
-        sample = SeriesSample.from_values([100.0, 1.0, 3.0], p=1)
-        centered = center_series(sample)
-        assert centered.mean_hat == 2.0
-        np.testing.assert_array_equal(centered.values, [98.0, -1.0, 1.0])
+        # the pre-sample value is centered by the working-sample mean 2,
+        # not by a mean of its own: centered values are [98, -1, 1]
+        fit = residuals(SeriesSample.from_values([100.0, 1.0, 3.0], p=1), [1.0])
+        assert fit.mean_hat == 2.0
+        np.testing.assert_array_equal(fit.residuals, [-99.0, 2.0])
 
 
 class TestOlsEstimate:
     def test_noiseless_geometric_series_recovers_coefficient(self):
-        beta = 0.5
-        values = beta ** np.arange(12.0)  # v_t = beta * v_{t-1}, already mean zero
-        centered = CenteredSeries(values=values, p=1, n=11, mean_hat=0.0)
-        beta_hat = ols_estimate(centered)
-        assert beta_hat.shape == (1,)
-        assert beta_hat[0] == pytest.approx(beta, abs=1e-12)
+        # v_t = -v_{t-1} (ratio -1) with n = 16 working values: the working
+        # mean is exactly 0 and the Gram matrix 16 * 0.5**2 = 4 after scaling
+        # to [0.5, 1), so the solve is exact
+        values = (-1.0) ** np.arange(17.0)
+        beta_hat = ols_estimate(SeriesSample.from_values(values, p=1))
+        np.testing.assert_array_equal(beta_hat, [-1.0])
 
     def test_order_zero_has_no_parameters(self):
-        centered = CenteredSeries(values=np.array([1.0, -1.0]), p=0, n=2, mean_hat=0.0)
-        assert ols_estimate(centered).shape == (0,)
+        assert ols_estimate(SeriesSample.from_values([1.0, -1.0], p=0)).shape == (0,)
 
     def test_monte_carlo_consistency(self):
         model = ArModel(coeffs=(0.6,), mean=1.0, innovation=Gaussian(1.0))
         for seed in (0, 1, 2):
-            sample = simulate_ar(model, n=10_000, seed=seed)
-            beta_hat = ols_estimate(center_series(sample))
+            beta_hat = ols_estimate(simulate_ar(model, n=10_000, seed=seed))
             assert abs(beta_hat[0] - 0.6) < 0.05
 
     def test_error_halves_when_n_quadruples(self):
@@ -71,7 +57,7 @@ class TestOlsEstimate:
             errs = []
             for rep in range(200):
                 sample = simulate_ar(model, n=n, seed=substream(777, n, rep))
-                errs.append(abs(ols_estimate(center_series(sample))[0] - 0.5))
+                errs.append(abs(ols_estimate(sample)[0] - 0.5))
             errors[n] = np.median(errs)
         ratio = errors[4000] / errors[1000]
         assert 0.35 < ratio < 0.7  # root-n rate: ideal ratio is 0.5
@@ -79,60 +65,46 @@ class TestOlsEstimate:
     def test_constant_series_is_singular(self):
         sample = SeriesSample.from_values(np.full(30, 2.0), p=1)
         with pytest.raises(EstimationError):
-            ols_estimate(center_series(sample))
+            ols_estimate(sample)
 
     def test_order_above_limit_rejected(self):
         values = substream(4).normal(size=MAX_ORDER + 40)
         with pytest.raises(ValueError):
-            ols_estimate(CenteredSeries(values=values, p=MAX_ORDER + 1,
-                                        n=values.size - MAX_ORDER - 1, mean_hat=0.0))
-
-    def test_raw_array_requires_explicit_order(self):
-        values = substream(5).normal(size=20)
-        beta_from_raw = ols_estimate(values, p=1)
-        centered = CenteredSeries(values=values, p=1, n=19, mean_hat=0.0)
-        np.testing.assert_array_equal(beta_from_raw, ols_estimate(centered))
-        with pytest.raises(ValueError):
-            ols_estimate(centered, p=2)  # contradicts the series layout
+            ols_estimate(SeriesSample.from_values(values, p=MAX_ORDER + 1))
 
 
 class TestResiduals:
     def test_tiny_example(self):
-        centered = CenteredSeries(values=np.array([1.0, 2.0, 3.0]), p=1, n=2, mean_hat=0.0)
-        fit = residuals(centered, np.array([1.0]))
+        fit = residuals(SeriesSample.from_values([1.0, 2.0, 3.0], p=1), np.array([1.0]))
         np.testing.assert_array_equal(fit.residuals, [1.0, 1.0])
         assert fit.s2_hat == 1.0
         assert fit.n == 2 and fit.order == 1
 
     def test_zero_coefficients_return_centered_values(self):
         values = np.array([0.5, -1.5, 2.5, -1.5])
-        centered = CenteredSeries(values=values, p=1, n=3, mean_hat=0.0)
-        fit = residuals(centered, np.array([0.0]))
-        np.testing.assert_array_equal(fit.residuals, values[1:])
+        fit = residuals(SeriesSample.from_values(values, p=1), np.array([0.0]))
+        np.testing.assert_array_equal(fit.residuals, values[1:] - fit.mean_hat)
 
     def test_scale_estimate_is_mean_square(self):
-        rng = substream(6)
-        values = rng.normal(size=50)
-        centered = CenteredSeries(values=values, p=2, n=48, mean_hat=0.0)
-        fit = residuals(centered, np.array([0.3, -0.2]))
+        values = substream(6).normal(size=50)
+        fit = residuals(SeriesSample.from_values(values, p=2), np.array([0.3, -0.2]))
         assert fit.s2_hat == float(np.mean(np.square(fit.residuals)))
         assert fit.s_hat == np.sqrt(fit.s2_hat)
 
-    def test_inconsistent_scale_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            ResidualFit(beta_hat=np.empty(0), residuals=np.array([1.0, -1.0]), s2_hat=2.0)
+    def test_scale_estimate_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ResidualFit(beta_hat=np.empty(0), residuals=np.array([1.0, -1.0]), s2_hat=1.0)
 
     def test_wrong_order_rejected(self):
-        centered = CenteredSeries(values=np.arange(6.0), p=1, n=5, mean_hat=0.0)
+        sample = SeriesSample.from_values(np.arange(6.0), p=1)
         with pytest.raises(ValueError):
-            residuals(centered, np.array([0.5, 0.1]))
+            residuals(sample, np.array([0.5, 0.1]))
 
     def test_external_coefficients_accepted(self):
         # room for user-supplied estimators: residuals() takes any coefficient
         # vector, not only the least-squares one
         model = ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(1.0))
-        centered = center_series(simulate_ar(model, n=200, seed=8))
-        fit = residuals(centered, np.array([0.47]))
+        fit = residuals(simulate_ar(model, n=200, seed=8), np.array([0.47]))
         assert fit.beta_hat[0] == 0.47
         assert fit.s2_hat > 0
 
@@ -141,12 +113,10 @@ class TestFitAr:
     def test_pipeline_matches_manual_steps(self, ar1_model):
         sample = simulate_ar(ar1_model, n=300, seed=9)
         fit = fit_ar(sample)
-        centered = center_series(sample)
-        beta_hat = ols_estimate(centered)
-        manual = residuals(centered, beta_hat, mean_hat=centered.mean_hat)
+        manual = residuals(sample, ols_estimate(sample))
         np.testing.assert_array_equal(fit.beta_hat, manual.beta_hat)
         np.testing.assert_array_equal(fit.residuals, manual.residuals)
-        assert fit.mean_hat == centered.mean_hat
+        assert fit.mean_hat == float(np.mean(sample.values[1:]))
 
     def test_scale_consistency(self):
         model = ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(2.0))
@@ -194,13 +164,13 @@ class TestFitAr:
 
 class TestAutocovMatrix:
     def test_ar1_closed_form(self):
-        box = autocov_matrix(np.array([0.5]), sigma0=1.0)
-        assert box.entries.shape == (1, 1)
-        assert box.entries[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        k = autocov_matrix(np.array([0.5]), sigma0=1.0)
+        assert k.shape == (1, 1)
+        assert k[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_white_noise_diagonal(self):
-        box = autocov_matrix(np.array([0.0]), sigma0=2.0)
-        assert box.entries[0, 0] == pytest.approx(4.0, rel=1e-12)
+        k = autocov_matrix(np.array([0.0]), sigma0=2.0)
+        assert k[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_ar2_against_yule_walker(self):
         # independent oracle: solve the Yule-Walker system for the first two
@@ -210,21 +180,20 @@ class TestAutocovMatrix:
         rho2 = b1 * rho1 + b2
         k0 = sigma0**2 / (1.0 - b1 * rho1 - b2 * rho2)
         expected = toeplitz([k0, k0 * rho1])
-        box = autocov_matrix(np.array([b1, b2]), sigma0=sigma0)
-        np.testing.assert_allclose(box.entries, expected, rtol=1e-10)
+        k = autocov_matrix(np.array([b1, b2]), sigma0=sigma0)
+        np.testing.assert_allclose(k, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("coeffs", [(0.9,), (-0.7,), (1.2, -0.4), (0.2, 0.3), (0.1, 0.1, 0.5)])
     def test_positive_definite_symmetric_toeplitz(self, coeffs):
-        box = autocov_matrix(np.array(coeffs), sigma0=1.0)
-        k = box.entries
+        k = autocov_matrix(np.array(coeffs), sigma0=1.0)
         np.testing.assert_array_equal(k, k.T)
         first = k[0]
         np.testing.assert_allclose(k, toeplitz(first), rtol=1e-12)
         assert np.min(np.linalg.eigvalsh(k)) > 0
 
     def test_order_zero_is_empty(self):
-        box = autocov_matrix(np.empty(0), sigma0=1.0)
-        assert box.entries.shape == (0, 0)
+        k = autocov_matrix(np.empty(0), sigma0=1.0)
+        assert k.shape == (0, 0)
 
     def test_nonstationary_rejected(self):
         with pytest.raises(ValueError):

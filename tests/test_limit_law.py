@@ -3,22 +3,15 @@ import pytest
 from scipy.special import ndtr
 
 import arnorm.limit_law as limit_law
-from arnorm import (
-    CustomLaw,
-    Gaussian,
-    LaplaceLaw,
+from arnorm import Gaussian, StatKind, load_table, quantile, save_table, simulate_limit_tables
+from arnorm.ar_process import CustomLaw, LaplaceLaw, StudentTLaw
+from arnorm.limit_law import (
     LimitLawTable,
     ShiftSpec,
-    StatKind,
-    StudentTLaw,
     cov_eval,
     cov_matrix,
-    load_table,
     local_shift,
     mc_p_value,
-    quantile,
-    save_table,
-    simulate_limit_tables,
 )
 from arnorm.rng import derive_seed
 

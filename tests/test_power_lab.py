@@ -4,15 +4,12 @@ import io
 import numpy as np
 import pytest
 
-from arnorm import (
-    ArModel,
+from arnorm import ArModel, Gaussian, StatKind
+from arnorm.ar_process import LaplaceLaw, Mixture
+from arnorm.power_lab import (
     ExperimentSpec,
-    Gaussian,
-    LaplaceLaw,
-    Mixture,
     PowerReport,
     PowerRow,
-    StatKind,
     pipeline_statistics,
     run_power_study,
     run_size_study,

@@ -19,24 +19,18 @@ from hypothesis import given, settings, strategies as st
 from arnorm import (
     ArModel,
     Gaussian,
-    LaplaceLaw,
-    LimitLawTable,
     SeriesSample,
-    ShiftSpec,
     StatKind,
-    StudentTLaw,
-    TwoPointLaw,
-    UniformLaw,
     fit_ar,
     kolmogorov_stat,
     load_table,
-    mc_p_value,
     omega2_stat,
     save_table,
     simulate_ar,
     simulate_limit_tables,
 )
-from arnorm.ar_process import law_descriptor
+from arnorm.ar_process import LaplaceLaw, StudentTLaw, TwoPointLaw, UniformLaw, law_descriptor
+from arnorm.limit_law import LimitLawTable, ShiftSpec, mc_p_value
 from arnorm.power_lab import pipeline_statistics
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from arnorm.rng import derive_seed, make_rng, substream
+import arnorm.rng as rng_module
+from arnorm.rng import derive_seed, make_rng, map_replications, substream
 
 
 class TestSubstream:
@@ -47,3 +48,44 @@ class TestMakeRng:
     def test_rejects_nonsense(self):
         with pytest.raises(TypeError):
             make_rng(3.5)
+
+
+@pytest.mark.parametrize("derive", [make_rng, substream, derive_seed])
+def test_negative_seed_named_in_error(derive):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        derive(-1)
+
+
+def _squares(offset, start, stop):
+    return {"x": offset + np.arange(start, stop) ** 2}
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestMapReplications:
+    @pytest.mark.parametrize("workers, cpus, processes", [(64, 2, 2), (3, 8, 3)])
+    def test_pool_capped_at_available_cpus(self, monkeypatch, workers, cpus, processes):
+        # the range is still cut into `workers` pieces; only the process
+        # count is capped, and no process is started here
+        monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(rng_module, "_available_cpus", lambda: cpus)
+        _InlinePool.sizes = []
+        split = map_replications(_squares, (5,), 200, workers=workers)
+        assert _InlinePool.sizes == [processes]
+        np.testing.assert_array_equal(split["x"], _squares(5, 0, 200)["x"])
