@@ -338,11 +338,23 @@ def _load_power_config(path) -> dict:
     for name in ("mu", "sigma0", "alpha"):
         if not typed(config[name], (int, float)) or not math.isfinite(config[name]):
             raise ValueError(f"{path}: {name} must be a finite number")
-    for name in ("n_reps", "seed", "grid", "limit_reps"):
+    if config["sigma0"] <= 0:
+        raise ValueError(f"{path}: sigma0 must be positive, got {config['sigma0']}")
+    if not 0 < config["alpha"] < 1:
+        raise ValueError(
+            f"{path}: alpha must lie strictly between 0 and 1, got {config['alpha']}"
+        )
+    for name, low in (("n_reps", 100), ("seed", 0), ("grid", 2), ("limit_reps", 1)):
         if not typed(config[name], int):
             raise ValueError(f"{path}: {name} must be an integer")
-    if config["burn_in"] is not None and not typed(config["burn_in"], int):
-        raise ValueError(f"{path}: burn_in must be an integer or null")
+        if config[name] < low:
+            bound = "a non-negative integer" if low == 0 else f"at least {low}"
+            raise ValueError(f"{path}: {name} must be {bound}, got {config[name]}")
+    if config["burn_in"] is not None:
+        if not typed(config["burn_in"], int):
+            raise ValueError(f"{path}: burn_in must be an integer or null")
+        if config["burn_in"] < 0:
+            raise ValueError(f"{path}: burn_in must be non-negative, got {config['burn_in']}")
     return config
 
 

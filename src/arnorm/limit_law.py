@@ -21,8 +21,10 @@ Functionals are simulated on the interior grid ``i / grid_size`` from
 Durbin's (1973, Ann. Statist. 1:279) form ``X = B + a Z1 + 0.5 b Z2`` of the
 process, with ``Z1 = int q dW`` and ``Z2 = int (q**2 - 1) dW`` on the Brownian
 motion ``W`` of the bridge ``B``: O(grid_size) per path, each replication on
-its own from its own substream, so tables are reproducible, worker-count
-independent, and extended by longer runs.
+its own from its own substream (taken in order from
+:func:`~arnorm.rng.substreams`), so tables are reproducible, worker-count
+independent, and extended by longer runs.  Paths are assembled a few at a
+time, 2**15 normals per block, so that a block stays in cache.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ar_process import Gaussian, ZeroMeanLaw, law_descriptor, law_from_descriptor
-from .rng import map_replications, substream
+from .rng import map_replications, substreams
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -245,17 +247,24 @@ def _assemble_paths(normals, weights):
 
 def _functional_chunk(kinds, shift, grid_size, seed, start, stop):
     """Functional samples for replications ``start..stop-1``; replication
-    ``r`` draws its ``grid_size + 2`` normals from ``substream(seed, r)``."""
+    ``r`` draws its ``grid_size + 2`` normals from the stream of
+    ``substream(seed, r)``, taken from :func:`~arnorm.rng.substreams`.
+
+    Paths are assembled in blocks of 256 KB of normals, which stay in cache
+    through assembly and both functionals.
+    """
     weights = _path_weights(grid_size)
     sup_correction = SUP_CONTINUITY_BETA / math.sqrt(grid_size)
     shift_values = local_shift(shift, weights[0]) if shift is not None else None
-    block = max(1, 2**21 // grid_size)  # rows of 16 MB of normals in all
+    block = max(1, 2**15 // grid_size)
+    buffer = np.empty((min(block, stop - start), grid_size + 2))
+    streams = substreams(seed, start, stop)
     out = {kind: np.empty(stop - start) for kind in kinds}
     for block_start in range(start, stop, block):
         block_stop = min(block_start + block, stop)
-        normals = np.empty((block_stop - block_start, grid_size + 2))
-        for row, rep in zip(normals, range(block_start, block_stop)):
-            substream(seed, rep).standard_normal(out=row)
+        normals = buffer[: block_stop - block_start]
+        for row, stream in zip(normals, streams):
+            stream.standard_normal(out=row)
         paths = _assemble_paths(normals, weights)
         if shift_values is not None:
             paths += shift_values

@@ -1,12 +1,14 @@
 """Monte Carlo size and power experiments for the residual normality tests.
 
-An experiment couples three ingredients, each with its own derived random
-substream so results are reproducible and worker-count independent:
+An experiment couples three ingredients, each simulated under its own seed
+derived from the study seed, so results are reproducible and worker-count
+independent:
 
-* a null limit table (critical values) — substream branch 0;
-* under an alternative, a shifted limit table (asymptotic power) — branch 1;
-* finite-sample replications of the simulate/fit/test pipeline — branch 2,
-  with replication ``r`` drawing from its own child stream ``(2, r)``.
+* a null limit table (critical values), seeded by ``derive_seed(seed, 0)``;
+* under an alternative, a shifted limit table (asymptotic power), seeded by
+  ``derive_seed(seed, 1)``;
+* finite-sample replications of the simulate/fit/test pipeline, with
+  replication ``r`` drawing from ``substream(derive_seed(seed, 2), r)``.
 
 The alternative is the root-n mixture :class:`~arnorm.ar_process.Mixture`;
 its coupling invariant (mixture ``n`` equals the experiment sample size) is
@@ -28,7 +30,7 @@ from .gof_tests import (
     probability_transforms,
 )
 from .limit_law import ShiftSpec, StatKind, quantile, simulate_limit_tables
-from .rng import derive_seed, map_replications, substream
+from .rng import derive_seed, map_replications, substreams
 
 __all__ = [
     "ExperimentSpec",
@@ -86,8 +88,8 @@ class PowerReport:
 def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
     """Test statistics for pipeline replications ``start..stop-1``."""
     out = {kind: np.empty(stop - start) for kind in kinds}
-    for j, rep in enumerate(range(start, stop)):
-        sample = simulate_ar(model, n, burn_in=burn_in, seed=substream(seed, rep))
+    for j, stream in enumerate(substreams(seed, start, stop)):
+        sample = simulate_ar(model, n, burn_in=burn_in, seed=stream)
         transforms = probability_transforms(fit_ar(sample))
         for kind in kinds:
             if kind is StatKind.KOLMOGOROV:

@@ -530,6 +530,24 @@ class TestPower:
         assert main(["power", str(config)]) == 2
         assert f"{config}: {field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "seed must be a non-negative integer, got -1"),
+            ("grid", 1, "grid must be at least 2, got 1"),
+            ("limit_reps", 0, "limit_reps must be at least 1, got 0"),
+            ("n_reps", 99, "n_reps must be at least 100, got 99"),
+            ("alpha", 1, "alpha must lie strictly between 0 and 1, got 1"),
+            ("sigma0", 0, "sigma0 must be positive, got 0"),
+            ("burn_in", -1, "burn_in must be non-negative, got -1"),
+        ],
+        ids=["seed", "grid", "limit_reps", "n_reps", "alpha", "sigma0", "burn_in"],
+    )
+    def test_out_of_range_field_names_config(self, tmp_path, capsys, field, value, message):
+        config = _power_config(tmp_path, **{field: value})
+        assert main(["power", str(config)]) == 2
+        assert f"arnorm: {config}: {message}" in capsys.readouterr().err
+
     def test_empty_statistics_exits_2(self, tmp_path, capsys):
         config = _power_config(tmp_path, statistics=[])
         assert main(["power", str(config)]) == 2
@@ -555,9 +573,11 @@ class TestEntryPoint:
             "power": ["power", str(_power_config(tmp_path, n_reps=100, limit_reps=100,
                                                  grid=16, seed=-1))],
         }[command]
+        # a config field is reported under the config file's path
+        where = f"{argv[1]}: " if command == "power" else ""
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "arnorm: seed must be a non-negative integer, got -1" in captured.err
+        assert f"arnorm: {where}seed must be a non-negative integer, got -1" in captured.err
         assert "verdict=" not in captured.out
 
     def test_module_invocation(self):

@@ -200,16 +200,18 @@ class TestSimulation:
             assert np.all(np.isin(short[kind].samples, long[kind].samples)), kind
 
     def test_block_width_does_not_change_samples(self):
-        # the same replications in one block, in single rows, and in a
-        # block that starts off any block boundary
-        args = (BOTH, None, 64, 13)
-        whole = limit_law._functional_chunk(*args, 0, 200)
-        tail = limit_law._functional_chunk(*args, 37, 200)
-        for kind in BOTH:
-            np.testing.assert_array_equal(tail[kind], whole[kind][37:])
-            for rep in (0, 1, 99, 199):
-                single = limit_law._functional_chunk(*args, rep, rep + 1)[kind]
-                np.testing.assert_array_equal(single, whole[kind][rep : rep + 1])
+        # the same replications in blocks of 2**15 // grid_size rows (one
+        # block at grid 64, 64-row blocks at 512), in single rows, and in
+        # blocks that start off any block boundary
+        for grid_size in (64, 512):
+            args = (BOTH, None, grid_size, 13)
+            whole = limit_law._functional_chunk(*args, 0, 200)
+            tail = limit_law._functional_chunk(*args, 37, 200)
+            for kind in BOTH:
+                np.testing.assert_array_equal(tail[kind], whole[kind][37:])
+                for rep in (0, 1, 63, 64, 99, 127, 128, 199):
+                    single = limit_law._functional_chunk(*args, rep, rep + 1)[kind]
+                    np.testing.assert_array_equal(single, whole[kind][rep : rep + 1])
 
     def test_null_mixture_shift_reproduces_null_table(self):
         spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)

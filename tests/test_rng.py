@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import arnorm.rng as rng_module
-from arnorm.rng import derive_seed, make_rng, map_replications, substream
+from arnorm.rng import derive_seed, make_rng, map_replications, substream, substreams
 
 
 class TestSubstream:
@@ -48,6 +48,46 @@ class TestMakeRng:
     def test_rejects_nonsense(self):
         with pytest.raises(TypeError):
             make_rng(3.5)
+
+
+class TestSubstreams:
+    """``substreams`` restates numpy's seeding; it must match ``substream`` bit for bit."""
+
+    SEEDS = [0, 1, 12345, 20240801, 2**62 + 12345, 2**64 + 7, 2**130 + 99, 2**200 + 3]
+    # from 0 and off 0; both sides of a 64-row path block and of a 4096-key
+    # batch; keys of one, two and three 32-bit words
+    RANGES = [(0, 300), (37, 70), (4094, 4098), (2**32 - 2, 2**32 + 2),
+              (2**40 + 3, 2**40 + 4), (2**63 + 1, 2**63 + 2), (2**64 - 1, 2**64 + 1)]
+
+    @staticmethod
+    def _assert_match(seed, start, stop):
+        draws = [stream.standard_normal(5) for stream in substreams(seed, start, stop)]
+        assert len(draws) == stop - start
+        for key, got in zip(range(start, stop), draws):
+            np.testing.assert_array_equal(got, substream(seed, key).standard_normal(5))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start, stop", RANGES)
+    def test_matches_substream(self, seed, start, stop):
+        self._assert_match(seed, start, stop)
+
+    def test_key_batches_do_not_change_streams(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_KEY_BATCH", 7)
+        self._assert_match(20240801, 3, 40)
+
+    def test_empty_range(self):
+        assert list(substreams(5, 10, 10)) == []
+        assert list(substreams(5, 10, 3)) == []
+
+    def test_negative_seed_rejected_before_iteration(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            substreams(-1, 0, 0)
+
+    def test_seeding_mismatch_raises(self, monkeypatch):
+        # a numpy that hashed seeds differently must fail loudly, not drift
+        monkeypatch.setattr(rng_module, "_MULT_B", rng_module._MULT_B ^ 1)
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            next(substreams(20240801, 5, 9))
 
 
 @pytest.mark.parametrize("derive", [make_rng, substream, derive_seed])
