@@ -35,7 +35,7 @@ from .ar_process import (
 )
 from .errors import DegenerateDataError, EstimationError
 from .estimation import fit_ar
-from .gof_tests import kolmogorov_stat, omega2_stat
+from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
 from .limit_law import (
     StatKind,
     load_table,
@@ -45,7 +45,6 @@ from .limit_law import (
 )
 from .power_lab import (
     ExperimentSpec,
-    PowerRow,
     run_power_study,
     run_size_study,
     write_power_csv,
@@ -201,10 +200,6 @@ def _resolve_tables(args) -> tuple[dict, dict]:
     Returns the tables by kind and, by kind, where each came from: its file
     path, or ``"simulated"`` for a kind built on the fly.
     """
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
-    if args.grid < 2:
-        raise ValueError("--grid must be at least 2")
     tables, sources = {}, {}
     for path in args.table:
         table = load_table(path)
@@ -228,14 +223,20 @@ def _cmd_test(args) -> int:
         raise ValueError("--p must be nonnegative")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
+    if args.reps < 1:
+        raise ValueError("--reps must be at least 1")
+    if args.grid < 2:
+        raise ValueError("--grid must be at least 2")
     values = _read_series(args.series)
     # The statistics are scale-invariant: fit the series scaled exactly by a
     # power of two into [0.5, 1), so that a series at 1e200 (or 1e-200)
     # scale cannot overflow (or underflow) the squares in the fit.
     exponent = int(np.frexp(np.max(np.abs(values)))[1])
     sample = SeriesSample.from_values(np.ldexp(values, -exponent), args.p)
-    tables, sources = _resolve_tables(args)
+    # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
+    _check_scale(fit)
+    tables, sources = _resolve_tables(args)
     results = [
         kolmogorov_stat(fit, tables[StatKind.KOLMOGOROV], args.alpha),
         omega2_stat(fit, tables[StatKind.OMEGA2], args.alpha),
@@ -333,6 +334,9 @@ def _load_power_config(path) -> dict:
     for name in ("n", "h", "statistics"):
         if not config[name]:
             raise ValueError(f"{path}: {name} must not be empty")
+    statistics = config["statistics"]
+    if len(set(statistics)) < len(statistics):
+        raise ValueError(f"{path}: statistics must not repeat a name, got {statistics}")
     beta = listed("beta", (int, float), "a list of numbers", scalar_ok=False)
     config["beta"] = [float(v) for v in beta]
     for name in ("mu", "sigma0", "alpha"):
@@ -358,25 +362,22 @@ def _load_power_config(path) -> dict:
     return config
 
 
-def _cmd_power(args) -> int:
-    config = _load_power_config(args.config)
+def _power_grid(config) -> tuple[tuple, list, list]:
+    """The statistic kinds, the ``(alternative, spec)`` cells in run order,
+    and the ``# note:`` lines, built from a loaded config."""
     kinds = tuple(StatKind(name) for name in config["statistics"])
     sigma0 = float(config["sigma0"])
+    laws = [None if h == "none" else parse_alternative_law(h, sigma0) for h in config["h"]]
     notes = [
         f"note: {h_text} has no Lipschitz density; the asymptotic-power "
         "comparison is outside the local-power guarantee"
-        for h_text in config["h"]
-        if h_text != "none" and not parse_alternative_law(h_text, sigma0).lipschitz_density
+        for h_text, law in zip(config["h"], laws)
+        if law is not None and not law.lipschitz_density
     ]
-    rows = []
+    cells = []
     for n in config["n"]:
-        for h_text in config["h"]:
-            if h_text == "none":
-                innovation = Gaussian(sigma0)
-            else:
-                innovation = Mixture(
-                    sigma0=sigma0, h=parse_alternative_law(h_text, sigma0), n=n
-                )
+        for h_text, law in zip(config["h"], laws):
+            innovation = Gaussian(sigma0) if law is None else Mixture(sigma0=sigma0, h=law, n=n)
             model = ArModel(
                 coeffs=np.asarray(config["beta"], dtype=float),
                 mean=float(config["mu"]),
@@ -392,23 +393,28 @@ def _cmd_power(args) -> int:
                 limit_reps=config["limit_reps"],
                 burn_in=config["burn_in"],
             )
-            if h_text == "none":
-                reports = run_size_study(spec, kinds, workers=args.workers)
-            else:
-                reports = run_power_study(spec, kinds, workers=args.workers)
-            for kind in kinds:
-                rows.append(
-                    PowerRow.from_report(
-                        n, h_text, spec.alpha, spec.seed, reports[kind]
-                    )
-                )
+            cells.append((h_text, spec))
+    return kinds, cells, notes
+
+
+def _cmd_power(args) -> int:
+    config = _load_power_config(args.config)
+    # every cell is checked before the first study simulates anything
+    try:
+        kinds, cells, notes = _power_grid(config)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    results = []
+    for h_text, spec in cells:
+        study = run_size_study if h_text == "none" else run_power_study
+        results.append((h_text, spec, study(spec, kinds, workers=args.workers)))
     header = _header_lines("power", {"command": "power", **config}, config["seed"])
     header.extend(notes)
     if args.out:
         with open(args.out, "w") as fh:
-            write_power_csv(rows, fh, header_comments=header)
+            write_power_csv(results, fh, header_comments=header)
     else:
-        write_power_csv(rows, sys.stdout, header_comments=header)
+        write_power_csv(results, sys.stdout, header_comments=header)
     return 0
 
 

@@ -10,6 +10,11 @@ independent:
 * finite-sample replications of the simulate/fit/test pipeline, with
   replication ``r`` drawing from ``substream(derive_seed(seed, 2), r)``.
 
+A study reports rates, not the replications behind them; the statistics of
+a study are ``pipeline_statistics(model, n, kinds, n_reps,
+derive_seed(seed, 2), burn_in)`` for its spec.  :func:`write_power_csv`
+writes a grid of studies as ``(alternative, spec, reports)`` cells.
+
 The alternative is the root-n mixture :class:`~arnorm.ar_process.Mixture`;
 its coupling invariant (mixture ``n`` equals the experiment sample size) is
 enforced, since the contamination weight is meaningful only on that scale.
@@ -18,7 +23,7 @@ enforced, since the contamination weight is meaningful only on that scale.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .rng import derive_seed, map_replications, substreams
 __all__ = [
     "ExperimentSpec",
     "PowerReport",
-    "PowerRow",
     "pipeline_statistics",
     "run_size_study",
     "run_power_study",
@@ -65,8 +69,9 @@ class ExperimentSpec:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.n_reps < 100:
             raise ValueError("n_reps must be at least 100")
-        if self.n < self.model.order + 1:
-            raise ValueError("series too short: requires n >= p + 1")
+        # n = 1 at order 0 leaves one residual, which is exactly zero
+        if self.n < max(2, self.model.order + 1):
+            raise ValueError(f"series too short: requires n >= max(2, p + 1), got {self.n}")
         if self.limit_reps < 1:
             raise ValueError("limit_reps must be at least 1")
 
@@ -82,7 +87,6 @@ class PowerReport:
     asymptotic_stderr: float
     critical_value: float
     n_reps: int
-    statistics: np.ndarray | None = field(default=None, repr=False)
 
 
 def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
@@ -125,7 +129,7 @@ def _binomial_stderr(rate: float, n_reps: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / n_reps))
 
 
-def _run_study(spec, kinds, shift, workers, keep_statistics):
+def _run_study(spec, kinds, shift, workers):
     kinds = tuple(StatKind(k) for k in kinds)
     null_tables = simulate_limit_tables(
         kinds,
@@ -170,13 +174,12 @@ def _run_study(spec, kinds, shift, workers, keep_statistics):
             asymptotic_stderr=asym_se,
             critical_value=critical,
             n_reps=spec.n_reps,
-            statistics=stats[kind] if keep_statistics else None,
         )
     return reports
 
 
 def run_size_study(
-    spec: ExperimentSpec, kinds, workers: int = 1, keep_statistics: bool = False
+    spec: ExperimentSpec, kinds, workers: int = 1
 ) -> dict[StatKind, PowerReport]:
     """Null rejection rates for several statistics from shared replications.
 
@@ -185,11 +188,11 @@ def run_size_study(
     """
     if not isinstance(spec.model.innovation, Gaussian):
         raise ValueError("size experiments require Gaussian innovations")
-    return _run_study(spec, kinds, None, workers, keep_statistics)
+    return _run_study(spec, kinds, None, workers)
 
 
 def run_power_study(
-    spec: ExperimentSpec, kinds, workers: int = 1, keep_statistics: bool = False
+    spec: ExperimentSpec, kinds, workers: int = 1
 ) -> dict[StatKind, PowerReport]:
     """Rejection rates under a root-n mixture, plus their asymptotic values.
 
@@ -206,7 +209,7 @@ def run_power_study(
             f"samples n = {spec.n}; the contamination weight would be wrong"
         )
     shift = ShiftSpec(h=innovation.h, sigma0=innovation.sigma0)
-    return _run_study(spec, kinds, shift, workers, keep_statistics)
+    return _run_study(spec, kinds, shift, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -214,63 +217,36 @@ def run_power_study(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerRow:
-    """One line of a power-study table."""
+def write_power_csv(cells, file=None, header_comments=()) -> None:
+    """Write one CSV row per report of each ``(alternative, spec, reports)`` cell.
 
-    n: int
-    alternative: str
-    statistic: str
-    alpha: float
-    empirical_power: float
-    stderr: float
-    asymptotic_power: float
-    asymptotic_stderr: float
-    critical_value: float
-    n_reps: int
-    seed: int
-
-    @classmethod
-    def from_report(cls, n, alternative, alpha, seed, report: PowerReport) -> "PowerRow":
-        return cls(
-            n=n,
-            alternative=alternative,
-            statistic=report.statistic_kind.value,
-            alpha=alpha,
-            empirical_power=report.empirical_rejection_rate,
-            stderr=report.mc_stderr,
-            asymptotic_power=report.asymptotic_power,
-            asymptotic_stderr=report.asymptotic_stderr,
-            critical_value=report.critical_value,
-            n_reps=report.n_reps,
-            seed=seed,
-        )
-
-
-_CSV_COLUMNS = (
-    "n",
-    "alternative",
-    "statistic",
-    "alpha",
-    "empirical_power",
-    "stderr",
-    "asymptotic_power",
-    "asymptotic_stderr",
-    "critical_value",
-    "n_reps",
-    "seed",
-)
-
-
-def write_power_csv(rows, file=None, header_comments=()) -> None:
-    """Write power rows as CSV; floats use ``repr`` for exact round-trips."""
+    ``reports`` maps each statistic kind to its :class:`PowerReport`, in the
+    order the rows appear; ``n``, ``alpha`` and ``seed`` come from the spec.
+    Floats use ``repr``, so they round-trip exactly.
+    """
     fh = file if file is not None else sys.stdout
     for line in header_comments:
         fh.write(f"# {line}\n")
-    fh.write(",".join(_CSV_COLUMNS) + "\n")
-    for row in rows:
-        cells = []
-        for column in _CSV_COLUMNS:
-            value = getattr(row, column)
-            cells.append(repr(float(value)) if isinstance(value, float) else str(value))
-        fh.write(",".join(cells) + "\n")
+    fh.write(
+        "n,alternative,statistic,alpha,empirical_power,stderr,asymptotic_power,"
+        "asymptotic_stderr,critical_value,n_reps,seed\n"
+    )
+    for alternative, spec, reports in cells:
+        for report in reports.values():
+            values = (
+                spec.n,
+                alternative,
+                report.statistic_kind.value,
+                spec.alpha,
+                report.empirical_rejection_rate,
+                report.mc_stderr,
+                report.asymptotic_power,
+                report.asymptotic_stderr,
+                report.critical_value,
+                report.n_reps,
+                spec.seed,
+            )
+            fh.write(
+                ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
+                + "\n"
+            )

@@ -238,6 +238,24 @@ class TestTest:
         assert main(["test", str(series), "--p", "1", "--reps", "100"]) == 3
         assert "arnorm:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [(0, "residual scale estimate is zero"), (1, "singular normal equations")],
+        ids=["p0-zero-scale", "p1-singular"],
+    )
+    def test_degenerate_series_exits_before_tables(self, tmp_path, capsys, monkeypatch,
+                                                   p, message):
+        # the fit and its scale are checked before the default tables are
+        # simulated, which would take seconds
+        calls = []
+        monkeypatch.setattr(arnorm.cli, "simulate_limit_tables",
+                            lambda *args, **kwargs: calls.append(args))
+        series = tmp_path / "flat.txt"
+        _write_series(series, np.full(50, 3.0))
+        assert main(["test", str(series), "--p", str(p)]) == 3
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     def test_degenerate_residuals_exit_3(self, tmp_path, capsys):
         # alternating series: centers to itself exactly and the lag-1 fit is
         # noiseless, so every residual vanishes
@@ -558,6 +576,35 @@ class TestPower:
         config = _power_config(tmp_path, **{field: []})
         assert main(["power", str(config)]) == 2
         assert f"{config}: {field} must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"beta": [1.5]}, "not stationary"),
+            ({"h": "bogus:1"}, "invalid law descriptor 'bogus:1'"),
+            ({"statistics": ["foo"]}, "'foo' is not a valid StatKind"),
+            ({"statistics": ["omega2", "omega2"]}, "statistics must not repeat a name"),
+            ({"n": [200, 1]}, "n must be an integer >= 2"),
+            ({"n": [3], "beta": [0.2, 0.1, 0.1]}, "series too short"),
+            ({"n": [1], "h": "none"}, "series too short"),
+        ],
+        ids=["non-stationary", "bad-law", "unknown-statistic", "repeated-statistic",
+             "mixture-n-1", "n-below-order", "size-n-1"],
+    )
+    def test_bad_cell_fails_before_any_table(self, tmp_path, capsys, monkeypatch,
+                                             overrides, message):
+        # every cell of the grid is built and checked before the first study
+        # simulates a table
+        calls = []
+        monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables",
+                            lambda *args, **kwargs: calls.append(args))
+        config = _power_config(tmp_path, **overrides)
+        assert main(["power", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"arnorm: {config}: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert calls == []
 
 
 class TestEntryPoint:

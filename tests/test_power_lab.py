@@ -9,12 +9,12 @@ from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.power_lab import (
     ExperimentSpec,
     PowerReport,
-    PowerRow,
     pipeline_statistics,
     run_power_study,
     run_size_study,
     write_power_csv,
 )
+from arnorm.rng import derive_seed
 
 SUP = StatKind.KOLMOGOROV
 BOTH = (SUP, StatKind.OMEGA2)
@@ -47,6 +47,12 @@ def _power_spec(scale=2.0, n=400, **overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def _study_statistics(spec):
+    """The sup statistics of a study's replications, recomputed."""
+    seed = derive_seed(spec.seed, 2)
+    return pipeline_statistics(spec.model, spec.n, (SUP,), spec.n_reps, seed)[SUP]
 
 
 @pytest.fixture(scope="module")
@@ -123,20 +129,22 @@ class TestSizeStudy:
         expected = np.sqrt(rate * (1.0 - rate) / report.n_reps)
         assert report.mc_stderr == pytest.approx(expected, rel=1e-12)
 
-    def test_keep_statistics_roundtrip(self):
+    def test_rate_from_pipeline_statistics(self):
+        # a study's replications are pipeline_statistics under the seed
+        # derive_seed(seed, 2)
         spec = _size_spec(n_reps=120)
-        report = run_size_study(spec, (SUP,), keep_statistics=True)[SUP]
-        assert report.statistics.shape == (120,)
-        rate = np.mean(report.statistics > report.critical_value)
-        assert rate == pytest.approx(report.empirical_rejection_rate)
+        report = run_size_study(spec, (SUP,))[SUP]
+        stats = _study_statistics(spec)
+        assert stats.shape == (120,)
+        rate = np.mean(stats > report.critical_value)
+        assert rate == report.empirical_rejection_rate
 
     def test_stderr_consistent_with_batch_spread(self):
-        # split the kept statistics into 10 batches; the spread of batch
+        # split the study's statistics into 10 batches; the spread of batch
         # rejection rates should be on the scale the binomial stderr predicts
-        report = run_size_study(
-            _size_spec(n_reps=1000), (SUP,), keep_statistics=True
-        )[SUP]
-        rejected = report.statistics > report.critical_value
+        spec = _size_spec(n_reps=1000)
+        report = run_size_study(spec, (SUP,))[SUP]
+        rejected = _study_statistics(spec) > report.critical_value
         batch_rates = rejected.reshape(10, 100).mean(axis=1)
         batch_se = np.std(batch_rates, ddof=1) / np.sqrt(10)
         assert 0.2 * report.mc_stderr < batch_se < 5.0 * report.mc_stderr
@@ -218,6 +226,11 @@ class TestValidation:
     def test_series_length(self):
         with pytest.raises(ValueError):
             _size_spec(n=1)
+        # at order 0 one observation leaves one residual, exactly zero
+        iid = ArModel(coeffs=(), mean=0.0, innovation=Gaussian(1.0))
+        with pytest.raises(ValueError, match="n >= max"):
+            _size_spec(model=iid, n=1)
+        assert _size_spec(model=iid, n=2).n == 2
 
     def test_kind_coerced_from_string(self):
         reports = run_size_study(_size_spec(n_reps=100, limit_reps=1000), ("omega2",))
@@ -226,7 +239,7 @@ class TestValidation:
 
 
 class TestCsvOutput:
-    def _example_rows(self):
+    def _example_cells(self):
         report = PowerReport(
             statistic_kind=StatKind.KOLMOGOROV,
             empirical_rejection_rate=0.314,
@@ -236,26 +249,28 @@ class TestCsvOutput:
             critical_value=0.8826,
             n_reps=1000,
         )
-        return [PowerRow.from_report(2000, "gauss-scale:2.0", 0.05, 7, report)]
-
-    def test_row_from_report(self):
-        row = self._example_rows()[0]
-        assert row.n == 2000
-        assert row.statistic == "kolmogorov"
-        assert row.empirical_power == 0.314
-        assert row.n_reps == 1000 and row.seed == 7
+        spec = _power_spec(n=2000, n_reps=1000, seed=7)
+        return [("gauss-scale:2.0", spec, {StatKind.KOLMOGOROV: report})]
 
     def test_csv_shape_and_values(self):
         buf = io.StringIO()
-        write_power_csv(self._example_rows(), file=buf, header_comments=("test",))
+        write_power_csv(self._example_cells(), file=buf, header_comments=("test",))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# test"
+        assert lines[1] == (
+            "n,alternative,statistic,alpha,empirical_power,stderr,asymptotic_power,"
+            "asymptotic_stderr,critical_value,n_reps,seed"
+        )
         reader = csv.DictReader(line for line in lines if not line.startswith("#"))
         records = list(reader)
         assert len(records) == 1
         rec = records[0]
+        assert rec["n"] == "2000"
         assert rec["alternative"] == "gauss-scale:2.0"
+        assert rec["statistic"] == "kolmogorov"
+        assert rec["alpha"] == "0.05"
         # floats are written with repr, so they parse back exactly
         assert float(rec["empirical_power"]) == 0.314
         assert float(rec["critical_value"]) == 0.8826
         assert int(rec["n_reps"]) == 1000
+        assert int(rec["seed"]) == 7
