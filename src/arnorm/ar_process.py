@@ -35,8 +35,6 @@ __all__ = [
     "StudentTLaw",
     "TwoPointLaw",
     "CustomLaw",
-    "law_descriptor",
-    "law_from_descriptor",
     "parse_alternative_law",
     "Mixture",
     "ArModel",
@@ -257,34 +255,28 @@ class CustomLaw(ZeroMeanLaw):
 
 
 # ---------------------------------------------------------------------------
-# descriptors: text form of the built-in laws, used by the CLI and by the
-# on-disk table format (absolute parameters, no context needed to rebuild)
+# the text grammar of the built-in laws, used by the CLI
 # ---------------------------------------------------------------------------
 
 
-def law_descriptor(law: ZeroMeanLaw) -> str:
-    """Serialize a built-in law as ``family:p1[,p2]`` with absolute params."""
-    if isinstance(law, Gaussian):
-        return f"gauss:{float(law.sigma)!r}"
-    if isinstance(law, LaplaceLaw):
-        return f"laplace:{float(law.variance_)!r}"
-    if isinstance(law, UniformLaw):
-        return f"uniform:{float(law.variance_)!r}"
-    if isinstance(law, StudentTLaw):
-        return f"student:{float(law.df)!r},{float(law.variance_)!r}"
-    if isinstance(law, TwoPointLaw):
-        return f"twopoint:{float(law.a)!r}"
-    raise ValueError(f"law of type {type(law).__name__} has no text descriptor")
+def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
+    """Parse the CLI grammar for contaminating laws.
 
-
-def law_from_descriptor(text: str) -> ZeroMeanLaw:
-    """Inverse of :func:`law_descriptor`."""
+    ``gauss-scale:c`` means a centered normal with standard deviation
+    ``c * sigma0`` (scale relative to the null); all other families take
+    absolute parameters: ``gauss:sigma``, ``laplace:variance``,
+    ``uniform:variance``, ``student:df,variance``, ``twopoint:a``.
+    """
     family, _, tail = text.partition(":")
     try:
         params = [float(tok) for tok in tail.split(",")] if tail else []
     except ValueError as exc:
         raise ValueError(f"invalid law descriptor {text!r}: {exc}") from None
     try:
+        if family == "gauss-scale" and len(params) == 1:
+            if not 0.0 < params[0] < math.inf:
+                raise ValueError("scale must be positive and finite")
+            return Gaussian(params[0] * sigma0)
         if family == "gauss" and len(params) == 1:
             return Gaussian(params[0])
         if family == "laplace" and len(params) == 1:
@@ -298,28 +290,6 @@ def law_from_descriptor(text: str) -> ZeroMeanLaw:
     except ValueError as exc:
         raise ValueError(f"invalid law descriptor {text!r}: {exc}") from None
     raise ValueError(f"invalid law descriptor {text!r}")
-
-
-def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
-    """Parse the CLI grammar for contaminating laws.
-
-    ``gauss-scale:c`` means a centered normal with standard deviation
-    ``c * sigma0`` (scale relative to the null); all other families take
-    absolute parameters: ``laplace:variance``, ``uniform:variance``,
-    ``student:df,variance``, ``twopoint:a``.
-    """
-    family, _, tail = text.partition(":")
-    if family == "gauss-scale":
-        try:
-            (c,) = [float(tok) for tok in tail.split(",")] if tail else []
-        except ValueError:
-            raise ValueError(f"invalid law descriptor {text!r}") from None
-        if not 0.0 < c < math.inf:
-            raise ValueError(
-                f"invalid law descriptor {text!r}: scale must be positive and finite"
-            )
-        return Gaussian(c * sigma0)
-    return law_from_descriptor(text)
 
 
 # ---------------------------------------------------------------------------

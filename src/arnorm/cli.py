@@ -10,7 +10,8 @@ Subcommands
 Every run prints the library version, the resolved configuration, and the
 seed (``test`` prints each table's kind, grid, reps, seed and source
 instead); identical invocations produce byte-identical output.  The
-``--workers`` flag changes wall time only, never output bytes.  Exit codes:
+``--workers`` flag changes wall time only, never output bytes.  ``--out`` is
+opened before any work, so a bad path fails at once.  Exit codes:
 0 success, 2 invalid input or configuration, 3 degenerate data (the fit or
 the test statistic is undefined for the given series).
 """
@@ -18,6 +19,7 @@ the test statistic is undefined for the given series).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -36,13 +38,7 @@ from .ar_process import (
 from .errors import DegenerateDataError, EstimationError
 from .estimation import fit_ar
 from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
-from .limit_law import (
-    StatKind,
-    load_table,
-    quantile,
-    save_table,
-    simulate_limit_tables,
-)
+from .limit_law import StatKind, _write_table, load_table, quantile, simulate_limit_tables
 from .power_lab import (
     ExperimentSpec,
     run_power_study,
@@ -141,7 +137,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _opened_out(args.out) as out:
+            return args.func(args, out)
     except (EstimationError, DegenerateDataError) as exc:
         print(f"arnorm: {exc}", file=sys.stderr)
         return 3
@@ -163,14 +160,14 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
     return lines
 
 
-def _emit(lines, out_path) -> None:
-    text = "".join(f"# {line}\n" for line in lines[0]) + "".join(
-        f"{line}\n" for line in lines[1]
-    )
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _opened_out(path):
+    """The ``--out`` file, opened before the subcommand does any work so that
+    a bad path fails at once; None without ``--out``."""
+    return contextlib.nullcontext() if path is None else open(path, "w")
+
+
+def _text(header, body) -> str:
+    return "".join(f"# {line}\n" for line in header) + "".join(f"{line}\n" for line in body)
 
 
 def _read_series(path) -> np.ndarray:
@@ -203,8 +200,6 @@ def _resolve_tables(args) -> tuple[dict, dict]:
     tables, sources = {}, {}
     for path in args.table:
         table = load_table(path)
-        if table.shift is not None:
-            raise ValueError(f"{path}: table was simulated under a shift, not the null")
         if table.kind in tables:
             raise ValueError(f"{path}: duplicate table for {table.kind.value}")
         tables[table.kind] = table
@@ -218,7 +213,7 @@ def _resolve_tables(args) -> tuple[dict, dict]:
     return tables, sources
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args, out) -> int:
     if args.p < 0:
         raise ValueError("--p must be nonnegative")
     if not 0.0 < args.alpha < 1.0:
@@ -268,11 +263,14 @@ def _cmd_test(args) -> int:
             f"p_value={res.p_value!r} alpha={res.alpha!r} "
             f"critical_value={res.critical_value!r} verdict={verdict}"
         )
-    _emit((header, body), args.out)
+    text = _text(header, body)
+    sys.stdout.write(text)
+    if out:
+        out.write(text)
     return 0
 
 
-def _cmd_quantiles(args) -> int:
+def _cmd_quantiles(args, out) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     if args.grid < 2:
@@ -292,11 +290,9 @@ def _cmd_quantiles(args) -> int:
         f"alpha={alpha!r} critical_value={quantile(table, alpha)!r}"
         for alpha in _REPORT_ALPHAS
     ]
-    sys.stdout.write(
-        "".join(f"# {line}\n" for line in header) + "".join(f"{line}\n" for line in body)
-    )
-    if args.out:
-        save_table(table, args.out, comments=header + body)
+    sys.stdout.write(_text(header, body))
+    if out:
+        _write_table(table, out, comments=header + body)
     return 0
 
 
@@ -354,11 +350,9 @@ def _load_power_config(path) -> dict:
         if config[name] < low:
             bound = "a non-negative integer" if low == 0 else f"at least {low}"
             raise ValueError(f"{path}: {name} must be {bound}, got {config[name]}")
-    if config["burn_in"] is not None:
-        if not typed(config["burn_in"], int):
-            raise ValueError(f"{path}: burn_in must be an integer or null")
-        if config["burn_in"] < 0:
-            raise ValueError(f"{path}: burn_in must be non-negative, got {config['burn_in']}")
+    # the sign of burn_in is checked by ExperimentSpec
+    if config["burn_in"] is not None and not typed(config["burn_in"], int):
+        raise ValueError(f"{path}: burn_in must be an integer or null")
     return config
 
 
@@ -397,7 +391,7 @@ def _power_grid(config) -> tuple[tuple, list, list]:
     return kinds, cells, notes
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args, out) -> int:
     config = _load_power_config(args.config)
     # every cell is checked before the first study simulates anything
     try:
@@ -410,15 +404,11 @@ def _cmd_power(args) -> int:
         results.append((h_text, spec, study(spec, kinds, workers=args.workers)))
     header = _header_lines("power", {"command": "power", **config}, config["seed"])
     header.extend(notes)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_power_csv(results, fh, header_comments=header)
-    else:
-        write_power_csv(results, sys.stdout, header_comments=header)
+    write_power_csv(results, out or sys.stdout, header_comments=header)
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, out) -> int:
     if args.n < 1:
         raise ValueError("--n must be positive")
     beta = (
@@ -450,13 +440,7 @@ def _cmd_simulate(args) -> int:
     }
     header = _header_lines("simulate", config, args.seed)
     body = [repr(float(v)) for v in sample.values]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("".join(f"# {line}\n" for line in header))
-            fh.write("".join(f"{line}\n" for line in body))
-    else:
-        sys.stdout.write("".join(f"# {line}\n" for line in header))
-        sys.stdout.write("".join(f"{line}\n" for line in body))
+    (out or sys.stdout).write(_text(header, body))
     return 0
 
 

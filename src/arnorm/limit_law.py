@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .ar_process import Gaussian, ZeroMeanLaw, law_descriptor, law_from_descriptor
+from .ar_process import Gaussian, ZeroMeanLaw
 from .rng import map_replications, substreams
 
 __all__ = [
@@ -172,9 +172,10 @@ def local_shift(spec: ShiftSpec, t):
 class LimitLawTable:
     """Sorted Monte Carlo sample of one functional's limiting law.
 
-    ``shift`` is None for the null law.  ``seed`` is the root seed the
-    samples were generated from; together with ``kind``, ``shift`` and
-    ``grid_size`` it reproduces the table exactly.
+    ``shift`` is None for the null law; a shifted table lives in memory
+    only, since :func:`save_table` writes null tables alone.  ``seed`` is
+    the root seed the samples were generated from; together with ``kind``,
+    ``shift`` and ``grid_size`` it reproduces the table exactly.
     """
 
     kind: StatKind
@@ -340,32 +341,31 @@ _TABLE_MAGIC = "limit-table v1"
 
 
 def save_table(table: LimitLawTable, path, comments=()) -> None:
-    """Write a table as text: a header line, optional comments, one sample per line.
+    """Write a null table as text: a header line, optional comments, one sample per line.
 
     Floats are written with ``repr`` so a load reproduces the array
-    bit-exactly.
+    bit-exactly.  The format holds null laws only; a shifted table is refused.
     """
-    if table.shift is None:
-        shift_field = "shift=none"
-    else:
-        shift_field = (
-            f"shift={law_descriptor(table.shift.h)} "
-            f"shift_sigma0={float(table.shift.sigma0)!r}"
-        )
-    header = (
-        f"# {_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
-        f"n_reps={table.n_reps} seed={table.seed} {shift_field}\n"
-    )
+    if table.shift is not None:
+        raise ValueError("only null tables can be saved; this one is shifted")
     with open(path, "w") as fh:
-        fh.write(header)
-        for line in comments:
-            fh.write(f"# {line}\n")
-        for value in table.samples:
-            fh.write(f"{float(value)!r}\n")
+        _write_table(table, fh, comments)
+
+
+def _write_table(table: LimitLawTable, fh, comments=()) -> None:
+    """:func:`save_table` into a file that is already open for writing."""
+    fh.write(
+        f"# {_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
+        f"n_reps={table.n_reps} seed={table.seed} shift=none\n"
+    )
+    for line in comments:
+        fh.write(f"# {line}\n")
+    for value in table.samples:
+        fh.write(f"{float(value)!r}\n")
 
 
 def load_table(path) -> LimitLawTable:
-    """Read a table written by :func:`save_table`."""
+    """Read a null table written by :func:`save_table`."""
     with open(path) as fh:
         header = fh.readline()
         prefix = f"# {_TABLE_MAGIC} "
@@ -383,14 +383,8 @@ def load_table(path) -> LimitLawTable:
             shift_text = fields["shift"]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed table header: {exc}") from None
-        if shift_text == "none":
-            shift = None
-        else:
-            try:
-                sigma0 = float(fields["shift_sigma0"])
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed table header: {exc}") from None
-            shift = ShiftSpec(h=law_from_descriptor(shift_text), sigma0=sigma0)
+        if shift_text != "none":
+            raise ValueError(f"{path}: table was simulated under a shift, not the null")
         try:
             samples = [
                 float(line) for line in map(str.strip, fh) if line and not line.startswith("#")
@@ -410,7 +404,7 @@ def load_table(path) -> LimitLawTable:
     try:
         return LimitLawTable(
             kind=kind,
-            shift=shift,
+            shift=None,
             samples=np.asarray(samples, dtype=float),
             grid_size=grid_size,
             n_reps=n_reps,

@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise ValueError(f"series too short: requires n >= max(2, p + 1), got {self.n}")
         if self.limit_reps < 1:
             raise ValueError("limit_reps must be at least 1")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,22 @@ class TestTest:
         ])
         assert code == 2
 
+    def test_shifted_table_file_rejected(self, tmp_path, capsys, small_tables):
+        # the header of a shifted table as earlier releases wrote it
+        shifted = tmp_path / "shifted.table"
+        shifted.write_text(
+            "# limit-table v1 kind=kolmogorov grid_size=16 n_reps=1 seed=7 "
+            "shift=laplace:4.0 shift_sigma0=1.0\n0.5\n"
+        )
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(129).normal(size=100))
+        code = main(["test", str(series), "--table", str(shifted),
+                     "--table", small_tables["omega2"]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{shifted}: table was simulated under a shift, not the null" in captured.err
+
 
 class TestQuantiles:
     def test_summary_lists_three_levels(self, capsys):
@@ -608,6 +624,29 @@ class TestPower:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["simulate", "quantiles", "test", "power"])
+    def test_bad_out_path_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # --out is opened first: a typo in its directory costs no simulation
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated before --out was opened")
+
+        for module, name in [(arnorm.cli, "simulate_limit_tables"), (arnorm.cli, "simulate_ar"),
+                             (arnorm.power_lab, "simulate_limit_tables")]:
+            monkeypatch.setattr(module, name, must_not_run)
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(137).normal(size=60))
+        argv = {
+            "simulate": ["simulate", "--n", "30"],
+            "quantiles": ["quantiles", "--kind", "omega2", "--grid", "16", "--reps", "100"],
+            "test": ["test", str(series), "--grid", "16", "--reps", "100"],
+            "power": ["power", str(_power_config(tmp_path, n_reps=100, limit_reps=100, grid=16))],
+        }[command]
+        out = tmp_path / "missing" / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "No such file or directory" in captured.err and str(out) in captured.err
+
     @pytest.mark.parametrize("command", ["simulate", "quantiles", "test", "power"])
     def test_negative_seed_named_in_error(self, tmp_path, capsys, command):
         series = tmp_path / "series.txt"

@@ -352,17 +352,42 @@ class TestTableSerialization:
         assert back.seed == table.seed
         assert back.shift is None
 
-    def test_roundtrip_shifted_table(self, tmp_path):
+    def test_save_refuses_shifted_table(self, tmp_path):
+        # the file format holds null laws only; shifted tables stay in memory
         spec = ShiftSpec(h=StudentTLaw(5, 4.0), sigma0=1.5)
         table = simulate_limit_tables((OMEGA2,), spec, 64, 400, seed=29)[OMEGA2]
         path = tmp_path / "shifted.table"
-        save_table(table, path, comments=("made by the test suite",))
+        with pytest.raises(ValueError, match="only null tables"):
+            save_table(table, path)
+        assert not path.exists()
+
+    def test_loads_v1_null_file_from_earlier_release(self, tmp_path):
+        # written by arnorm 0.1.0 before the format became null-only
+        path = tmp_path / "old.table"
+        path.write_text(
+            "# limit-table v1 kind=omega2 grid_size=16 n_reps=3 seed=7 shift=none\n"
+            "# made by arnorm 0.1.0\n"
+            "0.01714550407092106\n0.04126951175426999\n0.1162914161394552\n"
+        )
         back = load_table(path)
-        np.testing.assert_array_equal(back.samples, table.samples)
-        assert isinstance(back.shift.h, StudentTLaw)
-        assert back.shift.h.df == 5
-        assert back.shift.h.variance == 4.0
-        assert back.shift.sigma0 == 1.5
+        assert (back.kind, back.grid_size, back.n_reps, back.seed) == (OMEGA2, 16, 3, 7)
+        assert back.shift is None
+        np.testing.assert_array_equal(
+            back.samples, [0.01714550407092106, 0.04126951175426999, 0.1162914161394552]
+        )
+        # the same table saved now has the same bytes
+        again = tmp_path / "again.table"
+        save_table(back, again, comments=("made by arnorm 0.1.0",))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_rejects_shifted_file(self, tmp_path):
+        path = tmp_path / "shifted.table"
+        path.write_text(
+            "# limit-table v1 kind=omega2 grid_size=16 n_reps=1 seed=7 shift=laplace:4.0\n"
+            "0.5\n"
+        )
+        with pytest.raises(ValueError, match="simulated under a shift, not the null"):
+            load_table(path)
 
     def test_loaded_table_serves_quantiles(self, tmp_path):
         table = simulate_limit_tables((SUP,), None, 64, 500, seed=23)[SUP]

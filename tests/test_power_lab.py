@@ -223,6 +223,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             _size_spec(n_reps=50)
 
+    def test_negative_burn_in(self):
+        # checked when the spec is built, not after its null table is simulated
+        with pytest.raises(ValueError, match="burn_in must be non-negative, got -1"):
+            _size_spec(burn_in=-1)
+        assert _size_spec(burn_in=0).burn_in == 0
+
     def test_series_length(self):
         with pytest.raises(ValueError):
             _size_spec(n=1)
