@@ -11,7 +11,8 @@ Every run prints the library version, the resolved configuration, and the
 seed (``test`` prints each table's kind, grid, reps, seed and source
 instead); identical invocations produce byte-identical output.  The
 ``--workers`` flag changes wall time only, never output bytes.  ``--out`` is
-opened before any work, so a bad path fails at once.  Exit codes:
+opened before any work, so a bad path fails at once, and it may not name an
+input file.  Exit codes:
 0 success, 2 invalid input or configuration, 3 degenerate data (the fit or
 the test statistic is undefined for the given series).
 """
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -38,7 +40,16 @@ from .ar_process import (
 from .errors import DegenerateDataError, EstimationError
 from .estimation import fit_ar
 from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
-from .limit_law import StatKind, _write_table, load_table, quantile, simulate_limit_tables
+from .limit_law import (
+    DEFAULT_GRID,
+    DEFAULT_REPS,
+    StatKind,
+    _read_numbers,
+    _write_table,
+    load_table,
+    quantile,
+    simulate_limit_tables,
+)
 from .power_lab import (
     ExperimentSpec,
     run_power_study,
@@ -55,8 +66,8 @@ _POWER_DEFAULTS = {
     "alpha": 0.05,
     "n_reps": 1000,
     "seed": 0,
-    "grid": 512,
-    "limit_reps": 100_000,
+    "grid": DEFAULT_GRID,
+    "limit_reps": DEFAULT_REPS,
     "burn_in": None,
     "statistics": ["kolmogorov", "omega2"],
 }
@@ -80,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="null limit table file (repeatable, one per statistic)",
     )
-    p_test.add_argument("--grid", type=int, default=512, help="limit-table grid size")
+    p_test.add_argument("--grid", type=int, default=DEFAULT_GRID, help="limit-table grid size")
     p_test.add_argument(
-        "--reps", type=int, default=100_000, help="limit-table replications"
+        "--reps", type=int, default=DEFAULT_REPS, help="limit-table replications"
     )
     p_test.add_argument("--seed", type=int, default=0, help="limit-table seed")
     p_test.add_argument("--workers", type=int, default=1, help="parallel workers")
@@ -96,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in StatKind],
         help="which statistic's limit law to simulate",
     )
-    p_quant.add_argument("--grid", type=int, default=512, help="grid size")
-    p_quant.add_argument("--reps", type=int, default=100_000, help="replications")
+    p_quant.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size")
+    p_quant.add_argument("--reps", type=int, default=DEFAULT_REPS, help="replications")
     p_quant.add_argument("--seed", type=int, default=0, help="root seed")
     p_quant.add_argument("--workers", type=int, default=1, help="parallel workers")
     p_quant.add_argument("--out", help="write the full table to this file")
@@ -137,6 +148,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_is_not_input(args)
         with _opened_out(args.out) as out:
             return args.func(args, out)
     except (EstimationError, DegenerateDataError) as exc:
@@ -160,6 +172,16 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
     return lines
 
 
+def _check_out_is_not_input(args) -> None:
+    """Refuse an ``--out`` naming an input file, which opening it would empty."""
+    if args.out is None or not os.path.exists(args.out):
+        return
+    inputs = [getattr(args, "series", None), getattr(args, "config", None)]
+    for path in filter(None, inputs + getattr(args, "table", [])):
+        if os.path.samefile(path, args.out):
+            raise ValueError(f"--out {args.out} names the input file {path}")
+
+
 def _opened_out(path):
     """The ``--out`` file, opened before the subcommand does any work so that
     a bad path fails at once; None without ``--out``."""
@@ -171,24 +193,11 @@ def _text(header, body) -> str:
 
 
 def _read_series(path) -> np.ndarray:
-    values = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno} is not a number: {line!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno} is not finite: {line!r}")
-            values.append(value)
-    if not values:
+        values = _read_numbers(fh, path)
+    if not values.size:
         raise ValueError(f"{path}: no observations found")
-    return np.asarray(values, dtype=float)
+    return values
 
 
 def _resolve_tables(args) -> tuple[dict, dict]:
@@ -340,17 +349,10 @@ def _load_power_config(path) -> dict:
             raise ValueError(f"{path}: {name} must be a finite number")
     if config["sigma0"] <= 0:
         raise ValueError(f"{path}: sigma0 must be positive, got {config['sigma0']}")
-    if not 0 < config["alpha"] < 1:
-        raise ValueError(
-            f"{path}: alpha must lie strictly between 0 and 1, got {config['alpha']}"
-        )
-    for name, low in (("n_reps", 100), ("seed", 0), ("grid", 2), ("limit_reps", 1)):
+    for name in ("n_reps", "seed", "grid", "limit_reps"):
         if not typed(config[name], int):
             raise ValueError(f"{path}: {name} must be an integer")
-        if config[name] < low:
-            bound = "a non-negative integer" if low == 0 else f"at least {low}"
-            raise ValueError(f"{path}: {name} must be {bound}, got {config[name]}")
-    # the sign of burn_in is checked by ExperimentSpec
+    # the ranges of the study fields are checked by ExperimentSpec
     if config["burn_in"] is not None and not typed(config["burn_in"], int):
         raise ValueError(f"{path}: burn_in must be an integer or null")
     return config
@@ -381,7 +383,7 @@ def _power_grid(config) -> tuple[tuple, list, list]:
                 model=model,
                 n=n,
                 n_reps=config["n_reps"],
-                alpha=float(config["alpha"]),
+                alpha=config["alpha"],
                 seed=config["seed"],
                 grid_size=config["grid"],
                 limit_reps=config["limit_reps"],
@@ -411,11 +413,12 @@ def _cmd_power(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     if args.n < 1:
         raise ValueError("--n must be positive")
-    beta = (
-        np.asarray([float(tok) for tok in args.beta.split(",") if tok.strip()], dtype=float)
-        if args.beta
-        else np.empty(0)
-    )
+    try:
+        beta = np.array([float(tok) for tok in args.beta.split(",")] if args.beta else [])
+    except ValueError:
+        raise ValueError(
+            f"--beta must be comma-separated numbers, got {args.beta!r}"
+        ) from None
     if not math.isfinite(args.mu):
         raise ValueError("--mu must be finite")
     if not 0.0 < args.sigma0 < math.inf:

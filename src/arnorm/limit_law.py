@@ -41,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .ar_process import Gaussian, ZeroMeanLaw
+from .ar_process import Gaussian, Mixture
 from .rng import map_replications, substreams
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
     "StatKind",
-    "ShiftSpec",
     "LimitLawTable",
     "cov_eval",
     "cov_matrix",
@@ -69,6 +68,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # limit process qualifies: the bridge part has unit diffusion and the
 # estimation terms are smooth in the interior of [0, 1].
 SUP_CONTINUITY_BETA = 0.5825971579390107
+
+# Grid size and replications of a limit table when the caller names none.
+DEFAULT_GRID = 512
+DEFAULT_REPS = 100_000
 
 
 class StatKind(str, enum.Enum):
@@ -117,69 +120,48 @@ def cov_matrix(t_grid) -> np.ndarray:
     return cov_eval(t_grid[:, None], t_grid[None, :])
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Root-n contamination driving the local mean shift.
-
-    ``h`` is the contaminating zero-mean law; ``sigma0`` is the innovation
-    standard deviation under the null the contamination is measured from.
-    """
-
-    h: ZeroMeanLaw
-    sigma0: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sigma0 < math.inf:
-            raise ValueError("sigma0 must be positive and finite")
-        if not isinstance(self.h, ZeroMeanLaw):
-            raise TypeError("h must be a ZeroMeanLaw")
-
-
-def local_shift(spec: ShiftSpec, t):
+def local_shift(mixture: Mixture, t):
     """Deterministic mean shift of the limiting process at ``t`` in [0, 1].
 
     ``shift(t) = h.cdf(sigma0 * q_t) - t
     + 0.5 * q_t * pdf(q_t) * (h.variance / sigma0**2 - 1)``
-    with ``q_t`` the standard normal quantile; the value is 0 at both
-    endpoints by continuity (enforced exactly).  Identically zero when
-    ``h`` is the null law ``N(0, sigma0**2)`` itself.
+    with ``h`` and ``sigma0`` the root-n ``mixture``'s and ``q_t`` the standard
+    normal quantile: the first-order term in ``n**-0.5``, so ``mixture.n`` is
+    not used.  The value is 0 at both endpoints by continuity (enforced
+    exactly).  Identically zero when ``h`` is the null law ``N(0, sigma0**2)``.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any((t_arr < 0) | (t_arr > 1)):
         raise ValueError("t must lie in [0, 1]")
     out = np.zeros_like(t_arr)
-    if isinstance(spec.h, Gaussian) and spec.h.sigma == spec.sigma0:
-        # Mixing the innovation law with itself changes nothing; return exact
-        # zeros instead of round-trip noise so downstream tables stay
-        # bit-reproducible against the unshifted ones.
-        if out.ndim == 0:
-            return float(out)
-        return out
-    interior = (t_arr > 0.0) & (t_arr < 1.0)
-    q = ndtri(t_arr[interior])
-    ratio = spec.h.variance / spec.sigma0**2
-    out[interior] = (
-        spec.h.cdf(spec.sigma0 * q)
-        - t_arr[interior]
-        + 0.5 * q * _normal_pdf(q) * (ratio - 1.0)
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # Mixing the innovation law with itself changes nothing; keep exact zeros
+    # instead of round-trip noise so downstream tables stay bit-reproducible
+    # against the unshifted ones.
+    if not (isinstance(mixture.h, Gaussian) and mixture.h.sigma == mixture.sigma0):
+        interior = (t_arr > 0.0) & (t_arr < 1.0)
+        q = ndtri(t_arr[interior])
+        ratio = mixture.h.variance / mixture.sigma0**2
+        out[interior] = (
+            mixture.h.cdf(mixture.sigma0 * q)
+            - t_arr[interior]
+            + 0.5 * q * _normal_pdf(q) * (ratio - 1.0)
+        )
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class LimitLawTable:
     """Sorted Monte Carlo sample of one functional's limiting law.
 
-    ``shift`` is None for the null law; a shifted table lives in memory
-    only, since :func:`save_table` writes null tables alone.  ``seed`` is
-    the root seed the samples were generated from; together with ``kind``,
-    ``shift`` and ``grid_size`` it reproduces the table exactly.
+    ``shift`` is None for the null law, else the mixture whose
+    :func:`local_shift` the samples carry; :func:`save_table` saves null
+    tables only.
+    ``seed`` is the root seed the samples were generated from; together with
+    ``kind``, ``shift`` and ``grid_size`` it reproduces the table exactly.
     """
 
     kind: StatKind
-    shift: ShiftSpec | None
+    shift: Mixture | None
     samples: np.ndarray
     grid_size: int
     n_reps: int
@@ -280,7 +262,7 @@ def _functional_chunk(kinds, shift, grid_size, seed, start, stop):
 
 def simulate_limit_tables(
     kinds,
-    shift: ShiftSpec | None,
+    shift: Mixture | None,
     grid_size: int,
     n_reps: int,
     seed: int,
@@ -364,6 +346,32 @@ def _write_table(table: LimitLawTable, fh, comments=()) -> None:
         fh.write(f"{float(value)!r}\n")
 
 
+def _read_numbers(fh, path) -> np.ndarray:
+    """The numbers of a text file from ``fh`` on, one per line, skipping blank
+    lines and ``#`` comments; the first line that is not a finite number is
+    named by its line number in the file."""
+    try:
+        values = np.array(
+            [float(line) for line in map(str.strip, fh) if line and not line.startswith("#")]
+        )
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    # read again line by line, only to name the first bad line
+    fh.seek(0)
+    for lineno, line in enumerate(map(str.strip, fh), start=1):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} is not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno} is not finite: {line!r}")
+    raise ValueError(f"{path}: file changed while it was read")
+
+
 def load_table(path) -> LimitLawTable:
     """Read a null table written by :func:`save_table`."""
     with open(path) as fh:
@@ -385,27 +393,12 @@ def load_table(path) -> LimitLawTable:
             raise ValueError(f"{path}: malformed table header: {exc}") from None
         if shift_text != "none":
             raise ValueError(f"{path}: table was simulated under a shift, not the null")
-        try:
-            samples = [
-                float(line) for line in map(str.strip, fh) if line and not line.startswith("#")
-            ]
-        except ValueError:
-            # read again line by line, only to name the offending line
-            fh.seek(0)
-            for lineno, line in enumerate(map(str.strip, fh), start=1):
-                try:
-                    if line and not line.startswith("#"):
-                        float(line)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno} is not a number: {line!r}"
-                    ) from None
-            raise
+        samples = _read_numbers(fh, path)
     try:
         return LimitLawTable(
             kind=kind,
             shift=None,
-            samples=np.asarray(samples, dtype=float),
+            samples=samples,
             grid_size=grid_size,
             n_reps=n_reps,
             seed=seed,

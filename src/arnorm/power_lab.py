@@ -34,8 +34,8 @@ from .gof_tests import (
     omega2_from_transforms,
     probability_transforms,
 )
-from .limit_law import ShiftSpec, StatKind, quantile, simulate_limit_tables
-from .rng import derive_seed, map_replications, substreams
+from .limit_law import DEFAULT_GRID, DEFAULT_REPS, StatKind, quantile, simulate_limit_tables
+from .rng import _checked_seed, derive_seed, map_replications, substreams
 
 __all__ = [
     "ExperimentSpec",
@@ -60,20 +60,23 @@ class ExperimentSpec:
     n_reps: int
     alpha: float
     seed: int
-    grid_size: int = 512
-    limit_reps: int = 100_000
+    grid_size: int = DEFAULT_GRID
+    limit_reps: int = DEFAULT_REPS
     burn_in: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
         if self.n_reps < 100:
-            raise ValueError("n_reps must be at least 100")
+            raise ValueError(f"n_reps must be at least 100, got {self.n_reps}")
         # n = 1 at order 0 leaves one residual, which is exactly zero
         if self.n < max(2, self.model.order + 1):
             raise ValueError(f"series too short: requires n >= max(2, p + 1), got {self.n}")
+        _checked_seed(self.seed)
+        if self.grid_size < 2:
+            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.limit_reps < 1:
-            raise ValueError("limit_reps must be at least 1")
+            raise ValueError(f"limit_reps must be at least 1, got {self.limit_reps}")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
 
@@ -199,8 +202,8 @@ def run_power_study(
     """Rejection rates under a root-n mixture, plus their asymptotic values.
 
     The model's innovation law must be a :class:`Mixture` whose ``n`` equals
-    the experiment sample size; the induced limit shift is computed from the
-    mixture's contaminating law.
+    the experiment sample size; it drives the limit shift of
+    :func:`~arnorm.limit_law.local_shift`.
     """
     innovation = spec.model.innovation
     if not isinstance(innovation, Mixture):
@@ -210,8 +213,7 @@ def run_power_study(
             f"mixture is coupled to n = {innovation.n} but the experiment "
             f"samples n = {spec.n}; the contamination weight would be wrong"
         )
-    shift = ShiftSpec(h=innovation.h, sigma0=innovation.sigma0)
-    return _run_study(spec, kinds, shift, workers)
+    return _run_study(spec, kinds, innovation, workers)
 
 
 # ---------------------------------------------------------------------------

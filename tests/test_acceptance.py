@@ -27,7 +27,7 @@ from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.cli import main as cli_main
 from arnorm.estimation import ResidualFit, autocov_matrix
 from arnorm.gof_tests import innovation_edf_gap
-from arnorm.limit_law import ShiftSpec, cov_matrix, local_shift
+from arnorm.limit_law import cov_matrix, local_shift
 from arnorm.power_lab import ExperimentSpec, run_power_study
 from arnorm.rng import substream
 from scipy.signal import lfilter
@@ -125,9 +125,9 @@ def test_c2_local_power_matches_limit(strong_scale_reports, laplace_reports):
 
 
 def test_c3_null_mixture_collapses():
-    spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
+    mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=N)
     t = np.linspace(0.0, 1.0, 1000)
-    max_shift = float(np.max(np.abs(local_shift(spec, t))))
+    max_shift = float(np.max(np.abs(local_shift(mixture, t))))
     reports = run_power_study(
         _power_spec(Gaussian(1.0), seed=SIZE_SEED), BOTH
     )

@@ -75,6 +75,20 @@ class TestSimulate:
         assert main(["simulate", "--n", "30", "--beta", "1.0"]) == 2
         assert "arnorm:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0.5,,0.3", "0.5,x", "0.5,"])
+    def test_beta_token_not_a_number_exits_2(self, capsys, beta):
+        # an empty token was skipped, so "0.5,,0.3" simulated AR(2)
+        assert main(["simulate", "--n", "30", "--beta", beta]) == 2
+        captured = capsys.readouterr()
+        assert f"arnorm: --beta must be comma-separated numbers, got {beta!r}" in captured.err
+        assert captured.out == ""
+
+    def test_empty_beta_is_order_0(self, capsys):
+        assert main(["simulate", "--n", "20", "--beta", "", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert '"beta": []' in lines[1] and '"p": 0' in lines[1]
+        assert len([l for l in lines if not l.startswith("#")]) == 20
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_mu_exits_2(self, capsys, value):
         assert main(["simulate", "--n", "30", f"--mu={value}"]) == 2
@@ -287,7 +301,7 @@ class TestTest:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert str(table) in err and "finite" in err
+        assert f"{table}: line {middle + 1} is not finite: 'nan'" in err
 
     def test_non_numeric_table_line_reported_with_number(self, tmp_path, capsys, small_tables):
         table = tmp_path / "kolmogorov.table"
@@ -568,7 +582,7 @@ class TestPower:
         "field, value, message",
         [
             ("seed", -1, "seed must be a non-negative integer, got -1"),
-            ("grid", 1, "grid must be at least 2, got 1"),
+            ("grid", 1, "grid_size must be at least 2, got 1"),
             ("limit_reps", 0, "limit_reps must be at least 1, got 0"),
             ("n_reps", 99, "n_reps must be at least 100, got 99"),
             ("alpha", 1, "alpha must lie strictly between 0 and 1, got 1"),
@@ -577,10 +591,16 @@ class TestPower:
         ],
         ids=["seed", "grid", "limit_reps", "n_reps", "alpha", "sigma0", "burn_in"],
     )
-    def test_out_of_range_field_names_config(self, tmp_path, capsys, field, value, message):
+    def test_out_of_range_field_names_config(self, tmp_path, capsys, monkeypatch, field,
+                                             value, message):
+        # ExperimentSpec owns the ranges; each still fails before any table
+        calls = []
+        monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables",
+                            lambda *args, **kwargs: calls.append(args))
         config = _power_config(tmp_path, **{field: value})
         assert main(["power", str(config)]) == 2
         assert f"arnorm: {config}: {message}" in capsys.readouterr().err
+        assert calls == []
 
     def test_empty_statistics_exits_2(self, tmp_path, capsys):
         config = _power_config(tmp_path, statistics=[])
@@ -646,6 +666,32 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "No such file or directory" in captured.err and str(out) in captured.err
+
+    @pytest.mark.parametrize("case", ["test-series", "test-table", "power-config"])
+    def test_out_naming_an_input_is_refused(self, tmp_path, capsys, monkeypatch, case):
+        # opening --out would empty the input before it is read
+        table = tmp_path / "o.txt"
+        assert main(["quantiles", "--kind", "omega2", "--grid", "16", "--reps", "100",
+                     "--out", str(table)]) == 0
+        series = tmp_path / "s.txt"
+        _write_series(series, substream(138).normal(size=60))
+        config = _power_config(tmp_path, n_reps=100, limit_reps=100, grid=16)
+        argv, target = {
+            "test-series": (["test", str(series), "--grid", "16", "--reps", "100"], series),
+            "test-table": (["test", str(series), "--table", str(table)], table),
+            "power-config": (["power", str(config)], config),
+        }[case]
+        before = target.read_bytes()
+        for module in (arnorm.cli, arnorm.power_lab):
+            monkeypatch.setattr(module, "simulate_limit_tables", None)
+        capsys.readouterr()
+        # the same file under another spelling of its path
+        alias = os.path.join(tmp_path, ".", target.name)
+        assert main(argv + ["--out", alias]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"arnorm: --out {alias} names the input file {target}" in captured.err
+        assert target.read_bytes() == before
 
     @pytest.mark.parametrize("command", ["simulate", "quantiles", "test", "power"])
     def test_negative_seed_named_in_error(self, tmp_path, capsys, command):

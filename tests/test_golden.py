@@ -1,0 +1,72 @@
+"""Golden outputs: SHA-256 digests of four small fixed-seed CLI runs.
+
+Each command runs in a fresh interpreter with one BLAS thread and relative
+paths, so the digests hold on any machine.  A change that moves one of them
+changes output bytes; if that is deliberate, record the old and new digests
+with the change.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import arnorm
+
+POWER_CONFIG = {
+    "n": [100],
+    "h": ["none", "gauss-scale:2.0"],
+    "beta": [0.3],
+    "n_reps": 200,
+    "grid": 32,
+    "limit_reps": 2000,
+    "seed": 7,
+}
+
+# (argv, digest of stdout, file written by the run and its digest)
+RUNS = [
+    (
+        ["quantiles", "--kind", "omega2", "--grid", "32", "--reps", "2000", "--seed", "3",
+         "--out", "o.txt"],
+        "20ee8cf1a34797a085731ba360c0d53774ecf30af1f9079f55c5ffbf8009ef1c",
+        ("o.txt", "0b6bed0ba3b38423db63d263a1884abcbadebdf36d9565b30b6aae6789dab8b9"),
+    ),
+    (
+        ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",
+         "--seed", "4", "--out", "s.txt"],
+        hashlib.sha256(b"").hexdigest(),
+        ("s.txt", "82a72365b87185edc87236422b0888c64c9153e27e24d332aadfc235be1a81e9"),
+    ),
+    (
+        ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
+         "--seed", "5"],
+        "31837fed4aaccf2b544eaf331b18abb109cade6e97f3a8891a03063f1a259142",
+        None,
+    ),
+    (
+        ["power", "c.json"],
+        "b93d8382b3d717422fe69bb74259f9741e9786dc5e4c8f7e967791e76633d0e3",
+        None,
+    ),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_digests(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps(POWER_CONFIG))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+    # in order: test reads the files that quantiles and simulate write
+    for argv, stdout_digest, written in RUNS:
+        proc = subprocess.run([sys.executable, "-m", "arnorm", *argv], cwd=tmp_path,
+                              env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert _sha256(proc.stdout) == stdout_digest, argv[0]
+        if written is not None:
+            name, digest = written
+            assert _sha256((tmp_path / name).read_bytes()) == digest, name

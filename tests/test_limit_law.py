@@ -4,10 +4,9 @@ from scipy.special import ndtr
 
 import arnorm.limit_law as limit_law
 from arnorm import Gaussian, StatKind, load_table, quantile, save_table, simulate_limit_tables
-from arnorm.ar_process import CustomLaw, LaplaceLaw, StudentTLaw
+from arnorm.ar_process import CustomLaw, LaplaceLaw, Mixture, StudentTLaw
 from arnorm.limit_law import (
     LimitLawTable,
-    ShiftSpec,
     cov_eval,
     cov_matrix,
     local_shift,
@@ -73,9 +72,9 @@ class TestCovKernel:
 
 class TestLocalShift:
     def test_null_contamination_is_exactly_zero(self):
-        spec = ShiftSpec(h=Gaussian(1.5), sigma0=1.5)
+        mixture = Mixture(sigma0=1.5, h=Gaussian(1.5), n=2000)
         t = np.linspace(0.0, 1.0, 1001)
-        assert np.all(local_shift(spec, t) == 0.0)
+        assert np.all(local_shift(mixture, t) == 0.0)
 
     def test_null_contamination_formula_without_shortcut(self):
         # same law expressed as a custom cdf, exercising the full formula:
@@ -83,34 +82,36 @@ class TestLocalShift:
         law = CustomLaw(cdf=lambda x: ndtr(np.asarray(x) / 1.5),
                         sampler=lambda rng: rng.normal(0.0, 1.5),
                         variance=2.25, lipschitz_density=True)
-        spec = ShiftSpec(h=law, sigma0=1.5)
+        mixture = Mixture(sigma0=1.5, h=law, n=2000)
         t = np.linspace(1e-3, 1.0 - 1e-3, 1000)
-        assert np.max(np.abs(local_shift(spec, t))) < 1e-12
+        assert np.max(np.abs(local_shift(mixture, t))) < 1e-12
 
     def test_double_scale_value_at_one_sigma(self):
         # hand computation for contamination by a normal at twice the scale:
         # cdf term ndtr(0.5) - ndtr(1), variance term (3/2) pdf(1)
-        spec = ShiftSpec(h=Gaussian(2.0), sigma0=1.0)
+        mixture = Mixture(sigma0=1.0, h=Gaussian(2.0), n=2000)
         expected = (ndtr(0.5) - ndtr(1.0)
                     + 1.5 * np.exp(-0.5) / np.sqrt(2.0 * np.pi))
-        got = local_shift(spec, float(ndtr(1.0)))
+        got = local_shift(mixture, float(ndtr(1.0)))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.213074, abs=5e-6)
 
     def test_endpoints_exactly_zero(self):
-        spec = ShiftSpec(h=LaplaceLaw(4.0), sigma0=1.0)
-        assert local_shift(spec, 0.0) == 0.0
-        assert local_shift(spec, 1.0) == 0.0
+        mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=2000)
+        assert local_shift(mixture, 0.0) == 0.0
+        assert local_shift(mixture, 1.0) == 0.0
 
     def test_domain_checked(self):
-        spec = ShiftSpec(h=LaplaceLaw(4.0), sigma0=1.0)
+        mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=2000)
         with pytest.raises(ValueError):
-            local_shift(spec, 1.5)
+            local_shift(mixture, 1.5)
 
-    def test_sigma0_validated(self):
-        for sigma0 in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                ShiftSpec(h=LaplaceLaw(1.0), sigma0=sigma0)
+    def test_first_order_shift_ignores_n(self):
+        t = np.linspace(0.0, 1.0, 101)
+        shifts = [local_shift(Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=n), t)
+                  for n in (2, 2000, 10**8)]
+        np.testing.assert_array_equal(shifts[0], shifts[1])
+        np.testing.assert_array_equal(shifts[0], shifts[2])
 
 
 def _tiny_table(samples, kind=StatKind.KOLMOGOROV):
@@ -214,9 +215,9 @@ class TestSimulation:
                     np.testing.assert_array_equal(single, whole[kind][rep : rep + 1])
 
     def test_null_mixture_shift_reproduces_null_table(self):
-        spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
+        mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=2000)
         null = simulate_limit_tables((OMEGA2,), None, 64, 400, seed=13)[OMEGA2]
-        shifted = simulate_limit_tables((OMEGA2,), spec, 64, 400, seed=13)[OMEGA2]
+        shifted = simulate_limit_tables((OMEGA2,), mixture, 64, 400, seed=13)[OMEGA2]
         np.testing.assert_array_equal(null.samples, shifted.samples)
 
     def test_both_kinds_share_one_stream(self):
@@ -316,23 +317,23 @@ def _limit_power(kind, shift, alpha, grid_size, n_reps, seed):
 
 class TestAsymptoticPower:
     def test_null_contamination_recovers_level(self):
-        spec = ShiftSpec(h=Gaussian(1.0), sigma0=1.0)
-        power = _limit_power(SUP, spec, alpha=0.05, grid_size=128, n_reps=20_000, seed=3)
+        mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=2000)
+        power = _limit_power(SUP, mixture, alpha=0.05, grid_size=128, n_reps=20_000, seed=3)
         # null and shifted tables use independent streams, so both carry
         # Monte Carlo noise: se ~ sqrt(2 * 0.05 * 0.95 / 20000) ~ 0.0022
         assert power == pytest.approx(0.05, abs=0.007)
 
     def test_strong_alternative_beats_level(self):
-        spec = ShiftSpec(h=Gaussian(3.0), sigma0=1.0)
-        power = _limit_power(OMEGA2, spec, alpha=0.05, grid_size=256, n_reps=20_000, seed=3)
+        mixture = Mixture(sigma0=1.0, h=Gaussian(3.0), n=2000)
+        power = _limit_power(OMEGA2, mixture, alpha=0.05, grid_size=256, n_reps=20_000, seed=3)
         assert power > 0.5
 
     def test_power_increases_with_contaminating_scale(self):
         powers = []
         for scale in (1.0, 1.5, 2.0, 3.0):
-            spec = ShiftSpec(h=Gaussian(scale), sigma0=1.0)
+            mixture = Mixture(sigma0=1.0, h=Gaussian(scale), n=2000)
             powers.append(
-                _limit_power(SUP, spec, alpha=0.05, grid_size=256, n_reps=20_000, seed=5)
+                _limit_power(SUP, mixture, alpha=0.05, grid_size=256, n_reps=20_000, seed=5)
             )
         for lo, hi in zip(powers, powers[1:]):
             assert hi > lo - 0.02  # nondecreasing up to Monte Carlo noise
@@ -354,8 +355,8 @@ class TestTableSerialization:
 
     def test_save_refuses_shifted_table(self, tmp_path):
         # the file format holds null laws only; shifted tables stay in memory
-        spec = ShiftSpec(h=StudentTLaw(5, 4.0), sigma0=1.5)
-        table = simulate_limit_tables((OMEGA2,), spec, 64, 400, seed=29)[OMEGA2]
+        mixture = Mixture(sigma0=1.5, h=StudentTLaw(5, 4.0), n=2000)
+        table = simulate_limit_tables((OMEGA2,), mixture, 64, 400, seed=29)[OMEGA2]
         path = tmp_path / "shifted.table"
         with pytest.raises(ValueError, match="only null tables"):
             save_table(table, path)
@@ -387,6 +388,18 @@ class TestTableSerialization:
             "0.5\n"
         )
         with pytest.raises(ValueError, match="simulated under a shift, not the null"):
+            load_table(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_line_named_by_file_line(self, tmp_path, bad):
+        # the header and two comment lines come first: line 5 of the file is
+        # the second sample
+        path = tmp_path / "t.table"
+        path.write_text(
+            "# limit-table v1 kind=omega2 grid_size=16 n_reps=3 seed=7 shift=none\n"
+            f"# made by hand\n#\n0.01\n{bad}\n0.3\n"
+        )
+        with pytest.raises(ValueError, match=rf"t.table: line 5 is not finite: '{bad}'$"):
             load_table(path)
 
     def test_loaded_table_serves_quantiles(self, tmp_path):

@@ -229,6 +229,12 @@ class TestValidation:
             _size_spec(burn_in=-1)
         assert _size_spec(burn_in=0).burn_in == 0
 
+    def test_grid_size_and_seed(self):
+        with pytest.raises(ValueError, match="grid_size must be at least 2, got 1"):
+            _size_spec(grid_size=1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            _size_spec(seed=-1)
+
     def test_series_length(self):
         with pytest.raises(ValueError):
             _size_spec(n=1)
