@@ -82,8 +82,8 @@ class ZeroMeanLaw(abc.ABC):
         """Cumulative distribution function, vectorized over ``x``."""
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw one value (``size=None``) or an ndarray of ``size`` values."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw an ndarray of ``size`` values from ``rng``."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class Gaussian(ZeroMeanLaw):
     def cdf(self, x):
         return ndtr(np.asarray(x, dtype=float) / self.sigma)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
 
 
@@ -137,7 +137,7 @@ class LaplaceLaw(ZeroMeanLaw):
         upper = 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0))
         return np.where(z < 0, lower, upper)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
 
 
@@ -163,7 +163,7 @@ class UniformLaw(ZeroMeanLaw):
         h = self.half_width
         return np.clip((np.asarray(x, dtype=float) + h) / (2.0 * h), 0.0, 1.0)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         h = self.half_width
         return rng.uniform(-h, h, size)
 
@@ -193,7 +193,7 @@ class StudentTLaw(ZeroMeanLaw):
     def cdf(self, x):
         return stdtr(self.df, np.asarray(x, dtype=float) / self.scale)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return self.scale * rng.standard_t(self.df, size)
 
 
@@ -220,9 +220,7 @@ class TwoPointLaw(ZeroMeanLaw):
         out = np.where(x < self.a, 0.5, 1.0)
         return np.where(x < -self.a, 0.0, out)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.a if rng.random() < 0.5 else -self.a
+    def sample(self, rng, size):
         return np.where(rng.random(size) < 0.5, self.a, -self.a)
 
 
@@ -248,9 +246,7 @@ class CustomLaw(ZeroMeanLaw):
     def cdf(self, x):
         return self._cdf(x)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self._sampler(rng)
+    def sample(self, rng, size):
         return np.array([self._sampler(rng) for _ in range(size)])
 
 
@@ -310,10 +306,8 @@ class Mixture(ZeroMeanLaw):
     Stream layout of ``sample(rng, size)``: ``size`` uniforms (a position is
     contaminated where its uniform falls below the weight), then ``size``
     normals with scale ``sigma0``, then one ``h.sample(rng, k)`` call whose
-    ``k`` draws fill the contaminated positions in order.  A single draw is
-    ``sample(rng, 1)[0]``.  A longer draw therefore does not extend a
-    shorter one from the same stream, and a vector of draws is not the
-    sequence of single draws.
+    ``k`` draws fill the contaminated positions in order.  A longer draw
+    therefore does not extend a shorter one from the same stream.
     """
 
     sigma0: float
@@ -342,9 +336,7 @@ class Mixture(ZeroMeanLaw):
         x = np.asarray(x, dtype=float)
         return (1.0 - w) * ndtr(x / self.sigma0) + w * self.h.cdf(x)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.sample(rng, 1)[0]
+    def sample(self, rng, size):
         contaminated = rng.random(size) < self.weight
         out = rng.normal(0.0, self.sigma0, size)
         out[contaminated] = self.h.sample(rng, int(np.count_nonzero(contaminated)))
@@ -409,12 +401,12 @@ class SeriesSample:
     """A simulated or observed stretch ``v_{1-p}, ..., v_n`` of the series.
 
     The first ``p`` entries are the pre-sample values used to condition the
-    least-squares fit; the last ``n`` are the working sample.
+    least-squares fit; the last ``n = values.size - p`` are the working
+    sample.
     """
 
     values: np.ndarray
     p: int
-    n: int
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float, copy=True)
@@ -422,20 +414,20 @@ class SeriesSample:
             raise ValueError("values must be a one-dimensional vector")
         if self.p < 0:
             raise ValueError("p must be nonnegative")
-        if self.n < self.p + 1:
+        if values.size - self.p < self.p + 1:
             raise ValueError("series too short: requires n >= p + 1")
-        if values.size != self.n + self.p:
-            raise ValueError(
-                f"expected {self.n + self.p} values (n + p), got {values.size}"
-            )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @property
+    def n(self) -> int:
+        """Length of the working sample."""
+        return int(self.values.size) - self.p
 
     @classmethod
     def from_values(cls, values, p: int) -> "SeriesSample":
         """Build a sample from raw values, treating the first ``p`` as pre-sample."""
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, p=int(p), n=int(values.size) - int(p))
+        return cls(values=values, p=int(p))
 
 
 def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -476,7 +468,7 @@ def simulate_ar(
     model: ArModel,
     n: int,
     burn_in: int | None = None,
-    seed: int | np.random.SeedSequence | np.random.Generator = 0,
+    seed: int | np.random.Generator = 0,
 ) -> SeriesSample:
     """Simulate ``n + p`` consecutive observations of the model.
 
@@ -484,7 +476,8 @@ def simulate_ar(
     (default :func:`default_burn_in`), and the last ``n + p`` values are
     returned as a :class:`SeriesSample` (so the fitting pipeline has its
     ``p`` pre-sample values).  Innovations are drawn in a single vectorized
-    pass from ``seed``, so equal seeds give bit-identical output.
+    pass from ``seed`` (an integer, or a Generator drawn from in place), so
+    equal seeds give bit-identical output.
     """
     p = model.order
     if n < p + 1:
@@ -497,4 +490,4 @@ def simulate_ar(
     eps = model.innovation.sample(rng, burn_in + n + p)
     centered = _ar_filter(model.coeffs, eps)
     values = model.mean + centered[burn_in:]
-    return SeriesSample(values=values, p=p, n=n)
+    return SeriesSample(values=values, p=p)

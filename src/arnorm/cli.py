@@ -37,7 +37,7 @@ from .ar_process import (
     parse_alternative_law,
     simulate_ar,
 )
-from .errors import DegenerateDataError, EstimationError
+from .errors import DegenerateDataError
 from .estimation import fit_ar
 from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
 from .limit_law import (
@@ -91,12 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="null limit table file (repeatable, one per statistic)",
     )
-    p_test.add_argument("--grid", type=int, default=DEFAULT_GRID, help="limit-table grid size")
-    p_test.add_argument(
-        "--reps", type=int, default=DEFAULT_REPS, help="limit-table replications"
-    )
-    p_test.add_argument("--seed", type=int, default=0, help="limit-table seed")
-    p_test.add_argument("--workers", type=int, default=1, help="parallel workers")
+    _add_table_flags(p_test)
     p_test.add_argument("--out", help="also write the report to this file")
     p_test.set_defaults(func=_cmd_test)
 
@@ -107,10 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in StatKind],
         help="which statistic's limit law to simulate",
     )
-    p_quant.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size")
-    p_quant.add_argument("--reps", type=int, default=DEFAULT_REPS, help="replications")
-    p_quant.add_argument("--seed", type=int, default=0, help="root seed")
-    p_quant.add_argument("--workers", type=int, default=1, help="parallel workers")
+    _add_table_flags(p_quant)
     p_quant.add_argument("--out", help="write the full table to this file")
     p_quant.set_defaults(func=_cmd_quantiles)
 
@@ -144,6 +136,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_table_flags(parser) -> None:
+    """The flags of a null limit table built on the fly; see :func:`_check_table_flags`."""
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="limit-table grid size")
+    parser.add_argument("--reps", type=int, default=DEFAULT_REPS, help="limit-table replications")
+    parser.add_argument("--seed", type=int, default=0, help="limit-table seed")
+    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
+
+
+def _check_table_flags(args) -> None:
+    """Reject bad table flags by their names, before any input is read."""
+    if args.reps < 1:
+        raise ValueError("--reps must be at least 1")
+    if args.grid < 2:
+        raise ValueError("--grid must be at least 2")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -151,10 +159,10 @@ def main(argv=None) -> int:
         _check_out_is_not_input(args)
         with _opened_out(args.out) as out:
             return args.func(args, out)
-    except (EstimationError, DegenerateDataError) as exc:
+    except DegenerateDataError as exc:
         print(f"arnorm: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"arnorm: {exc}", file=sys.stderr)
         return 2
 
@@ -227,10 +235,7 @@ def _cmd_test(args, out) -> int:
         raise ValueError("--p must be nonnegative")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
-    if args.grid < 2:
-        raise ValueError("--grid must be at least 2")
+    _check_table_flags(args)
     values = _read_series(args.series)
     # The statistics are scale-invariant: fit the series scaled exactly by a
     # power of two into [0.5, 1), so that a series at 1e200 (or 1e-200)
@@ -280,10 +285,7 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_quantiles(args, out) -> int:
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
-    if args.grid < 2:
-        raise ValueError("--grid must be at least 2")
+    _check_table_flags(args)
     kind = StatKind(args.kind)
     table = simulate_limit_tables(
         (kind,), None, args.grid, args.reps, args.seed, args.workers

@@ -1,9 +1,5 @@
-"""Exceptions raised on data-dependent failures of the fitting pipeline."""
-
-
-class EstimationError(RuntimeError):
-    """The least-squares step cannot be carried out on the given series."""
+"""The exception raised on data-dependent failures of the fitting pipeline."""
 
 
 class DegenerateDataError(RuntimeError):
-    """The fitted residuals are degenerate (e.g. identically zero scale)."""
+    """The series is degenerate: singular normal equations, or a zero or overflowing scale."""

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_solve, toeplitz
 
 from .ar_process import char_root_radius, ma_coefficients, SeriesSample
-from .errors import EstimationError
+from .errors import DegenerateDataError
 
 __all__ = [
     "MAX_ORDER",
@@ -100,8 +100,8 @@ def ols_estimate(sample: SeriesSample) -> np.ndarray:
     """Least-squares AR coefficients of the centered series.
 
     The first ``p`` values condition the regression; no observations are
-    lost beyond them.  Raises :class:`~arnorm.errors.EstimationError` when
-    the normal equations are singular (degenerate series).
+    lost beyond them.  Raises :class:`~arnorm.errors.DegenerateDataError`
+    when the normal equations are singular (degenerate series).
     """
     p = sample.p
     if p > MAX_ORDER:
@@ -120,7 +120,7 @@ def ols_estimate(sample: SeriesSample) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise EstimationError(
+        raise DegenerateDataError(
             "singular normal equations: the series is degenerate for this order"
         ) from None
     return cho_solve((chol, True), rhs)

@@ -47,7 +47,6 @@ class GofResult:
 
     kind: StatKind
     value: float
-    n: int
     p_value: float | None = None
     critical_value: float | None = None
     alpha: float | None = None
@@ -105,11 +104,11 @@ def omega2_from_transforms(z: np.ndarray) -> float:
     return float(np.sum(np.square(z - centers)) + 1.0 / (12.0 * n))
 
 
-def _finish(kind, value, n, table, alpha):
+def _finish(kind, value, table, alpha):
     if table is None:
         if alpha is not None:
             raise ValueError("alpha requires a limit table")
-        return GofResult(kind=kind, value=value, n=n)
+        return GofResult(kind=kind, value=value)
     if not isinstance(table, LimitLawTable):
         raise TypeError("table must be a LimitLawTable")
     if table.kind is not kind:
@@ -120,7 +119,6 @@ def _finish(kind, value, n, table, alpha):
     return GofResult(
         kind=kind,
         value=value,
-        n=n,
         p_value=mc_p_value(table, value),
         critical_value=critical,
         alpha=alpha,
@@ -138,7 +136,7 @@ def kolmogorov_stat(
     and with ``alpha`` a critical value and rejection verdict.
     """
     value = kolmogorov_from_transforms(probability_transforms(fit))
-    return _finish(StatKind.KOLMOGOROV, value, fit.n, table, alpha)
+    return _finish(StatKind.KOLMOGOROV, value, table, alpha)
 
 
 def omega2_stat(
@@ -148,7 +146,7 @@ def omega2_stat(
 ) -> GofResult:
     """Integrated squared distance statistic; see :func:`kolmogorov_stat`."""
     value = omega2_from_transforms(probability_transforms(fit))
-    return _finish(StatKind.OMEGA2, value, fit.n, table, alpha)
+    return _finish(StatKind.OMEGA2, value, table, alpha)
 
 
 def residual_edf(fit: ResidualFit, x):

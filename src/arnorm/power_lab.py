@@ -22,13 +22,12 @@ enforced, since the contamination weight is meaningful only on that scale.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
-from .estimation import fit_ar
+from .estimation import MAX_ORDER, fit_ar
 from .gof_tests import (
     kolmogorov_from_transforms,
     omega2_from_transforms,
@@ -72,6 +71,8 @@ class ExperimentSpec:
         # n = 1 at order 0 leaves one residual, which is exactly zero
         if self.n < max(2, self.model.order + 1):
             raise ValueError(f"series too short: requires n >= max(2, p + 1), got {self.n}")
+        if self.model.order > MAX_ORDER:
+            raise ValueError(f"p must not exceed {MAX_ORDER}, got {self.model.order}")
         _checked_seed(self.seed)
         if self.grid_size < 2:
             raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
@@ -83,15 +84,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Result of one experiment for one statistic."""
+    """Result of one experiment for the statistic that keys it in the study's reports."""
 
-    statistic_kind: StatKind
     empirical_rejection_rate: float
     mc_stderr: float
     asymptotic_power: float
     asymptotic_stderr: float
     critical_value: float
-    n_reps: int
 
 
 def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
@@ -172,13 +171,11 @@ def _run_study(spec, kinds, shift, workers):
             asym = float(np.mean(shifted_tables[kind].samples > critical))
             asym_se = _binomial_stderr(asym, spec.limit_reps)
         reports[kind] = PowerReport(
-            statistic_kind=kind,
             empirical_rejection_rate=rate,
             mc_stderr=_binomial_stderr(rate, spec.n_reps),
             asymptotic_power=asym,
             asymptotic_stderr=asym_se,
             critical_value=critical,
-            n_reps=spec.n_reps,
         )
     return reports
 
@@ -221,36 +218,35 @@ def run_power_study(
 # ---------------------------------------------------------------------------
 
 
-def write_power_csv(cells, file=None, header_comments=()) -> None:
+def write_power_csv(cells, file, header_comments=()) -> None:
     """Write one CSV row per report of each ``(alternative, spec, reports)`` cell.
 
     ``reports`` maps each statistic kind to its :class:`PowerReport`, in the
-    order the rows appear; ``n``, ``alpha`` and ``seed`` come from the spec.
-    Floats use ``repr``, so they round-trip exactly.
+    order the rows appear; ``n``, ``alpha``, ``n_reps`` and ``seed`` come
+    from the spec.  Floats use ``repr``, so they round-trip exactly.
     """
-    fh = file if file is not None else sys.stdout
     for line in header_comments:
-        fh.write(f"# {line}\n")
-    fh.write(
+        file.write(f"# {line}\n")
+    file.write(
         "n,alternative,statistic,alpha,empirical_power,stderr,asymptotic_power,"
         "asymptotic_stderr,critical_value,n_reps,seed\n"
     )
     for alternative, spec, reports in cells:
-        for report in reports.values():
+        for kind, report in reports.items():
             values = (
                 spec.n,
                 alternative,
-                report.statistic_kind.value,
+                kind.value,
                 spec.alpha,
                 report.empirical_rejection_rate,
                 report.mc_stderr,
                 report.asymptotic_power,
                 report.asymptotic_stderr,
                 report.critical_value,
-                report.n_reps,
+                spec.n_reps,
                 spec.seed,
             )
-            fh.write(
+            file.write(
                 ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
                 + "\n"
             )

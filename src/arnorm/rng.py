@@ -39,13 +39,11 @@ def _seed_sequence(seed: int, key=()) -> np.random.SeedSequence:
     )
 
 
-def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
-    """Coerce ``seed`` to a Generator; Generators pass through unchanged."""
+def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """A Generator seeded by the integer ``seed``; a Generator passes through unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = _seed_sequence(seed)
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

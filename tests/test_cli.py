@@ -623,9 +623,10 @@ class TestPower:
             ({"n": [200, 1]}, "n must be an integer >= 2"),
             ({"n": [3], "beta": [0.2, 0.1, 0.1]}, "series too short"),
             ({"n": [1], "h": "none"}, "series too short"),
+            ({"beta": [0.01] * 21}, "p must not exceed 20, got 21\n"),
         ],
         ids=["non-stationary", "bad-law", "unknown-statistic", "repeated-statistic",
-             "mixture-n-1", "n-below-order", "size-n-1"],
+             "mixture-n-1", "n-below-order", "size-n-1", "order-above-limit"],
     )
     def test_bad_cell_fails_before_any_table(self, tmp_path, capsys, monkeypatch,
                                              overrides, message):
@@ -666,6 +667,26 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "No such file or directory" in captured.err and str(out) in captured.err
+
+    @pytest.mark.parametrize("command", ["test", "quantiles"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--grid", "1", "--grid must be at least 2"),
+         ("--reps", "0", "--reps must be at least 1")],
+        ids=["grid-1", "reps-0"],
+    )
+    def test_bad_table_flag_exits_2_before_the_series_is_read(self, tmp_path, capsys, command,
+                                                              flag, value, message):
+        # a constant series would exit 3 once read: the table flags are
+        # checked first by both commands that build tables
+        series = tmp_path / "flat.txt"
+        _write_series(series, np.full(50, 3.0))
+        argv = {
+            "test": ["test", str(series), "--p", "1"],
+            "quantiles": ["quantiles", "--kind", "omega2"],
+        }[command]
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr().err == f"arnorm: {message}\n"
 
     @pytest.mark.parametrize("case", ["test-series", "test-table", "power-config"])
     def test_out_naming_an_input_is_refused(self, tmp_path, capsys, monkeypatch, case):

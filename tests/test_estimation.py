@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from arnorm import ArModel, Gaussian, SeriesSample, fit_ar, simulate_ar
-from arnorm.errors import DegenerateDataError, EstimationError
+from arnorm.errors import DegenerateDataError
 from arnorm.estimation import MAX_ORDER, ResidualFit, autocov_matrix, ols_estimate, residuals
 from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
@@ -64,7 +64,7 @@ class TestOlsEstimate:
 
     def test_constant_series_is_singular(self):
         sample = SeriesSample.from_values(np.full(30, 2.0), p=1)
-        with pytest.raises(EstimationError):
+        with pytest.raises(DegenerateDataError, match="^singular normal equations"):
             ols_estimate(sample)
 
     def test_order_above_limit_rejected(self):

@@ -83,7 +83,6 @@ class TestKolmogorovStat:
         expected = np.sqrt(2.0) * (0.5 - ndtr(-1.0))
         assert result.value == pytest.approx(expected, abs=1e-12)
         assert result.kind is StatKind.KOLMOGOROV
-        assert result.n == 2
         assert result.p_value is None and result.rejected is None
 
     def test_perfectly_spaced_transforms(self):
@@ -277,12 +276,12 @@ class TestInnovationEdfGap:
 class TestGofResult:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GofResult(kind=StatKind.KOLMOGOROV, value=-0.1, n=10)
+            GofResult(kind=StatKind.KOLMOGOROV, value=-0.1)
         with pytest.raises(ValueError):
-            GofResult(kind=StatKind.KOLMOGOROV, value=0.5, n=10, p_value=0.0)
+            GofResult(kind=StatKind.KOLMOGOROV, value=0.5, p_value=0.0)
         with pytest.raises(ValueError):
-            GofResult(kind=StatKind.KOLMOGOROV, value=0.5, n=10, p_value=1.2)
+            GofResult(kind=StatKind.KOLMOGOROV, value=0.5, p_value=1.2)
 
     def test_rejected_none_without_table(self):
-        result = GofResult(kind=StatKind.OMEGA2, value=0.2, n=10)
+        result = GofResult(kind=StatKind.OMEGA2, value=0.2)
         assert result.rejected is None

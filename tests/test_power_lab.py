@@ -6,6 +6,7 @@ import pytest
 
 from arnorm import ArModel, Gaussian, StatKind
 from arnorm.ar_process import LaplaceLaw, Mixture
+from arnorm.estimation import MAX_ORDER
 from arnorm.power_lab import (
     ExperimentSpec,
     PowerReport,
@@ -124,9 +125,10 @@ class TestSizeStudy:
             run_size_study(spec, BOTH)
 
     def test_stderr_matches_binomial_formula(self):
-        report = run_size_study(_size_spec(), (SUP,))[SUP]
+        spec = _size_spec()
+        report = run_size_study(spec, (SUP,))[SUP]
         rate = report.empirical_rejection_rate
-        expected = np.sqrt(rate * (1.0 - rate) / report.n_reps)
+        expected = np.sqrt(rate * (1.0 - rate) / spec.n_reps)
         assert report.mc_stderr == pytest.approx(expected, rel=1e-12)
 
     def test_rate_from_pipeline_statistics(self):
@@ -244,22 +246,27 @@ class TestValidation:
             _size_spec(model=iid, n=1)
         assert _size_spec(model=iid, n=2).n == 2
 
+    def test_order_above_limit_rejected(self):
+        model = ArModel(coeffs=[0.01] * (MAX_ORDER + 1), mean=0.0, innovation=Gaussian(1.0))
+        message = f"^p must not exceed {MAX_ORDER}, got {MAX_ORDER + 1}$"
+        with pytest.raises(ValueError, match=message):
+            _size_spec(model=model)
+        model = ArModel(coeffs=[0.01] * MAX_ORDER, mean=0.0, innovation=Gaussian(1.0))
+        assert _size_spec(model=model).model.order == MAX_ORDER
+
     def test_kind_coerced_from_string(self):
         reports = run_size_study(_size_spec(n_reps=100, limit_reps=1000), ("omega2",))
         assert list(reports) == [StatKind.OMEGA2]
-        assert reports[StatKind.OMEGA2].statistic_kind is StatKind.OMEGA2
 
 
 class TestCsvOutput:
     def _example_cells(self):
         report = PowerReport(
-            statistic_kind=StatKind.KOLMOGOROV,
             empirical_rejection_rate=0.314,
             mc_stderr=0.01,
             asymptotic_power=0.35,
             asymptotic_stderr=0.002,
             critical_value=0.8826,
-            n_reps=1000,
         )
         spec = _power_spec(n=2000, n_reps=1000, seed=7)
         return [("gauss-scale:2.0", spec, {StatKind.KOLMOGOROV: report})]
