@@ -38,7 +38,7 @@ from .ar_process import (
     simulate_ar,
 )
 from .errors import DegenerateDataError
-from .estimation import fit_ar
+from .estimation import MAX_ORDER, fit_ar
 from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
 from .limit_law import (
     DEFAULT_GRID,
@@ -233,6 +233,8 @@ def _resolve_tables(args) -> tuple[dict, dict]:
 def _cmd_test(args, out) -> int:
     if args.p < 0:
         raise ValueError("--p must be nonnegative")
+    if args.p > MAX_ORDER:
+        raise ValueError(f"--p must not exceed {MAX_ORDER}, got {args.p}")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     _check_table_flags(args)

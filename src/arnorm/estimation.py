@@ -105,7 +105,7 @@ def ols_estimate(sample: SeriesSample) -> np.ndarray:
     """
     p = sample.p
     if p > MAX_ORDER:
-        raise ValueError(f"p must not exceed {MAX_ORDER}")
+        raise ValueError(f"p must not exceed {MAX_ORDER}, got {p}")
     if p == 0:
         return np.empty(0)
     values, _ = _centered(sample)

@@ -346,20 +346,43 @@ def _write_table(table: LimitLawTable, fh, comments=()) -> None:
         fh.write(f"{float(value)!r}\n")
 
 
+# Text converted per batch by :func:`_read_numbers`: about 3000 table lines,
+# so the strings of one batch, not of the whole file, are held at once.
+_READ_BATCH_CHARS = 1 << 16
+
+
 def _read_numbers(fh, path) -> np.ndarray:
     """The numbers of a text file from ``fh`` on, one per line, skipping blank
     lines and ``#`` comments; the first line that is not a finite number is
-    named by its line number in the file."""
-    try:
-        values = np.array(
-            [float(line) for line in map(str.strip, fh) if line and not line.startswith("#")]
-        )
-        if np.all(np.isfinite(values)):
-            return values
-    except ValueError:
-        pass
-    # read again line by line, only to name the first bad line
+    named by its line number in the file.
+
+    After the leading ``#`` lines (a table header or comments), the lines are
+    read about 64 KB at a time and each batch is converted by one
+    ``np.array(batch, dtype=float)`` call, which applies ``float``'s grammar
+    and rounding.  A batch that does not convert, or holds a value that is not
+    finite, sends the file through :func:`_read_numbers_by_line` instead.
+    """
+    start = fh.tell()
+    while fh.readline().startswith("#"):
+        start = fh.tell()
+    fh.seek(start)
+    chunks = []
+    while batch := fh.readlines(_READ_BATCH_CHARS):
+        try:
+            values = np.array(batch, dtype=float)
+        except ValueError:
+            return _read_numbers_by_line(fh, path)
+        if not np.all(np.isfinite(values)):
+            return _read_numbers_by_line(fh, path)
+        chunks.append(values)
+    return np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def _read_numbers_by_line(fh, path) -> np.ndarray:
+    """:func:`_read_numbers` one line at a time from the start of the file,
+    which allows blank lines and comments anywhere and names a bad line."""
     fh.seek(0)
+    values = []
     for lineno, line in enumerate(map(str.strip, fh), start=1):
         if not line or line.startswith("#"):
             continue
@@ -369,7 +392,8 @@ def _read_numbers(fh, path) -> np.ndarray:
             raise ValueError(f"{path}: line {lineno} is not a number: {line!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno} is not finite: {line!r}")
-    raise ValueError(f"{path}: file changed while it was read")
+        values.append(value)
+    return np.array(values)
 
 
 def load_table(path) -> LimitLawTable:

@@ -2,11 +2,13 @@
 
 Everything here recomputes a target quantity through a different route
 than the library takes (quadrature instead of closed forms, a directly
-factored Brownian-bridge kernel instead of the residual-process kernel),
-so agreement is informative.
+factored Brownian-bridge kernel instead of the residual-process kernel,
+one ``float()`` per line instead of batched conversion), so agreement is
+informative.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -14,6 +16,30 @@ from scipy.stats import kstwobign
 
 from arnorm.limit_law import SUP_CONTINUITY_BETA
 from arnorm.rng import substream
+
+
+def read_numbers_by_float(path):
+    """The numbers of a text file by one ``float()`` call per line.
+
+    The reference for the number files the library reads (tables and
+    series): after universal-newline decoding, blank lines and lines that
+    start with ``#`` (after stripping) are skipped and every other line must
+    be one finite number.  The first line that is not raises ``ValueError``
+    naming its 1-based line number in the file, worded as the library's.
+    """
+    values = []
+    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno} is not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno} is not finite: {line!r}")
+        values.append(value)
+    return np.array(values, dtype=float)
 
 
 def omega2_by_quadrature(fit, n_points=200_000):

@@ -688,6 +688,14 @@ class TestEntryPoint:
         assert main(argv + [flag, value]) == 2
         assert capsys.readouterr().err == f"arnorm: {message}\n"
 
+    def test_p_above_limit_named_before_the_series_is_read(self, tmp_path, capsys):
+        # the series path names no file: --p is checked before it is opened
+        missing = tmp_path / "missing.txt"
+        assert main(["test", str(missing), "--p", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "arnorm: --p must not exceed 20, got 21\n"
+
     @pytest.mark.parametrize("case", ["test-series", "test-table", "power-config"])
     def test_out_naming_an_input_is_refused(self, tmp_path, capsys, monkeypatch, case):
         # opening --out would empty the input before it is read

@@ -69,7 +69,8 @@ class TestOlsEstimate:
 
     def test_order_above_limit_rejected(self):
         values = substream(4).normal(size=MAX_ORDER + 40)
-        with pytest.raises(ValueError):
+        message = f"^p must not exceed {MAX_ORDER}, got {MAX_ORDER + 1}$"
+        with pytest.raises(ValueError, match=message):
             ols_estimate(SeriesSample.from_values(values, p=MAX_ORDER + 1))
 
 

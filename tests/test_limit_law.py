@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -12,7 +15,7 @@ from arnorm.limit_law import (
     local_shift,
     mc_p_value,
 )
-from arnorm.rng import derive_seed
+from arnorm.rng import derive_seed, substream
 
 from conftest import upper_quantile
 from oracles import corrected_bridge_sup_check
@@ -433,3 +436,68 @@ class TestTableSerialization:
         path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(ValueError):
             load_table(path)
+
+
+def _save_sorted_table(path, n_reps, seed):
+    samples = np.sort(substream(seed).standard_normal(n_reps))
+    table = LimitLawTable(kind=OMEGA2, shift=None, samples=samples, grid_size=16,
+                          n_reps=n_reps, seed=seed)
+    save_table(table, path)
+    return table
+
+
+class TestTableReadBatches:
+    """Tables long enough that the reader converts them in several batches."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "long.table"
+        return _save_sorted_table(path, 20_000, seed=41), path
+
+    @staticmethod
+    def _batch_starts(path):
+        # after the header, every batch is one readlines call of this size
+        with open(path) as fh:
+            fh.readline()
+            sizes = list(iter(lambda: len(fh.readlines(limit_law._READ_BATCH_CHARS)), 0))
+        return list(accumulate(sizes[:-1], initial=2))
+
+    def test_round_trip_across_batches_is_bit_exact(self, saved):
+        table, path = saved
+        assert len(self._batch_starts(path)) >= 3
+        back = load_table(path)
+        np.testing.assert_array_equal(back.samples.view(np.uint64),
+                                      table.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("bad, problem", [("nan", "not finite"), ("abc", "not a number")])
+    def test_bad_first_line_of_last_batch_named(self, saved, bad, problem):
+        _, path = saved
+        lineno = self._batch_starts(path)[-1]
+        lines = path.read_text().split("\n")
+        lines[lineno - 1] = bad
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=rf"long.table: line {lineno} is {problem}: '{bad}'$"):
+            load_table(path)
+
+    def test_blank_line_at_batch_edge_loads(self, saved):
+        table, path = saved
+        edge = self._batch_starts(path)[1]
+        lines = path.read_text().split("\n")
+        lines.insert(edge - 1, "")
+        path.write_text("\n".join(lines))
+        np.testing.assert_array_equal(load_table(path).samples, table.samples)
+
+
+def test_load_table_peak_memory_under_four_sample_arrays(tmp_path):
+    # the text of a 100k-line table is read in batches, never held whole:
+    # the peak stays under four float arrays of the table's length
+    n_reps = 100_000
+    path = tmp_path / "big.table"
+    _save_sorted_table(path, n_reps, seed=43)
+    tracemalloc.start()
+    try:
+        load_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n_reps

@@ -1,6 +1,8 @@
 """Property tests (hypothesis) for contracts the example-based tests pin at a few points.
 
 * a table written by ``save_table`` loads back bit for bit;
+* a number file (table or series) reads as one ``float()`` per line would
+  read it: the same bits, or the same message naming the same bad line;
 * a Monte Carlo p-value lies in (0, 1] and does not increase with the
   observed value;
 * both statistics are invariant under ``a + 2**k * x``: bit for bit in the
@@ -29,8 +31,9 @@ from arnorm import (
     simulate_ar,
     simulate_limit_tables,
 )
-from arnorm.limit_law import LimitLawTable, mc_p_value
+from arnorm.limit_law import LimitLawTable, _read_numbers, mc_p_value
 from arnorm.power_lab import pipeline_statistics
+from oracles import read_numbers_by_float
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # each example starts a process pool, so these run fewer examples
@@ -72,6 +75,47 @@ def test_table_save_load_roundtrip_is_bit_exact(table_dir, table, comments):
         table.kind, table.grid_size, table.n_reps, table.seed)
     np.testing.assert_array_equal(_bits(back.samples), _bits(table.samples))
     assert back.shift is None
+
+
+_COMMENTS = st.text("abc =:0.9-#", max_size=12).map(lambda text: "#" + text)
+_BLANKS = st.sampled_from(["", " ", "\t"])
+_PADDING = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def number_files(draw):
+    """Text of a number file: leading comments, then ``repr`` floats with
+    comments, blank lines, padding and at most one bad line among them."""
+    lines = draw(st.lists(_COMMENTS, max_size=3))
+    body = [repr(x) for x in draw(st.lists(finite, max_size=40))]
+    extras = draw(st.lists(st.one_of(_COMMENTS, _BLANKS), max_size=3))
+    if draw(st.booleans()):
+        extras.append(draw(st.sampled_from(["1.0 2.0", "nan", "abc"])))
+    for extra in extras:
+        body.insert(draw(st.integers(0, len(body))), extra)
+    lines += [draw(_PADDING) + line + draw(_PADDING) for line in body]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _read_outcome(read, path):
+    try:
+        return _bits(read(path)).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _read_file(path):
+    with open(path) as fh:
+        return _read_numbers(fh, path)
+
+
+@PROPERTY_SETTINGS
+@given(text=number_files())
+def test_number_file_reads_as_float_per_line(table_dir, text):
+    path = table_dir / "numbers.txt"
+    path.write_bytes(text.encode())
+    assert _read_outcome(_read_file, path) == _read_outcome(read_numbers_by_float, path)
 
 
 @PROPERTY_SETTINGS
