@@ -434,7 +434,7 @@ def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Run ``x`` through the all-pole filter ``1 / (1 - sum_k coeffs[k-1] B^k)``."""
     from scipy.signal import lfilter  # on first use: it loads scipy.stats, slow to import
 
-    return lfilter([1.0], np.r_[1.0, -coeffs], x)
+    return lfilter([1.0], np.concatenate(([1.0], -coeffs)), x)
 
 
 def ma_coefficients(coeffs: np.ndarray, m: int) -> np.ndarray:

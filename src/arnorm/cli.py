@@ -144,12 +144,21 @@ def _add_table_flags(parser) -> None:
     parser.add_argument("--workers", type=int, default=1, help="parallel workers")
 
 
+def _check_workers(args) -> None:
+    """Reject a bad ``--workers`` by its name, before any input is read."""
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+
+
 def _check_table_flags(args) -> None:
     """Reject bad table flags by their names, before any input is read."""
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed} (--seed)")
+    _check_workers(args)
 
 
 def main(argv=None) -> int:
@@ -246,7 +255,7 @@ def _cmd_test(args, out) -> int:
     sample = SeriesSample.from_values(np.ldexp(values, -exponent), args.p)
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
-    _check_scale(fit)
+    _check_scale(fit.s2_hat)
     tables, sources = _resolve_tables(args)
     results = [
         kolmogorov_stat(fit, tables[StatKind.KOLMOGOROV], args.alpha),
@@ -398,6 +407,7 @@ def _power_grid(config) -> tuple[tuple, list, list]:
 
 
 def _cmd_power(args, out) -> int:
+    _check_workers(args)
     config = _load_power_config(args.config)
     # every cell is checked before the first study simulates anything
     try:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, toeplitz
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dpotrs
 
 from .ar_process import char_root_radius, ma_coefficients, SeriesSample
 from .errors import DegenerateDataError
@@ -63,7 +64,7 @@ class ResidualFit:
         resid.setflags(write=False)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "residuals", resid)
-        object.__setattr__(self, "s2_hat", float(np.mean(np.square(resid))))
+        object.__setattr__(self, "s2_hat", float(_mean_square(resid)))
 
     @property
     def n(self) -> int:
@@ -78,22 +79,95 @@ class ResidualFit:
         return float(np.sqrt(self.s2_hat))
 
 
-def _centered(sample: SeriesSample) -> tuple[np.ndarray, float]:
-    """All ``n + p`` values minus the working-sample average, and that average."""
-    mean_hat = float(np.mean(sample.values[sample.p :]))
-    return sample.values - mean_hat, mean_hat
+def _mean_square(residuals: np.ndarray):
+    """Mean squared residual along the last axis: the scale estimate ``s2_hat``."""
+    return np.mean(np.square(residuals), axis=-1)
 
 
-def _lag_design(values: np.ndarray, p: int):
-    """Response ``y`` and lag matrix ``X`` for the conditional regression.
+def _centered_rows(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``n + p`` values minus its working-sample average, and the averages."""
+    mean = np.mean(values[:, p:], axis=1)
+    return values - mean[:, None], mean
 
-    Row ``t`` of ``X`` holds ``(values_{t-1}, ..., values_{t-p})`` in time
-    units where the response runs over the last ``n`` entries.
+
+def _lags(rows: np.ndarray, p: int) -> list[np.ndarray]:
+    """Lag ``k`` of the last ``n`` entries of each row, for ``k = 1..p``."""
+    n = rows.shape[1] - p
+    return [rows[:, p - k : p - k + n] for k in range(1, p + 1)]
+
+
+def _sums_in_time_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row sums of ``a * b``, each added strictly in order of ``t``."""
+    products = a * b
+    return np.cumsum(products, axis=1, out=products)[:, -1]
+
+
+def _contiguous_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products by einsum's kernel for one contiguous pair of vectors.
+
+    A stacked einsum sums a row longer than numpy's buffer piece by piece,
+    so such rows go one at a time.
     """
-    n = values.size - p
-    y = values[p:]
-    X = np.column_stack([values[p - k : p - k + n] for k in range(1, p + 1)])
-    return y, X
+    if a.shape[1] <= np.getbufsize():
+        return np.einsum("rt,rt->r", a, b)
+    return np.array([np.einsum("t,t->", x, y) for x, y in zip(a, b)])
+
+
+def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
+    """Least-squares coefficients of each centered row, as ``(rows, p)``."""
+    if p > MAX_ORDER:
+        raise ValueError(f"p must not exceed {MAX_ORDER}, got {p}")
+    if p == 0:
+        return np.empty((centered.shape[0], 0))
+    # beta_hat is scale-free: scaling exactly by a power of two into [0.5, 1)
+    # keeps the Gram matrix of a series at 1e200 scale from overflowing
+    exponent = np.frexp(np.max(np.abs(centered), axis=1))[1]
+    scaled = np.ldexp(centered, -exponent[:, None])
+    lags = _lags(scaled, p)
+    # Each sum runs in a fixed order within its row and calls no BLAS, so a
+    # fit does not depend on the block it is computed in or on BLAS threads.
+    # The orders are einsum's on one series' column-stacked design, so fits
+    # keep the bits they had when series were fitted one at a time: one lag
+    # column by the contiguous dot kernel, wider designs in order of t.
+    dot = _contiguous_dots if p == 1 else _sums_in_time_order
+    gram = np.empty((centered.shape[0], p, p))
+    rhs = np.empty((centered.shape[0], p))
+    for i in range(p):
+        for j in range(i + 1):
+            gram[:, i, j] = gram[:, j, i] = dot(lags[i], lags[j])
+        rhs[:, i] = dot(lags[i], scaled[:, p:])
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError(
+            "singular normal equations: the series is degenerate for this order"
+        ) from None
+    return np.array([dpotrs(c, b, lower=1)[0] for c, b in zip(chol, rhs)])
+
+
+def _residual_rows(centered: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``u_t - sum_k beta[k-1] * u_{t-k}`` over the last ``n`` entries of each row."""
+    p = beta.shape[1]
+    if p == 0:
+        return centered
+    lags = np.stack(_lags(centered, p), axis=-1)
+    return centered[:, p:] - np.matmul(lags, beta[:, :, None])[..., 0]
+
+
+def _fit_rows(values: np.ndarray, p: int):
+    """The stacked fit: center, estimate and take residuals of every row.
+
+    ``values`` holds one stretch of ``n + p`` values per row.  Returns the
+    coefficients ``(rows, p)``, the residuals ``(rows, n)`` and the working-
+    sample averages ``(rows,)``; row ``r`` equals :func:`fit_ar` of row
+    ``r`` alone, bit for bit.
+    """
+    centered, mean = _centered_rows(values, p)
+    beta = _ols_rows(centered, p)
+    resid = _residual_rows(centered, beta)
+    if not np.all(np.isfinite(resid)):
+        raise ValueError("residuals must be finite")
+    return beta, resid, mean
 
 
 def ols_estimate(sample: SeriesSample) -> np.ndarray:
@@ -103,27 +177,8 @@ def ols_estimate(sample: SeriesSample) -> np.ndarray:
     lost beyond them.  Raises :class:`~arnorm.errors.DegenerateDataError`
     when the normal equations are singular (degenerate series).
     """
-    p = sample.p
-    if p > MAX_ORDER:
-        raise ValueError(f"p must not exceed {MAX_ORDER}, got {p}")
-    if p == 0:
-        return np.empty(0)
-    values, _ = _centered(sample)
-    # beta_hat is scale-free: scaling exactly by a power of two into [0.5, 1)
-    # keeps the Gram matrix of a series at 1e200 scale from overflowing
-    exponent = int(np.frexp(np.max(np.abs(values)))[1])
-    y, X = _lag_design(np.ldexp(values, -exponent), p)
-    # einsum keeps the reduction order fixed regardless of BLAS threading,
-    # so repeated fits are bit-identical
-    gram = np.einsum("ti,tj->ij", X, X)
-    rhs = np.einsum("ti,t->i", X, y)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError(
-            "singular normal equations: the series is degenerate for this order"
-        ) from None
-    return cho_solve((chol, True), rhs)
+    centered, _ = _centered_rows(sample.values[None], sample.p)
+    return _ols_rows(centered, sample.p)[0]
 
 
 def residuals(sample: SeriesSample, beta_hat) -> ResidualFit:
@@ -139,18 +194,15 @@ def residuals(sample: SeriesSample, beta_hat) -> ResidualFit:
         raise ValueError(
             f"beta_hat has {beta_hat.size} coefficients; the sample has order {sample.p}"
         )
-    values, mean_hat = _centered(sample)
-    if sample.p == 0:
-        eps = values
-    else:
-        y, X = _lag_design(values, sample.p)
-        eps = y - X @ beta_hat
-    return ResidualFit(beta_hat=beta_hat, residuals=eps, mean_hat=mean_hat)
+    centered, mean = _centered_rows(sample.values[None], sample.p)
+    eps = _residual_rows(centered, beta_hat[None])[0]
+    return ResidualFit(beta_hat=beta_hat, residuals=eps, mean_hat=float(mean[0]))
 
 
 def fit_ar(sample: SeriesSample) -> ResidualFit:
     """Full pipeline: center, estimate coefficients, extract residuals."""
-    return residuals(sample, ols_estimate(sample))
+    beta, resid, mean = _fit_rows(sample.values[None], sample.p)
+    return ResidualFit(beta_hat=beta[0], residuals=resid[0], mean_hat=float(mean[0]))
 
 
 def autocov_matrix(coeffs, sigma0: float) -> np.ndarray:

@@ -68,13 +68,20 @@ class GofResult:
         return self.value > self.critical_value
 
 
-def _check_scale(fit: ResidualFit) -> None:
-    """Reject a scale estimate that is zero or overflows: the standardized
+def _check_scale(s2_hat) -> None:
+    """Reject scale estimates that are zero or overflow: the standardized
     residuals would be undefined, or all zero with every transform 0.5."""
-    if not fit.s2_hat > 0.0:
+    if not np.all(s2_hat > 0.0):
         raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
-    if not fit.s2_hat < np.inf:
+    if not np.all(s2_hat < np.inf):
         raise DegenerateDataError("residual scale estimate overflows; rescale the series")
+
+
+def _sorted_transforms(residuals: np.ndarray, s2_hat) -> np.ndarray:
+    """Sorted ``Phi(residual / s_hat)`` along the last axis of ``residuals``,
+    one scale estimate per row; see :func:`probability_transforms`."""
+    _check_scale(s2_hat)
+    return ndtr(np.sort(residuals, axis=-1) / np.sqrt(s2_hat)[..., None])
 
 
 def probability_transforms(fit: ResidualFit) -> np.ndarray:
@@ -84,24 +91,33 @@ def probability_transforms(fit: ResidualFit) -> np.ndarray:
     estimate vanishes (all residuals zero) or overflows, since the
     transform is then undefined.
     """
-    _check_scale(fit)
-    return ndtr(np.sort(fit.residuals) / fit.s_hat)
+    return _sorted_transforms(fit.residuals, fit.s2_hat)
 
 
-def kolmogorov_from_transforms(z: np.ndarray) -> float:
-    """Supremum statistic from sorted probability transforms."""
-    n = z.size
+def _value(x: np.ndarray):
+    """A float for one series, the array for a stack of them."""
+    return float(x) if x.ndim == 0 else x
+
+
+def kolmogorov_from_transforms(z: np.ndarray):
+    """Supremum statistic from sorted probability transforms.
+
+    Works along the last axis: a stack of transform rows gives one value
+    per row, and a single row gives a float.
+    """
+    n = z.shape[-1]
     grid = np.arange(1, n + 1) / n
-    upper = np.max(grid - z)
-    lower = np.max(z - grid + 1.0 / n)
-    return float(np.sqrt(n) * max(upper, lower))
+    upper = np.max(grid - z, axis=-1)
+    lower = np.max(z - grid + 1.0 / n, axis=-1)
+    return _value(np.sqrt(n) * np.maximum(upper, lower))
 
 
-def omega2_from_transforms(z: np.ndarray) -> float:
-    """Integrated squared distance from sorted probability transforms."""
-    n = z.size
+def omega2_from_transforms(z: np.ndarray):
+    """Integrated squared distance from sorted probability transforms,
+    along the last axis like :func:`kolmogorov_from_transforms`."""
+    n = z.shape[-1]
     centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return float(np.sum(np.square(z - centers)) + 1.0 / (12.0 * n))
+    return _value(np.sum(np.square(z - centers), axis=-1) + 1.0 / (12.0 * n))
 
 
 def _finish(kind, value, table, alpha):
@@ -174,7 +190,7 @@ def eval_process(fit: ResidualFit, t_grid) -> np.ndarray:
         raise ValueError("grid points must lie strictly inside (0, 1)")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("grid points must be strictly increasing")
-    _check_scale(fit)
+    _check_scale(fit.s2_hat)
     x = fit.s_hat * ndtri(t_grid)
     return np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
 

@@ -177,7 +177,7 @@ class LimitLawTable:
             raise ValueError("grid_size must be at least 2")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if np.any(np.diff(samples) < 0):
+        if np.any(samples[1:] < samples[:-1]):
             raise ValueError("samples must be sorted in ascending order")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)

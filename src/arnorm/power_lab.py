@@ -27,12 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
-from .estimation import MAX_ORDER, fit_ar
-from .gof_tests import (
-    kolmogorov_from_transforms,
-    omega2_from_transforms,
-    probability_transforms,
-)
+from .estimation import MAX_ORDER, _fit_rows, _mean_square
+from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
 from .limit_law import DEFAULT_GRID, DEFAULT_REPS, StatKind, quantile, simulate_limit_tables
 from .rng import _checked_seed, derive_seed, map_replications, substreams
 
@@ -48,6 +44,10 @@ __all__ = [
 _NULL_BRANCH = 0
 _SHIFT_BRANCH = 1
 _PIPELINE_BRANCH = 2
+
+# Series values per pipeline block: 128 KB, so a block and the fit's
+# temporaries stay in cache and its size never follows n_reps.
+_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,31 @@ class PowerReport:
 
 
 def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
-    """Test statistics for pipeline replications ``start..stop-1``."""
+    """Test statistics for pipeline replications ``start..stop-1``.
+
+    Each replication draws its series by one :func:`simulate_ar` call from
+    ``substream(seed, r)``, taken from :func:`~arnorm.rng.substreams`, into
+    a row of a block of ``_BLOCK_VALUES`` values.  The fit, the transforms
+    and both statistics then run once per block, and every row comes out as
+    the fit and test of its series alone would give it.
+    """
+    p = model.order
+    rows = max(1, _BLOCK_VALUES // (n + p))
+    buffer = np.empty((min(rows, stop - start), n + p))
+    streams = substreams(seed, start, stop)
     out = {kind: np.empty(stop - start) for kind in kinds}
-    for j, stream in enumerate(substreams(seed, start, stop)):
-        sample = simulate_ar(model, n, burn_in=burn_in, seed=stream)
-        transforms = probability_transforms(fit_ar(sample))
+    for block_start in range(start, stop, rows):
+        block = buffer[: min(rows, stop - block_start)]
+        for row, stream in zip(block, streams):
+            row[:] = simulate_ar(model, n, burn_in=burn_in, seed=stream).values
+        _, resid, _ = _fit_rows(block, p)
+        transforms = _sorted_transforms(resid, _mean_square(resid))
+        sel = slice(block_start - start, block_start - start + len(block))
         for kind in kinds:
             if kind is StatKind.KOLMOGOROV:
-                out[kind][j] = kolmogorov_from_transforms(transforms)
+                out[kind][sel] = kolmogorov_from_transforms(transforms)
             else:
-                out[kind][j] = omega2_from_transforms(transforms)
+                out[kind][sel] = omega2_from_transforms(transforms)
     return out
 
 

@@ -23,6 +23,10 @@ GRID_SIZE = 512
 
 ALL_KINDS = (StatKind.KOLMOGOROV, StatKind.OMEGA2)
 
+# Stationary AR coefficients by order, for the bit-for-bit checks of the
+# blocked fit and pipeline against one series at a time.
+AR_COEFFS = {0: (), 1: (0.5,), 2: (0.5, -0.3), 5: (0.3, 0.1, -0.1, 0.05, 0.02)}
+
 
 @pytest.fixture(scope="session")
 def null_tables():

@@ -4,17 +4,29 @@ Everything here recomputes a target quantity through a different route
 than the library takes (quadrature instead of closed forms, a directly
 factored Brownian-bridge kernel instead of the residual-process kernel,
 one ``float()`` per line instead of batched conversion), so agreement is
-informative.
+informative.  Two oracles instead fix the arithmetic, for results that
+must agree bit for bit: :func:`fit_by_design_matrix` fits one series from
+its column-stacked lag design, and :func:`pipeline_statistics_by_replication`
+runs the simulate/fit/test pipeline one replication at a time through the
+public single-series functions.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.special import ndtri
 from scipy.stats import kstwobign
 
-from arnorm.limit_law import SUP_CONTINUITY_BETA
+from arnorm.ar_process import simulate_ar
+from arnorm.estimation import fit_ar
+from arnorm.gof_tests import (
+    kolmogorov_from_transforms,
+    omega2_from_transforms,
+    probability_transforms,
+)
+from arnorm.limit_law import SUP_CONTINUITY_BETA, StatKind
 from arnorm.rng import substream
 
 
@@ -103,4 +115,50 @@ def corrected_bridge_sup_check(grid_size, n_reps, seed, alphas):
         exact = float(kstwobign.isf(alpha))
         stderr = math.sqrt(alpha * (1.0 - alpha) / n_reps) / float(kstwobign.pdf(exact))
         out[alpha] = (simulated[alpha] + correction, exact, stderr)
+    return out
+
+
+def fit_by_design_matrix(sample):
+    """Coefficients and residuals of one series from its lag design matrix.
+
+    The series is centered by its working-sample average and scaled by a
+    power of two into [0.5, 1); the Gram matrix and right-hand side of the
+    column-stacked design ``X`` (column ``k`` is lag ``k + 1``) come from
+    einsum, and the Cholesky system from ``cho_solve``.  The residuals are
+    ``y - X @ beta`` on the unscaled centered series.
+    """
+    p, values = sample.p, sample.values
+    n = values.size - p
+    centered = values - float(np.mean(values[p:]))
+
+    def design(v):
+        return v[p:], np.column_stack([v[p - k : p - k + n] for k in range(1, p + 1)])
+
+    if p == 0:
+        return np.empty(0), centered
+    exponent = int(np.frexp(np.max(np.abs(centered)))[1])
+    y, X = design(np.ldexp(centered, -exponent))
+    gram = np.einsum("ti,tj->ij", X, X)
+    rhs = np.einsum("ti,t->i", X, y)
+    beta = cho_solve((np.linalg.cholesky(gram), True), rhs)
+    y, X = design(centered)
+    return beta, y - X @ beta
+
+
+def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed, burn_in=None):
+    """``pipeline_statistics`` one replication at a time.
+
+    Replication ``r`` simulates from ``substream(seed, r)``, then runs
+    :func:`fit_ar`, :func:`probability_transforms` and each statistic on
+    its own series.
+    """
+    out = {kind: np.empty(n_reps) for kind in kinds}
+    for r in range(n_reps):
+        sample = simulate_ar(model, n, burn_in=burn_in, seed=substream(seed, r))
+        transforms = probability_transforms(fit_ar(sample))
+        for kind in kinds:
+            if kind is StatKind.KOLMOGOROV:
+                out[kind][r] = kolmogorov_from_transforms(transforms)
+            else:
+                out[kind][r] = omega2_from_transforms(transforms)
     return out

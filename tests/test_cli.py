@@ -672,8 +672,10 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--grid", "1", "--grid must be at least 2"),
-         ("--reps", "0", "--reps must be at least 1")],
-        ids=["grid-1", "reps-0"],
+         ("--reps", "0", "--reps must be at least 1"),
+         ("--workers", "0", "--workers must be at least 1, got 0"),
+         ("--seed", "-1", "seed must be a non-negative integer, got -1 (--seed)")],
+        ids=["grid-1", "reps-0", "workers-0", "seed-negative"],
     )
     def test_bad_table_flag_exits_2_before_the_series_is_read(self, tmp_path, capsys, command,
                                                               flag, value, message):
@@ -687,6 +689,14 @@ class TestEntryPoint:
         }[command]
         assert main(argv + [flag, value]) == 2
         assert capsys.readouterr().err == f"arnorm: {message}\n"
+
+    def test_bad_workers_named_before_the_power_config_is_read(self, tmp_path, capsys):
+        # the config path names no file: --workers is checked before it is opened
+        missing = tmp_path / "missing.json"
+        assert main(["power", str(missing), "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "arnorm: --workers must be at least 1, got 0\n"
 
     def test_p_above_limit_named_before_the_series_is_read(self, tmp_path, capsys):
         # the series path names no file: --p is checked before it is opened

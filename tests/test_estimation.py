@@ -4,9 +4,20 @@ from scipy.linalg import toeplitz
 
 from arnorm import ArModel, Gaussian, SeriesSample, fit_ar, simulate_ar
 from arnorm.errors import DegenerateDataError
-from arnorm.estimation import MAX_ORDER, ResidualFit, autocov_matrix, ols_estimate, residuals
+from arnorm.ar_process import LaplaceLaw, Mixture
+from arnorm.estimation import (
+    MAX_ORDER,
+    ResidualFit,
+    _fit_rows,
+    autocov_matrix,
+    ols_estimate,
+    residuals,
+)
 from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
+
+from conftest import AR_COEFFS
+from oracles import fit_by_design_matrix
 
 
 class TestCenterSeries:
@@ -161,6 +172,60 @@ class TestFitAr:
         scale = np.max(np.abs(fit0.residuals))
         np.testing.assert_allclose(fit1.residuals, fit0.residuals, rtol=0, atol=1e-10 * scale)
         assert fit1.s2_hat == pytest.approx(fit0.s2_hat, rel=1e-10)
+
+
+class TestStackedFit:
+    """``_fit_rows`` fits a block of series at once; each row must equal the
+    single-series fit bit for bit, whatever block it sits in, and the
+    single-series fit must equal the design-matrix oracle."""
+
+    @pytest.mark.parametrize("p", sorted(AR_COEFFS))
+    @pytest.mark.parametrize(
+        "innovation",
+        [Gaussian(1.0), LaplaceLaw(2.0), Mixture(sigma0=1.0, h=Gaussian(3.0), n=400)],
+        ids=["gaussian", "laplace", "mixture"],
+    )
+    # n = 9000 rows are longer than numpy's 8192-value buffer
+    @pytest.mark.parametrize("n, rows", [(30, 9), (400, 5), (9000, 2)])
+    def test_rows_equal_single_series_fits(self, p, innovation, n, rows):
+        model = ArModel(coeffs=AR_COEFFS[p], mean=-2.5, innovation=innovation)
+        samples = [simulate_ar(model, n, seed=substream(40, r)) for r in range(rows)]
+        beta, resid, mean = _fit_rows(np.array([s.values for s in samples]), p)
+        assert beta.shape == (rows, p) and resid.shape == (rows, n)
+        for r, sample in enumerate(samples):
+            fit = fit_ar(sample)
+            np.testing.assert_array_equal(beta[r], fit.beta_hat)
+            np.testing.assert_array_equal(resid[r], fit.residuals)
+            assert mean[r] == fit.mean_hat
+
+    @pytest.mark.parametrize("p", sorted(AR_COEFFS))
+    @pytest.mark.parametrize("n", [30, 2000, 9000])
+    def test_single_fit_matches_design_matrix_oracle(self, p, n):
+        model = ArModel(coeffs=AR_COEFFS[p], mean=3.0, innovation=LaplaceLaw(2.0))
+        sample = simulate_ar(model, n, seed=substream(44, p))
+        fit = fit_ar(sample)
+        beta, resid = fit_by_design_matrix(sample)
+        np.testing.assert_array_equal(fit.beta_hat, beta)
+        np.testing.assert_array_equal(fit.residuals, resid)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_constant_row_raises_as_its_single_fit(self, p):
+        block = substream(41).normal(size=(4, 60))
+        block[2] = 1.0
+        with pytest.raises(DegenerateDataError) as single:
+            fit_ar(SeriesSample.from_values(block[2], p))
+        with pytest.raises(DegenerateDataError) as stacked:
+            _fit_rows(block, p)
+        assert str(stacked.value) == str(single.value)
+
+    def test_non_finite_row_rejected(self):
+        # at order 0 no solve sees the row: the residual check must
+        block = substream(42).normal(size=(3, 60))
+        block[1, 5] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="^residuals must be finite$"
+        ):
+            _fit_rows(block, 0)
 
 
 class TestAutocovMatrix:

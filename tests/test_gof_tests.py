@@ -20,6 +20,7 @@ from arnorm.gof_tests import (
     eval_process,
     innovation_edf_gap,
     kolmogorov_from_transforms,
+    _sorted_transforms,
     omega2_from_transforms,
     probability_transforms,
     residual_edf,
@@ -74,6 +75,31 @@ class TestProbabilityTransforms:
         fit = _fit_from_residuals(np.zeros(4))
         with pytest.raises(DegenerateDataError):
             probability_transforms(fit)
+
+
+class TestStackedTransforms:
+    """The transforms and both statistics of a stack of residual rows equal,
+    row by row and bit for bit, those of each row's own fit."""
+
+    def test_rows_equal_single_fits(self):
+        fits = [_random_fit(seed, n=150) for seed in range(6)]
+        resid = np.array([fit.residuals for fit in fits])
+        z = _sorted_transforms(resid, np.array([fit.s2_hat for fit in fits]))
+        sup, omega2 = kolmogorov_from_transforms(z), omega2_from_transforms(z)
+        assert sup.shape == omega2.shape == (6,)
+        for r, fit in enumerate(fits):
+            single = probability_transforms(fit)
+            np.testing.assert_array_equal(z[r], single)
+            assert type(kolmogorov_from_transforms(single)) is float
+            assert type(omega2_from_transforms(single)) is float
+            assert sup[r] == kolmogorov_from_transforms(single)
+            assert omega2[r] == omega2_from_transforms(single)
+
+    def test_degenerate_row_raises(self):
+        resid = substream(43).normal(size=(3, 20))
+        resid[1] = 0.0
+        with pytest.raises(DegenerateDataError, match="scale estimate is zero"):
+            _sorted_transforms(resid, np.mean(np.square(resid), axis=-1))
 
 
 class TestKolmogorovStat:

@@ -501,3 +501,18 @@ def test_load_table_peak_memory_under_four_sample_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * n_reps
+
+
+def test_table_construction_peak_memory_under_one_and_a_half_sample_arrays():
+    # the order check compares neighbours in place: besides the defensive
+    # copy it allocates only boolean masks, no float array of differences
+    n_reps = 100_000
+    samples = np.sort(substream(44).standard_normal(n_reps))
+    tracemalloc.start()
+    try:
+        LimitLawTable(kind=OMEGA2, shift=None, samples=samples, grid_size=64,
+                      n_reps=n_reps, seed=44)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * samples.nbytes

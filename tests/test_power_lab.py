@@ -1,9 +1,11 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import arnorm.power_lab
 from arnorm import ArModel, Gaussian, StatKind
 from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.estimation import MAX_ORDER
@@ -15,7 +17,10 @@ from arnorm.power_lab import (
     run_size_study,
     write_power_csv,
 )
-from arnorm.rng import derive_seed
+from arnorm.rng import derive_seed, substream
+
+from conftest import AR_COEFFS
+from oracles import pipeline_statistics_by_replication
 
 SUP = StatKind.KOLMOGOROV
 BOTH = (SUP, StatKind.OMEGA2)
@@ -87,6 +92,68 @@ class TestPipelineStatistics:
         stats = pipeline_statistics(ar1_model, 200, BOTH, 30, seed=4)
         for kind in BOTH:
             assert np.all(stats[kind] > 0.0)
+
+
+def _innovation(name, n):
+    return {
+        "gaussian": Gaussian(1.0),
+        "laplace": LaplaceLaw(2.0),
+        "mixture": Mixture(sigma0=1.0, h=Gaussian(3.0), n=n),
+    }[name]
+
+
+class TestBlockedPipeline:
+    """The pipeline fits and tests its replications in blocks of
+    ``_BLOCK_VALUES`` series values; every statistic must equal, bit for
+    bit, that of its replication run alone."""
+
+    @pytest.mark.parametrize("innovation", ["gaussian", "laplace", "mixture"])
+    @pytest.mark.parametrize("p", sorted(AR_COEFFS))
+    @pytest.mark.parametrize(
+        "n, n_reps",
+        # hundreds of rows per block and a partial last block; one short
+        # block of 32 rows and a partial one; a row longer than a block
+        [(30, 600), (500, 40), (16_400, 2)],
+    )
+    def test_matches_replication_loop(self, innovation, p, n, n_reps):
+        model = ArModel(coeffs=AR_COEFFS[p], mean=0.7, innovation=_innovation(innovation, n))
+        expected = pipeline_statistics_by_replication(model, n, BOTH, n_reps, seed=31)
+        got = pipeline_statistics(model, n, BOTH, n_reps, seed=31)
+        for kind in BOTH:
+            np.testing.assert_array_equal(got[kind], expected[kind])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("p", sorted(AR_COEFFS))
+    def test_matches_replication_loop_across_workers(self, p, workers):
+        # 130 reps of n = 500 split into 65 + 65 rows: each worker ends on a
+        # partial block of its own
+        model = ArModel(coeffs=AR_COEFFS[p], mean=0.0, innovation=_innovation("mixture", 500))
+        expected = pipeline_statistics_by_replication(model, 500, BOTH, 130, seed=32)
+        got = pipeline_statistics(model, 500, BOTH, 130, seed=32, workers=workers)
+        for kind in BOTH:
+            np.testing.assert_array_equal(got[kind], expected[kind])
+
+    def test_peak_memory_does_not_grow_with_replications(self, ar1_model, monkeypatch):
+        # A block holds a fixed number of values whatever n_reps is.  Streams
+        # come one at a time here: substreams holds the states of a whole key
+        # batch (up to 4096 keys), which is bounded on its own.  Only the
+        # outputs then grow: two kinds, a chunk's array and the joined copy.
+        monkeypatch.setattr(
+            arnorm.power_lab, "substreams",
+            lambda seed, start, stop: (substream(seed, r) for r in range(start, stop)),
+        )
+        pipeline_statistics(ar1_model, 2000, BOTH, 10, seed=33)  # lazy imports
+        peaks = {}
+        for n_reps in (200, 2000):
+            tracemalloc.start()
+            try:
+                pipeline_statistics(ar1_model, 2000, BOTH, n_reps, seed=33)
+                _, peaks[n_reps] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        outputs = 2 * 2 * 8 * (2000 - 200)
+        # a block sized by n_reps would add 1800 series of 2001 values, 29 MB
+        assert peaks[2000] <= peaks[200] + outputs + 256 * 1024
 
 
 class TestSizeStudy:
