@@ -150,14 +150,19 @@ def _check_workers(args) -> None:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
 
 
+def _check_seed(args) -> None:
+    """Reject a negative ``--seed`` by its name, before any input is read."""
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed} (--seed)")
+
+
 def _check_table_flags(args) -> None:
     """Reject bad table flags by their names, before any input is read."""
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed} (--seed)")
+    _check_seed(args)
     _check_workers(args)
 
 
@@ -427,6 +432,7 @@ def _cmd_power(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     if args.n < 1:
         raise ValueError("--n must be positive")
+    _check_seed(args)
     try:
         beta = np.array([float(tok) for tok in args.beta.split(",")] if args.beta else [])
     except ValueError:

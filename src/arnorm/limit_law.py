@@ -21,10 +21,11 @@ Functionals are simulated on the interior grid ``i / grid_size`` from
 Durbin's (1973, Ann. Statist. 1:279) form ``X = B + a Z1 + 0.5 b Z2`` of the
 process, with ``Z1 = int q dW`` and ``Z2 = int (q**2 - 1) dW`` on the Brownian
 motion ``W`` of the bridge ``B``: O(grid_size) per path, each replication on
-its own from its own substream (taken in order from
-:func:`~arnorm.rng.substreams`), so tables are reproducible, worker-count
-independent, and extended by longer runs.  Paths are assembled a few at a
-time, 2**15 normals per block, so that a block stays in cache.
+its own, drawn from the stream of its block of 64 (see
+:func:`~arnorm.rng.replication_blocks`), so tables are reproducible,
+worker-count independent, and extended by longer runs.  Paths are assembled
+a few at a time, at most 64 and about 2**15 normals per block, so that a
+block stays in cache.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ar_process import Gaussian, Mixture
-from .rng import map_replications, substreams
+from .rng import REPLICATION_BLOCK, map_replications, replication_blocks
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -230,33 +231,34 @@ def _assemble_paths(normals, weights):
 
 def _functional_chunk(kinds, shift, grid_size, seed, start, stop):
     """Functional samples for replications ``start..stop-1``; replication
-    ``r`` draws its ``grid_size + 2`` normals from the stream of
-    ``substream(seed, r)``, taken from :func:`~arnorm.rng.substreams`.
+    ``r`` draws its ``grid_size + 2`` normals from its stream in
+    :func:`~arnorm.rng.replication_blocks`.
 
-    Paths are assembled in blocks of 256 KB of normals, which stay in cache
-    through assembly and both functionals.
+    Paths are assembled in blocks of at most 64 rows and about 256 KB of
+    normals, which stay in cache through assembly and both functionals.  A
+    block lies within one stream's 64 rows, and one row-major draw fills it
+    with the values that drawing row by row would give.
     """
     weights = _path_weights(grid_size)
     sup_correction = SUP_CONTINUITY_BETA / math.sqrt(grid_size)
     shift_values = local_shift(shift, weights[0]) if shift is not None else None
-    block = max(1, 2**15 // grid_size)
-    buffer = np.empty((min(block, stop - start), grid_size + 2))
-    streams = substreams(seed, start, stop)
+    rows = min(REPLICATION_BLOCK, max(1, 2**15 // grid_size))
+    buffer = np.empty((min(rows, stop - start), grid_size + 2))
     out = {kind: np.empty(stop - start) for kind in kinds}
-    for block_start in range(start, stop, block):
-        block_stop = min(block_start + block, stop)
-        normals = buffer[: block_stop - block_start]
-        for row, stream in zip(normals, streams):
-            stream.standard_normal(out=row)
-        paths = _assemble_paths(normals, weights)
-        if shift_values is not None:
-            paths += shift_values
-        sel = slice(block_start - start, block_stop - start)
-        for kind in kinds:
-            if kind is StatKind.KOLMOGOROV:
-                out[kind][sel] = np.max(np.abs(paths), axis=1) + sup_correction
-            else:
-                out[kind][sel] = np.einsum("ij,ij->i", paths, paths) / grid_size
+    for stream, lo, hi in replication_blocks(seed, start, stop):
+        for block_start in range(lo, hi, rows):
+            block_stop = min(block_start + rows, hi)
+            normals = buffer[: block_stop - block_start]
+            stream.standard_normal(out=normals)
+            paths = _assemble_paths(normals, weights)
+            if shift_values is not None:
+                paths += shift_values
+            sel = slice(block_start - start, block_stop - start)
+            for kind in kinds:
+                if kind is StatKind.KOLMOGOROV:
+                    out[kind][sel] = np.max(np.abs(paths), axis=1) + sup_correction
+                else:
+                    out[kind][sel] = np.einsum("ij,ij->i", paths, paths) / grid_size
     return out
 
 
@@ -275,8 +277,9 @@ def simulate_limit_tables(
     Monte Carlo noise.  Sup samples include the continuity correction, so
     their law is that of the sup over [0, 1] for any grid fine enough for
     the first-order correction.  Output is bit-identical for any
-    ``workers >= 1``, and the samples of a run are among those of any run
-    with more replications and the same seed.
+    ``workers >= 1`` and for chunks cut at 64-replication edges, and the
+    samples of a run are among those of any run with more replications and
+    the same seed.
     """
     kinds = tuple(StatKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):

@@ -8,7 +8,8 @@ independent:
 * under an alternative, a shifted limit table (asymptotic power), seeded by
   ``derive_seed(seed, 1)``;
 * finite-sample replications of the simulate/fit/test pipeline, with
-  replication ``r`` drawing from ``substream(derive_seed(seed, 2), r)``.
+  replication ``r`` drawing from ``substream(derive_seed(seed, 2), r // 64)``
+  after the replications of its block of 64 that come before it.
 
 A study reports rates, not the replications behind them; the statistics of
 a study are ``pipeline_statistics(model, n, kinds, n_reps,
@@ -30,7 +31,7 @@ from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
 from .estimation import MAX_ORDER, _fit_rows, _mean_square
 from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
 from .limit_law import DEFAULT_GRID, DEFAULT_REPS, StatKind, quantile, simulate_limit_tables
-from .rng import _checked_seed, derive_seed, map_replications, substreams
+from .rng import _checked_seed, derive_seed, map_replications, replication_blocks
 
 __all__ = [
     "ExperimentSpec",
@@ -97,15 +98,15 @@ def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
     """Test statistics for pipeline replications ``start..stop-1``.
 
     Each replication draws its series by one :func:`simulate_ar` call from
-    ``substream(seed, r)``, taken from :func:`~arnorm.rng.substreams`, into
-    a row of a block of ``_BLOCK_VALUES`` values.  The fit, the transforms
-    and both statistics then run once per block, and every row comes out as
-    the fit and test of its series alone would give it.
+    its stream in :func:`~arnorm.rng.replication_blocks` into a row of a
+    block of ``_BLOCK_VALUES`` values.  The fit, the transforms and both
+    statistics then run once per block, and every row comes out as the fit
+    and test of its series alone would give it.
     """
     p = model.order
     rows = max(1, _BLOCK_VALUES // (n + p))
     buffer = np.empty((min(rows, stop - start), n + p))
-    streams = substreams(seed, start, stop)
+    streams = (s for s, lo, hi in replication_blocks(seed, start, stop) for _ in range(lo, hi))
     out = {kind: np.empty(stop - start) for kind in kinds}
     for block_start in range(start, stop, rows):
         block = buffer[: min(rows, stop - block_start)]
@@ -133,8 +134,10 @@ def pipeline_statistics(
 ) -> dict[StatKind, np.ndarray]:
     """Simulate/fit/test statistics over independent replications.
 
-    Replication ``r`` uses the child stream ``substream(seed, r)``, so the
-    arrays are bit-identical for any ``workers >= 1`` and any chunking.
+    Replication ``r`` draws from ``substream(seed, r // 64)`` after the
+    earlier replications of its block of 64, so the arrays are bit-identical
+    for any ``workers >= 1`` and for chunks cut at 64-replication edges, and
+    a shorter run is a prefix of a longer one.
     """
     kinds = tuple(StatKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):

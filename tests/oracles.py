@@ -148,13 +148,17 @@ def fit_by_design_matrix(sample):
 def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed, burn_in=None):
     """``pipeline_statistics`` one replication at a time.
 
-    Replication ``r`` simulates from ``substream(seed, r)``, then runs
-    :func:`fit_ar`, :func:`probability_transforms` and each statistic on
-    its own series.
+    Replications come in blocks of 64: replication ``r`` simulates from
+    ``substream(seed, r // 64)``, opened at ``r % 64 == 0`` and then drawn
+    on by the block's later replications in order.  Each series then runs
+    through :func:`fit_ar`, :func:`probability_transforms` and each
+    statistic on its own.
     """
     out = {kind: np.empty(n_reps) for kind in kinds}
     for r in range(n_reps):
-        sample = simulate_ar(model, n, burn_in=burn_in, seed=substream(seed, r))
+        if r % 64 == 0:
+            stream = substream(seed, r // 64)
+        sample = simulate_ar(model, n, burn_in=burn_in, seed=stream)
         transforms = probability_transforms(fit_ar(sample))
         for kind in kinds:
             if kind is StatKind.KOLMOGOROV:

@@ -749,6 +749,8 @@ class TestEntryPoint:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"arnorm: {where}seed must be a non-negative integer, got -1" in captured.err
+        if command != "power":
+            assert "got -1 (--seed)" in captured.err
         assert "verdict=" not in captured.out
 
     def test_module_invocation(self):

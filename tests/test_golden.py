@@ -30,8 +30,8 @@ RUNS = [
     (
         ["quantiles", "--kind", "omega2", "--grid", "32", "--reps", "2000", "--seed", "3",
          "--out", "o.txt"],
-        "20ee8cf1a34797a085731ba360c0d53774ecf30af1f9079f55c5ffbf8009ef1c",
-        ("o.txt", "0b6bed0ba3b38423db63d263a1884abcbadebdf36d9565b30b6aae6789dab8b9"),
+        "170f61519197c05ad46cd6ffa4979bdc05d95991e516c18f09630ccbd02f22a8",
+        ("o.txt", "0e64debea93c3a34d6c592001230b2112b104ec89790d073ceaf776c0e997c5e"),
     ),
     (
         ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",
@@ -42,12 +42,12 @@ RUNS = [
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
          "--seed", "5"],
-        "31837fed4aaccf2b544eaf331b18abb109cade6e97f3a8891a03063f1a259142",
+        "3cf202498266e2780fd81b88d6759ab378473d56ecd996c17fc3ffcf86fc59dd",
         None,
     ),
     (
         ["power", "c.json"],
-        "b93d8382b3d717422fe69bb74259f9741e9786dc5e4c8f7e967791e76633d0e3",
+        "721498debcfad9c63c6327dd91c4fbdbbed4974d927d47b9f489b1a087ccbc15",
         None,
     ),
 ]

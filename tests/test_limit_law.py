@@ -181,41 +181,53 @@ class TestSimulation:
     def _assert_workers_agree(n_reps):
         kwargs = dict(grid_size=64, n_reps=n_reps, seed=11)
         serial = simulate_limit_tables(BOTH, None, workers=1, **kwargs)
-        parallel = simulate_limit_tables(BOTH, None, workers=2, **kwargs)
-        for kind in BOTH:
-            np.testing.assert_array_equal(serial[kind].samples, parallel[kind].samples)
+        for workers in (2, 3):
+            parallel = simulate_limit_tables(BOTH, None, workers=workers, **kwargs)
+            for kind in BOTH:
+                np.testing.assert_array_equal(serial[kind].samples, parallel[kind].samples)
 
     def test_worker_count_does_not_change_results(self):
         self._assert_workers_agree(6000)
 
     def test_worker_split_off_block_boundary(self):
-        # two workers split 301 replications at 150, which sits on no block
-        # boundary; every path is computed on its own, so the split cannot
-        # change a bit
+        # 301 replications end off a 64-replication block edge: two workers
+        # split them at 128 and three at 64 and 192, each piece made of
+        # whole blocks and the last ending on a partial one
         self._assert_workers_agree(301)
 
     @pytest.mark.parametrize("grid_size", [64, 512])
     def test_longer_run_extends_shorter(self, grid_size):
         # replication r's sample depends on (seed, r, grid) alone, so every
-        # sample of a short run recurs in a longer run with the same seed
+        # sample of a short run recurs in a longer run with the same seed,
+        # also when the short run stops inside a block (300 = 4 * 64 + 44)
         short = simulate_limit_tables(BOTH, None, grid_size, 300, seed=47)
         long = simulate_limit_tables(BOTH, None, grid_size, 6000, seed=47)
         for kind in BOTH:
             assert np.all(np.isin(short[kind].samples, long[kind].samples)), kind
 
     def test_block_width_does_not_change_samples(self):
-        # the same replications in blocks of 2**15 // grid_size rows (one
-        # block at grid 64, 64-row blocks at 512), in single rows, and in
-        # blocks that start off any block boundary
+        # chunks that start on a 64-replication edge give the samples of the
+        # whole run; at grid 4096 a path block holds 8 rows, so a stream's
+        # block of 64 is drawn in 8 parts, which must give the values of one
+        # draw of the whole block
         for grid_size in (64, 512):
             args = (BOTH, None, grid_size, 13)
             whole = limit_law._functional_chunk(*args, 0, 200)
-            tail = limit_law._functional_chunk(*args, 37, 200)
-            for kind in BOTH:
-                np.testing.assert_array_equal(tail[kind], whole[kind][37:])
-                for rep in (0, 1, 63, 64, 99, 127, 128, 199):
-                    single = limit_law._functional_chunk(*args, rep, rep + 1)[kind]
-                    np.testing.assert_array_equal(single, whole[kind][rep : rep + 1])
+            for start, stop in ((0, 64), (64, 200), (128, 130), (192, 200)):
+                part = limit_law._functional_chunk(*args, start, stop)
+                for kind in BOTH:
+                    np.testing.assert_array_equal(part[kind], whole[kind][start:stop])
+        whole = limit_law._functional_chunk(BOTH, None, 4096, 13, 0, 100)
+        weights = limit_law._path_weights(4096)
+        for start, stop in ((0, 64), (64, 100)):
+            normals = substream(13, start // 64).standard_normal((stop - start, 4098))
+            paths = limit_law._assemble_paths(normals, weights)
+            sup = np.max(np.abs(paths), axis=1) + limit_law.SUP_CONTINUITY_BETA / 64.0
+            omega2 = np.einsum("ij,ij->i", paths, paths) / 4096
+            np.testing.assert_array_equal(whole[SUP][start:stop], sup)
+            np.testing.assert_array_equal(whole[OMEGA2][start:stop], omega2)
+        with pytest.raises(ValueError, match="37 is not a multiple of 64"):
+            limit_law._functional_chunk(BOTH, None, 64, 13, 37, 200)
 
     def test_null_mixture_shift_reproduces_null_table(self):
         mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=2000)

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import arnorm.power_lab
 from arnorm import ArModel, Gaussian, StatKind
 from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.estimation import MAX_ORDER
@@ -17,7 +16,7 @@ from arnorm.power_lab import (
     run_size_study,
     write_power_csv,
 )
-from arnorm.rng import derive_seed, substream
+from arnorm.rng import derive_seed
 
 from conftest import AR_COEFFS
 from oracles import pipeline_statistics_by_replication
@@ -75,18 +74,23 @@ class TestPipelineStatistics:
             np.testing.assert_array_equal(a[kind], b[kind])
 
     def test_replications_use_independent_substreams(self, ar1_model):
-        # each replication draws from its own substream, so a shorter run is
-        # a prefix of a longer one
-        short = pipeline_statistics(ar1_model, 200, BOTH, 20, seed=2)
-        long = pipeline_statistics(ar1_model, 200, BOTH, 40, seed=2)
-        for kind in BOTH:
-            np.testing.assert_array_equal(short[kind], long[kind][:20])
+        # each block of 64 replications draws in order from its own
+        # substream, so a shorter run is a prefix of a longer one, also when
+        # it stops inside a block
+        long = pipeline_statistics(ar1_model, 200, BOTH, 300, seed=2)
+        for n_reps in (20, 201):
+            short = pipeline_statistics(ar1_model, 200, BOTH, n_reps, seed=2)
+            for kind in BOTH:
+                np.testing.assert_array_equal(short[kind], long[kind][:n_reps])
 
     def test_worker_count_invariance(self, ar1_model):
-        serial = pipeline_statistics(ar1_model, 150, BOTH, 30, seed=3, workers=1)
-        parallel = pipeline_statistics(ar1_model, 150, BOTH, 30, seed=3, workers=3)
-        for kind in BOTH:
-            np.testing.assert_array_equal(serial[kind], parallel[kind])
+        # 201 replications: pieces of whole 64-replication blocks, the last
+        # ending on a partial block
+        serial = pipeline_statistics(ar1_model, 150, BOTH, 201, seed=3, workers=1)
+        for workers in (2, 3):
+            parallel = pipeline_statistics(ar1_model, 150, BOTH, 201, seed=3, workers=workers)
+            for kind in BOTH:
+                np.testing.assert_array_equal(serial[kind], parallel[kind])
 
     def test_statistics_are_positive(self, ar1_model):
         stats = pipeline_statistics(ar1_model, 200, BOTH, 30, seed=4)
@@ -125,23 +129,18 @@ class TestBlockedPipeline:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("p", sorted(AR_COEFFS))
     def test_matches_replication_loop_across_workers(self, p, workers):
-        # 130 reps of n = 500 split into 65 + 65 rows: each worker ends on a
-        # partial block of its own
+        # 130 reps of n = 500 split into 64 + 66 rows at a stream block's
+        # edge: each worker ends on a partial pipeline block of its own
         model = ArModel(coeffs=AR_COEFFS[p], mean=0.0, innovation=_innovation("mixture", 500))
         expected = pipeline_statistics_by_replication(model, 500, BOTH, 130, seed=32)
         got = pipeline_statistics(model, 500, BOTH, 130, seed=32, workers=workers)
         for kind in BOTH:
             np.testing.assert_array_equal(got[kind], expected[kind])
 
-    def test_peak_memory_does_not_grow_with_replications(self, ar1_model, monkeypatch):
-        # A block holds a fixed number of values whatever n_reps is.  Streams
-        # come one at a time here: substreams holds the states of a whole key
-        # batch (up to 4096 keys), which is bounded on its own.  Only the
-        # outputs then grow: two kinds, a chunk's array and the joined copy.
-        monkeypatch.setattr(
-            arnorm.power_lab, "substreams",
-            lambda seed, start, stop: (substream(seed, r) for r in range(start, stop)),
-        )
+    def test_peak_memory_does_not_grow_with_replications(self, ar1_model):
+        # A block holds a fixed number of values whatever n_reps is, and the
+        # streams are opened one block of 64 replications at a time.  Only
+        # the outputs grow: two kinds, a chunk's array and the joined copy.
         pipeline_statistics(ar1_model, 2000, BOTH, 10, seed=33)  # lazy imports
         peaks = {}
         for n_reps in (200, 2000):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import arnorm.rng as rng_module
-from arnorm.rng import derive_seed, make_rng, map_replications, substream, substreams
+from arnorm.rng import (
+    REPLICATION_BLOCK,
+    derive_seed,
+    make_rng,
+    map_replications,
+    replication_blocks,
+    substream,
+)
 
 
 class TestSubstream:
@@ -51,43 +58,37 @@ class TestMakeRng:
 
 
 class TestSubstreams:
-    """``substreams`` restates numpy's seeding; it must match ``substream`` bit for bit."""
+    """``replication_blocks`` gives block ``k`` of 64 replications ``substream(seed, k)``."""
 
     SEEDS = [0, 1, 12345, 20240801, 2**62 + 12345, 2**64 + 7, 2**130 + 99, 2**200 + 3]
-    # from 0 and off 0; both sides of a 64-row path block and of a 4096-key
-    # batch; keys of one, two and three 32-bit words
+    # blocks from 0 and off 0; keys of one, two and three 32-bit words
     RANGES = [(0, 300), (37, 70), (4094, 4098), (2**32 - 2, 2**32 + 2),
               (2**40 + 3, 2**40 + 4), (2**63 + 1, 2**63 + 2), (2**64 - 1, 2**64 + 1)]
-
-    @staticmethod
-    def _assert_match(seed, start, stop):
-        draws = [stream.standard_normal(5) for stream in substreams(seed, start, stop)]
-        assert len(draws) == stop - start
-        for key, got in zip(range(start, stop), draws):
-            np.testing.assert_array_equal(got, substream(seed, key).standard_normal(5))
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("start, stop", RANGES)
     def test_matches_substream(self, seed, start, stop):
-        self._assert_match(seed, start, stop)
-
-    def test_key_batches_do_not_change_streams(self, monkeypatch):
-        monkeypatch.setattr(rng_module, "_KEY_BATCH", 7)
-        self._assert_match(20240801, 3, 40)
+        # replications of blocks start..stop-1, the last block one short
+        first, last = start * REPLICATION_BLOCK, stop * REPLICATION_BLOCK - 1
+        blocks = list(replication_blocks(seed, first, last))
+        assert len(blocks) == stop - start
+        for key, (stream, lo, hi) in zip(range(start, stop), blocks):
+            assert (lo, hi) == (key * REPLICATION_BLOCK, min(lo + REPLICATION_BLOCK, last))
+            np.testing.assert_array_equal(
+                stream.standard_normal(5), substream(seed, key).standard_normal(5)
+            )
 
     def test_empty_range(self):
-        assert list(substreams(5, 10, 10)) == []
-        assert list(substreams(5, 10, 3)) == []
+        assert list(replication_blocks(5, 640, 640)) == []
+        assert list(replication_blocks(5, 640, 192)) == []
 
     def test_negative_seed_rejected_before_iteration(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-            substreams(-1, 0, 0)
+            replication_blocks(-1, 0, 0)
 
-    def test_seeding_mismatch_raises(self, monkeypatch):
-        # a numpy that hashed seeds differently must fail loudly, not drift
-        monkeypatch.setattr(rng_module, "_MULT_B", rng_module._MULT_B ^ 1)
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            next(substreams(20240801, 5, 9))
+    def test_off_edge_start_rejected(self):
+        with pytest.raises(ValueError, match="start 37 is not a multiple of 64"):
+            replication_blocks(5, 37, 200)
 
 
 @pytest.mark.parametrize("derive", [make_rng, substream, derive_seed])
@@ -98,6 +99,10 @@ def test_negative_seed_named_in_error(derive):
 
 def _squares(offset, start, stop):
     return {"x": offset + np.arange(start, stop) ** 2}
+
+
+def _piece_bounds(start, stop):
+    return {"bounds": np.array([start, stop])}
 
 
 class _InlinePool:
@@ -121,11 +126,19 @@ class _InlinePool:
 class TestMapReplications:
     @pytest.mark.parametrize("workers, cpus, processes", [(64, 2, 2), (3, 8, 3)])
     def test_pool_capped_at_available_cpus(self, monkeypatch, workers, cpus, processes):
-        # the range is still cut into `workers` pieces; only the process
-        # count is capped, and no process is started here
+        # 200 replications are four blocks, so 64 workers get four pieces and
+        # 3 get three; only the process count is capped, and no process is
+        # started here
         monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(rng_module, "_available_cpus", lambda: cpus)
         _InlinePool.sizes = []
         split = map_replications(_squares, (5,), 200, workers=workers)
         assert _InlinePool.sizes == [processes]
         np.testing.assert_array_equal(split["x"], _squares(5, 0, 200)["x"])
+
+    def test_pieces_cut_at_block_edges(self, monkeypatch):
+        # 201 replications are four 64-replication blocks, the last partial;
+        # three pieces take whole blocks, so no block is split between them
+        monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _InlinePool)
+        bounds = map_replications(_piece_bounds, (), 201, workers=3)["bounds"]
+        np.testing.assert_array_equal(bounds, [0, 64, 64, 128, 128, 201])
