@@ -34,13 +34,11 @@ __all__ = [
     "UniformLaw",
     "StudentTLaw",
     "TwoPointLaw",
-    "CustomLaw",
     "parse_alternative_law",
     "Mixture",
     "ArModel",
     "SeriesSample",
     "char_root_radius",
-    "ma_coefficients",
     "default_burn_in",
     "simulate_ar",
 ]
@@ -54,6 +52,14 @@ def _require_positive(name: str, value) -> None:
     """Reject a scale or variance parameter that is not positive and finite."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
+
+
+def _require_scale(name: str, value) -> None:
+    """Reject a scale that is not positive and finite or whose square, the
+    variance, overflows."""
+    _require_positive(name, value)
+    if not float(value) * float(value) < math.inf:
+        raise ValueError(f"{name} must have a finite variance {name}**2, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +104,7 @@ class Gaussian(ZeroMeanLaw):
     lipschitz_density = True
 
     def __post_init__(self) -> None:
-        _require_positive("sigma", self.sigma)
+        _require_scale("sigma", self.sigma)
 
     @property
     def variance(self) -> float:
@@ -150,6 +156,7 @@ class UniformLaw(ZeroMeanLaw):
 
     def __post_init__(self) -> None:
         _require_positive("variance", self.variance_)
+        _require_positive("half width", self.half_width)
 
     @property
     def variance(self) -> float:
@@ -209,7 +216,7 @@ class TwoPointLaw(ZeroMeanLaw):
     lipschitz_density = False
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
+        _require_scale("a", self.a)
 
     @property
     def variance(self) -> float:
@@ -222,32 +229,6 @@ class TwoPointLaw(ZeroMeanLaw):
 
     def sample(self, rng, size):
         return np.where(rng.random(size) < 0.5, self.a, -self.a)
-
-
-class CustomLaw(ZeroMeanLaw):
-    """Wrap a user-supplied CDF and sampler into a zero-mean law.
-
-    The declared zero mean and ``variance`` are trusted, not verified.  The
-    sampler takes a Generator and returns one draw; vector sampling falls
-    back to a Python loop, so prefer the built-in laws in hot paths.
-    """
-
-    def __init__(self, cdf, sampler, variance: float, lipschitz_density: bool = False):
-        _require_positive("variance", variance)
-        self._cdf = cdf
-        self._sampler = sampler
-        self._variance = float(variance)
-        self.lipschitz_density = bool(lipschitz_density)
-
-    @property
-    def variance(self) -> float:
-        return self._variance
-
-    def cdf(self, x):
-        return self._cdf(x)
-
-    def sample(self, rng, size):
-        return np.array([self._sampler(rng) for _ in range(size)])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +296,7 @@ class Mixture(ZeroMeanLaw):
     n: int
 
     def __post_init__(self) -> None:
-        _require_positive("sigma0", self.sigma0)
+        _require_scale("sigma0", self.sigma0)
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError("n must be an integer >= 2")
         if not isinstance(self.h, ZeroMeanLaw):
@@ -437,29 +418,15 @@ def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return lfilter([1.0], np.concatenate(([1.0], -coeffs)), x)
 
 
-def ma_coefficients(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """First ``m + 1`` moving-average weights of the stationary solution.
-
-    Returns ``(ma_0, ..., ma_m)`` with ``ma_0 = 1`` and
-    ``ma_j = coeffs[0] * ma_{j-1} + ... + coeffs[p-1] * ma_{j-p}`` (weights
-    with negative index being zero); equivalently the impulse response of
-    the AR filter.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    impulse = np.zeros(m + 1)
-    impulse[0] = 1.0
-    return _ar_filter(coeffs, impulse)
-
-
 def default_burn_in(p: int) -> int:
-    """Default warm-up length ``1000 + 100 p`` discarded before sampling.
+    """Default warm-up length ``b = 1000 + 100 p`` discarded before sampling.
 
-    Long enough that the geometric start-up transient is far below double
-    precision for any model passing the stationarity gate at realistic
-    root radii; increase it explicitly for models with roots extremely
-    close to the unit circle.
+    The start-up transient decays like ``r**b`` in the root radius ``r``,
+    which falls below double precision (2**-53) only for
+    ``r < 2**(-53 / b)``: for AR(1) (b = 1100) that is ``|beta| < 0.967``.
+    Nearer the unit circle the series starts short of stationarity; at
+    ``beta = 0.999`` the first value has ``1 - beta**2200 = 0.889`` of the
+    stationary variance.  Pass ``burn_in`` explicitly for such models.
     """
     return 1000 + 100 * int(p)
 

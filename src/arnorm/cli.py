@@ -156,6 +156,15 @@ def _check_seed(args) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {args.seed} (--seed)")
 
 
+@contextlib.contextmanager
+def _named_flag(flag):
+    """Name ``flag`` after the message of a ``ValueError`` raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({flag})") from None
+
+
 def _check_table_flags(args) -> None:
     """Reject bad table flags by their names, before any input is read."""
     if args.reps < 1:
@@ -422,7 +431,11 @@ def _cmd_power(args, out) -> int:
     results = []
     for h_text, spec in cells:
         study = run_size_study if h_text == "none" else run_power_study
-        results.append((h_text, spec, study(spec, kinds, workers=args.workers)))
+        try:
+            reports = study(spec, kinds, workers=args.workers)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {h_text}: {exc}") from None
+        results.append((h_text, spec, reports))
     header = _header_lines("power", {"command": "power", **config}, config["seed"])
     header.extend(notes)
     write_power_csv(results, out or sys.stdout, header_comments=header)
@@ -432,6 +445,10 @@ def _cmd_power(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     if args.n < 1:
         raise ValueError("--n must be positive")
+    if args.h is not None and args.n < 2:
+        raise ValueError("n must be an integer >= 2 (--n)")
+    if args.burn_in is not None and args.burn_in < 0:
+        raise ValueError("burn_in must be nonnegative (--burn-in)")
     _check_seed(args)
     try:
         beta = np.array([float(tok) for tok in args.beta.split(",")] if args.beta else [])
@@ -439,17 +456,20 @@ def _cmd_simulate(args, out) -> int:
         raise ValueError(
             f"--beta must be comma-separated numbers, got {args.beta!r}"
         ) from None
+    if args.n < beta.size + 1:
+        raise ValueError("series too short: requires n >= p + 1 (--n)")
     if not math.isfinite(args.mu):
         raise ValueError("--mu must be finite")
     if not 0.0 < args.sigma0 < math.inf:
         raise ValueError("--sigma0 must be positive and finite")
-    if args.h is None:
+    with _named_flag("--sigma0"):
         innovation = Gaussian(args.sigma0)
-    else:
+    if args.h is not None:
         innovation = Mixture(
             sigma0=args.sigma0, h=parse_alternative_law(args.h, args.sigma0), n=args.n
         )
-    model = ArModel(coeffs=beta, mean=args.mu, innovation=innovation)
+    with _named_flag("--beta"):
+        model = ArModel(coeffs=beta, mean=args.mu, innovation=innovation)
     sample = simulate_ar(model, args.n, burn_in=args.burn_in, seed=args.seed)
     config = {
         "command": "simulate",

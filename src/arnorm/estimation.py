@@ -18,26 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs
 
-from .ar_process import char_root_radius, ma_coefficients, SeriesSample
+from .ar_process import SeriesSample
 from .errors import DegenerateDataError
 
-__all__ = [
-    "MAX_ORDER",
-    "ResidualFit",
-    "ols_estimate",
-    "residuals",
-    "fit_ar",
-    "autocov_matrix",
-]
+__all__ = ["MAX_ORDER", "ResidualFit", "fit_ar"]
 
 # Guard against runaway designs; the asymptotics here are fixed-order.
 MAX_ORDER = 20
-
-# Tail cutoff for the moving-average series in autocov_matrix.
-_MA_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,7 +39,7 @@ class ResidualFit:
 
     beta_hat: np.ndarray
     residuals: np.ndarray
-    mean_hat: float = 0.0
+    mean_hat: float
     s2_hat: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -170,77 +159,11 @@ def _fit_rows(values: np.ndarray, p: int):
     return beta, resid, mean
 
 
-def ols_estimate(sample: SeriesSample) -> np.ndarray:
-    """Least-squares AR coefficients of the centered series.
-
-    The first ``p`` values condition the regression; no observations are
-    lost beyond them.  Raises :class:`~arnorm.errors.DegenerateDataError`
-    when the normal equations are singular (degenerate series).
-    """
-    centered, _ = _centered_rows(sample.values[None], sample.p)
-    return _ols_rows(centered, sample.p)[0]
-
-
-def residuals(sample: SeriesSample, beta_hat) -> ResidualFit:
-    """Residuals of the lag regression of the centered series on ``beta_hat``.
-
-    ``residual_t = u_t - sum_k beta_hat[k-1] * u_{t-k}`` for the ``n``
-    working time points, where ``u`` is the series minus its working-sample
-    average.  ``beta_hat`` may come from any estimator but must have
-    ``sample.p`` entries.
-    """
-    beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
-    if beta_hat.size != sample.p:
-        raise ValueError(
-            f"beta_hat has {beta_hat.size} coefficients; the sample has order {sample.p}"
-        )
-    centered, mean = _centered_rows(sample.values[None], sample.p)
-    eps = _residual_rows(centered, beta_hat[None])[0]
-    return ResidualFit(beta_hat=beta_hat, residuals=eps, mean_hat=float(mean[0]))
-
-
 def fit_ar(sample: SeriesSample) -> ResidualFit:
-    """Full pipeline: center, estimate coefficients, extract residuals."""
+    """Full pipeline: center, estimate coefficients, extract residuals.
+
+    Raises :class:`~arnorm.errors.DegenerateDataError` when the normal
+    equations are singular (a degenerate series).
+    """
     beta, resid, mean = _fit_rows(sample.values[None], sample.p)
     return ResidualFit(beta_hat=beta[0], residuals=resid[0], mean_hat=float(mean[0]))
-
-
-def autocov_matrix(coeffs, sigma0: float) -> np.ndarray:
-    """Covariance matrix of ``p`` consecutive values of the centered process.
-
-    Entry ``(i, j)`` is ``Cov(u_t, u_{t+|i-j|})``, a symmetric Toeplitz
-    matrix; it normalizes the asymptotic covariance of the least-squares
-    coefficient estimate (which is ``sigma0**2`` times its inverse).
-
-    Computed from the moving-average representation:
-    ``Cov(u_t, u_{t+d}) = sigma0**2 * sum_m ma[m] * ma[m+d]``, with the
-    series truncated once the geometric tail bound ``c * radius**m`` falls
-    below 1e-12.
-    """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if not sigma0 > 0:
-        raise ValueError("sigma0 must be positive")
-    p = coeffs.size
-    if p == 0:
-        return np.empty((0, 0))
-    radius = char_root_radius(coeffs)
-    if radius >= 1.0:
-        raise ValueError("coefficients are not stationary")
-    m = 128
-    while True:
-        ma = ma_coefficients(coeffs, m)
-        powers = radius ** np.arange(m + 1) if radius > 0 else np.zeros(m + 1)
-        positive = powers > 0
-        if radius == 0:
-            c = float(np.max(np.abs(ma)))
-            break
-        c = float(np.max(np.abs(ma[positive]) / powers[positive]))
-        if c * radius**m < _MA_TAIL_TOL:
-            break
-        if m >= 1 << 22:
-            raise ValueError("moving-average tail does not decay; check coefficients")
-        m *= 2
-    first_row = np.array(
-        [sigma0**2 * float(np.dot(ma[: ma.size - d], ma[d:])) for d in range(p)]
-    )
-    return toeplitz(first_row)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import DegenerateDataError
 from .estimation import ResidualFit
@@ -35,36 +35,31 @@ __all__ = [
     "omega2_from_transforms",
     "kolmogorov_stat",
     "omega2_stat",
-    "residual_edf",
-    "eval_process",
-    "innovation_edf_gap",
 ]
 
 
 @dataclass(frozen=True)
 class GofResult:
-    """Outcome of one test: the statistic plus optional table-based extras."""
+    """Outcome of one test against a limit table at level ``alpha``."""
 
     kind: StatKind
     value: float
-    p_value: float | None = None
-    critical_value: float | None = None
-    alpha: float | None = None
+    p_value: float
+    critical_value: float
+    alpha: float
 
     def __post_init__(self) -> None:
         if not self.value >= 0.0:
             raise ValueError("statistic value must be nonnegative")
-        if self.p_value is not None and not 0.0 < self.p_value <= 1.0:
+        if not 0.0 < self.p_value <= 1.0:
             # 1.0 is attainable: the Monte Carlo convention returns
             # (n_reps + 1) / (n_reps + 1) when the observed value does not
             # exceed a single tabulated one
             raise ValueError("p_value must lie in (0, 1]")
 
     @property
-    def rejected(self) -> bool | None:
-        """Reject iff the statistic exceeds the critical value (if available)."""
-        if self.critical_value is None:
-            return None
+    def rejected(self) -> bool:
+        """Reject iff the statistic exceeds the critical value."""
         return self.value > self.critical_value
 
 
@@ -121,96 +116,30 @@ def omega2_from_transforms(z: np.ndarray):
 
 
 def _finish(kind, value, table, alpha):
-    if table is None:
-        if alpha is not None:
-            raise ValueError("alpha requires a limit table")
-        return GofResult(kind=kind, value=value)
     if not isinstance(table, LimitLawTable):
         raise TypeError("table must be a LimitLawTable")
     if table.kind is not kind:
         raise ValueError(
             f"table holds the {table.kind.value} law, not {kind.value}"
         )
-    critical = quantile(table, alpha) if alpha is not None else None
     return GofResult(
         kind=kind,
         value=value,
         p_value=mc_p_value(table, value),
-        critical_value=critical,
+        critical_value=quantile(table, alpha),
         alpha=alpha,
     )
 
 
-def kolmogorov_stat(
-    fit: ResidualFit,
-    table: LimitLawTable | None = None,
-    alpha: float | None = None,
-) -> GofResult:
-    """Scaled supremum distance between residual EDF and the normal fit.
-
-    With a null ``table`` the result also carries a Monte Carlo p-value,
-    and with ``alpha`` a critical value and rejection verdict.
-    """
+def kolmogorov_stat(fit: ResidualFit, table: LimitLawTable, alpha: float) -> GofResult:
+    """Scaled supremum distance between residual EDF and the normal fit,
+    with its Monte Carlo p-value from the null ``table`` and the table's
+    level-``alpha`` critical value and verdict."""
     value = kolmogorov_from_transforms(probability_transforms(fit))
     return _finish(StatKind.KOLMOGOROV, value, table, alpha)
 
 
-def omega2_stat(
-    fit: ResidualFit,
-    table: LimitLawTable | None = None,
-    alpha: float | None = None,
-) -> GofResult:
+def omega2_stat(fit: ResidualFit, table: LimitLawTable, alpha: float) -> GofResult:
     """Integrated squared distance statistic; see :func:`kolmogorov_stat`."""
     value = omega2_from_transforms(probability_transforms(fit))
     return _finish(StatKind.OMEGA2, value, table, alpha)
-
-
-def residual_edf(fit: ResidualFit, x):
-    """Empirical distribution function of the residuals at ``x`` (vectorized)."""
-    sorted_resid = np.sort(fit.residuals)
-    x_arr = np.asarray(x, dtype=float)
-    values = np.searchsorted(sorted_resid, x_arr, side="right") / fit.n
-    if values.ndim == 0:
-        return float(values)
-    return values
-
-
-def eval_process(fit: ResidualFit, t_grid) -> np.ndarray:
-    """Evaluate ``sqrt(n) * (EDF(s_hat * quantile(t)) - t)`` on a grid.
-
-    ``t_grid`` must be strictly increasing with all points in the open
-    interval (0, 1).  The supremum of ``|values|`` over a fine grid lower
-    bounds the supremum statistic (the process jumps between grid points).
-    Returns the process values, one per grid point.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty vector")
-    if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
-        raise ValueError("grid points must lie strictly inside (0, 1)")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("grid points must be strictly increasing")
-    _check_scale(fit.s2_hat)
-    x = fit.s_hat * ndtri(t_grid)
-    return np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
-
-
-def innovation_edf_gap(fit: ResidualFit, innovations: np.ndarray) -> float:
-    """Scaled sup-distance between residual EDF and recentred innovation EDF.
-
-    Compares the EDF of the fitted residuals with the EDF of the true
-    innovations shifted by their own sample mean, i.e. the expansion that
-    links the residual process to the innovation process.  The value is
-    ``sqrt(n) * sup_x |EDF_resid(x) - EDF_innov(x + mean(innovations))|``;
-    it should shrink as the sample grows when the fitted model is the true
-    one.
-    """
-    innovations = np.asarray(innovations, dtype=float)
-    if innovations.size != fit.n:
-        raise ValueError("need exactly one innovation per residual")
-    a = np.sort(fit.residuals)
-    b = np.sort(innovations - np.mean(innovations))
-    points = np.concatenate([a, b])
-    edf_a = np.searchsorted(a, points, side="right") / fit.n
-    edf_b = np.searchsorted(b, points, side="right") / fit.n
-    return float(np.sqrt(fit.n) * np.max(np.abs(edf_a - edf_b)))

@@ -49,7 +49,6 @@ __all__ = [
     "SUP_CONTINUITY_BETA",
     "StatKind",
     "LimitLawTable",
-    "cov_eval",
     "cov_matrix",
     "local_shift",
     "simulate_limit_tables",
@@ -101,24 +100,15 @@ def _pdf_terms(t):
     return a, b
 
 
-def cov_eval(s, t):
-    """Covariance kernel of the limiting process, vectorized over s, t."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any((s < 0) | (s > 1)) or np.any((t < 0) | (t > 1)):
-        raise ValueError("kernel arguments must lie in [0, 1]")
-    a_s, b_s = _pdf_terms(s)
-    a_t, b_t = _pdf_terms(t)
-    value = np.minimum(s, t) - s * t - a_s * a_t - 0.5 * b_s * b_t
-    if value.ndim == 0:
-        return float(value)
-    return value
-
-
 def cov_matrix(t_grid) -> np.ndarray:
-    """Kernel matrix ``c(t_i, t_j)`` on a grid of points in [0, 1]."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    return cov_eval(t_grid[:, None], t_grid[None, :])
+    """Covariance kernel ``c(t_i, t_j)`` of the limiting process on a grid
+    of points in [0, 1]."""
+    t = np.asarray(t_grid, dtype=float)
+    if np.any((t < 0) | (t > 1)):
+        raise ValueError("kernel arguments must lie in [0, 1]")
+    s, u = t[:, None], t[None, :]
+    a, b = _pdf_terms(t)
+    return np.minimum(s, u) - s * u - a[:, None] * a[None, :] - 0.5 * b[:, None] * b[None, :]
 
 
 def local_shift(mixture: Mixture, t):
@@ -288,6 +278,10 @@ def simulate_limit_tables(
         raise ValueError("grid_size must be at least 2")
     args = (kinds, shift, grid_size, seed)
     samples = map_replications(_functional_chunk, args, n_reps, workers)
+    for kind in kinds:
+        # null paths are bounded; only a huge shift can overflow a functional
+        if not np.all(np.isfinite(samples[kind])):
+            raise ValueError(f"{kind.value} limit samples overflow under the shift")
     return {
         kind: LimitLawTable(kind=kind, shift=shift, samples=np.sort(samples[kind]),
                             grid_size=grid_size, n_reps=n_reps, seed=seed)

@@ -9,25 +9,36 @@ must agree bit for bit: :func:`fit_by_design_matrix` fits one series from
 its column-stacked lag design, and :func:`pipeline_statistics_by_replication`
 runs the simulate/fit/test pipeline one replication at a time through the
 public single-series functions.
+
+The residual EDF and the process evaluated from it (:func:`residual_edf`,
+:func:`eval_process`), the residual-vs-innovation EDF gap
+(:func:`innovation_edf_gap`) and the stationary autocovariance matrix
+(:func:`autocov_matrix`, from the moving-average weights of
+:func:`ma_coefficients`) are reference quantities that only tests use.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, toeplitz
+from scipy.signal import lfilter
 from scipy.special import ndtri
 from scipy.stats import kstwobign
 
-from arnorm.ar_process import simulate_ar
+from arnorm.ar_process import char_root_radius, simulate_ar
 from arnorm.estimation import fit_ar
 from arnorm.gof_tests import (
+    _check_scale,
     kolmogorov_from_transforms,
     omega2_from_transforms,
     probability_transforms,
 )
 from arnorm.limit_law import SUP_CONTINUITY_BETA, StatKind
 from arnorm.rng import substream
+
+# Tail cutoff for the moving-average series in autocov_matrix.
+_MA_TAIL_TOL = 1e-12
 
 
 def read_numbers_by_float(path):
@@ -166,3 +177,111 @@ def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed, burn_in=No
             else:
                 out[kind][r] = omega2_from_transforms(transforms)
     return out
+
+
+def residual_edf(fit, x):
+    """Empirical distribution function of the residuals at ``x`` (vectorized)."""
+    sorted_resid = np.sort(fit.residuals)
+    x_arr = np.asarray(x, dtype=float)
+    values = np.searchsorted(sorted_resid, x_arr, side="right") / fit.n
+    if values.ndim == 0:
+        return float(values)
+    return values
+
+
+def eval_process(fit, t_grid):
+    """Evaluate ``sqrt(n) * (EDF(s_hat * quantile(t)) - t)`` on a grid.
+
+    ``t_grid`` must be strictly increasing with all points in the open
+    interval (0, 1).  The supremum of ``|values|`` over a fine grid lower
+    bounds the supremum statistic (the process jumps between grid points).
+    Returns the process values, one per grid point.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty vector")
+    if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
+        raise ValueError("grid points must lie strictly inside (0, 1)")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("grid points must be strictly increasing")
+    _check_scale(fit.s2_hat)
+    x = fit.s_hat * ndtri(t_grid)
+    return np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
+
+
+def innovation_edf_gap(fit, innovations):
+    """Scaled sup-distance between residual EDF and recentred innovation EDF.
+
+    Compares the EDF of the fitted residuals with the EDF of the true
+    innovations shifted by their own sample mean, i.e. the expansion that
+    links the residual process to the innovation process.  The value is
+    ``sqrt(n) * sup_x |EDF_resid(x) - EDF_innov(x + mean(innovations))|``;
+    it should shrink as the sample grows when the fitted model is the true
+    one.
+    """
+    innovations = np.asarray(innovations, dtype=float)
+    if innovations.size != fit.n:
+        raise ValueError("need exactly one innovation per residual")
+    a = np.sort(fit.residuals)
+    b = np.sort(innovations - np.mean(innovations))
+    points = np.concatenate([a, b])
+    edf_a = np.searchsorted(a, points, side="right") / fit.n
+    edf_b = np.searchsorted(b, points, side="right") / fit.n
+    return float(np.sqrt(fit.n) * np.max(np.abs(edf_a - edf_b)))
+
+
+def ma_coefficients(coeffs, m):
+    """First ``m + 1`` moving-average weights of the stationary solution.
+
+    Returns ``(ma_0, ..., ma_m)`` with ``ma_0 = 1`` and
+    ``ma_j = coeffs[0] * ma_{j-1} + ... + coeffs[p-1] * ma_{j-p}`` (weights
+    with negative index being zero); equivalently the impulse response of
+    the AR filter.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    impulse = np.zeros(m + 1)
+    impulse[0] = 1.0
+    return lfilter([1.0], np.concatenate(([1.0], -coeffs)), impulse)
+
+
+def autocov_matrix(coeffs, sigma0):
+    """Covariance matrix of ``p`` consecutive values of the centered process.
+
+    Entry ``(i, j)`` is ``Cov(u_t, u_{t+|i-j|})``, a symmetric Toeplitz
+    matrix; it normalizes the asymptotic covariance of the least-squares
+    coefficient estimate (which is ``sigma0**2`` times its inverse).
+
+    Computed from the moving-average representation:
+    ``Cov(u_t, u_{t+d}) = sigma0**2 * sum_m ma[m] * ma[m+d]``, with the
+    series truncated once the geometric tail bound ``c * radius**m`` falls
+    below 1e-12.
+    """
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if not sigma0 > 0:
+        raise ValueError("sigma0 must be positive")
+    p = coeffs.size
+    if p == 0:
+        return np.empty((0, 0))
+    radius = char_root_radius(coeffs)
+    if radius >= 1.0:
+        raise ValueError("coefficients are not stationary")
+    m = 128
+    while True:
+        ma = ma_coefficients(coeffs, m)
+        powers = radius ** np.arange(m + 1) if radius > 0 else np.zeros(m + 1)
+        positive = powers > 0
+        if radius == 0:
+            c = float(np.max(np.abs(ma)))
+            break
+        c = float(np.max(np.abs(ma[positive]) / powers[positive]))
+        if c * radius**m < _MA_TAIL_TOL:
+            break
+        if m >= 1 << 22:
+            raise ValueError("moving-average tail does not decay; check coefficients")
+        m *= 2
+    first_row = np.array(
+        [sigma0**2 * float(np.dot(ma[: ma.size - d], ma[d:])) for d in range(p)]
+    )
+    return toeplitz(first_row)

@@ -105,6 +105,28 @@ class TestSimulate:
         assert "arnorm: --sigma0 must be positive and finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--burn-in", "-1"], "burn_in must be nonnegative (--burn-in)"),
+         (["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2 (--n)"),
+         (["--n", "3", "--beta", "0.1,0.1,0.1"],
+          "series too short: requires n >= p + 1 (--n)"),
+         (["--beta", "0.5,nan"], "coeffs must be finite (--beta)"),
+         (["--sigma0", "1e200"],
+          "sigma must have a finite variance sigma**2, got 1e+200 (--sigma0)")],
+        ids=["burn-in", "n-mixture", "n-below-order", "beta-nan", "sigma0-overflow"],
+    )
+    def test_bad_flag_named_before_simulating(self, capsys, monkeypatch, flags, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated with a bad flag")
+
+        monkeypatch.setattr(arnorm.cli, "simulate_ar", must_not_run)
+        # a repeated --n overrides the first
+        assert main(["simulate", "--n", "30", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"arnorm: {message}\n"
+        assert captured.out == ""
+
 
 class TestTest:
     def test_gaussian_series_not_rejected(self, tmp_path, capsys, small_tables):
@@ -206,7 +228,7 @@ class TestTest:
         # fit whose mean squared residual overflows
         residuals = np.full(40, 1e200)
         with np.errstate(over="ignore"):
-            overflowing = ResidualFit(beta_hat=np.empty(0), residuals=residuals)
+            overflowing = ResidualFit(beta_hat=np.empty(0), residuals=residuals, mean_hat=0.0)
         monkeypatch.setattr(arnorm.cli, "fit_ar", lambda sample: overflowing)
         series = tmp_path / "series.txt"
         _write_series(series, substream(134).normal(size=40))
@@ -642,6 +664,32 @@ class TestPower:
         assert message in captured.err
         assert captured.out == ""
         assert calls == []
+
+    @pytest.mark.parametrize("h", ["gauss:1e200", "gauss-scale:1e160", "twopoint:1e200"])
+    def test_overflowing_variance_is_an_invalid_law(self, tmp_path, capsys, monkeypatch, h):
+        # the law's variance overflowed when first read, with a traceback
+        calls = []
+        monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables",
+                            lambda *args, **kwargs: calls.append(args))
+        config = _power_config(tmp_path, h=h, n_reps=100, limit_reps=200, grid=16)
+        assert main(["power", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"arnorm: {config}: invalid law descriptor {h!r}: ")
+        assert "finite variance" in captured.err
+        assert captured.out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("h", ["laplace:1e308", "student:3,1e308"])
+    def test_overflowing_shifted_table_names_the_alternative(self, tmp_path, capsys, h):
+        # the variance is finite, but the omega-square functional of the
+        # shifted paths overflows
+        config = _power_config(tmp_path, h=h, n_reps=100, limit_reps=200, grid=16)
+        assert main(["power", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"arnorm: {config}: {h}: omega2 limit samples overflow under the shift\n"
+        )
+        assert captured.out == ""
 
 
 class TestEntryPoint:

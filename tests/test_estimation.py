@@ -8,37 +8,44 @@ from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.estimation import (
     MAX_ORDER,
     ResidualFit,
+    _centered_rows,
     _fit_rows,
-    autocov_matrix,
-    ols_estimate,
-    residuals,
+    _ols_rows,
+    _residual_rows,
 )
 from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
 
 from conftest import AR_COEFFS
-from oracles import fit_by_design_matrix
+from oracles import autocov_matrix, fit_by_design_matrix
+
+
+def _residuals(values, beta):
+    """The fit's centering and lag regression of one series on a given ``beta``."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    centered, mean = _centered_rows(np.asarray(values, dtype=float)[None], beta.size)
+    eps = _residual_rows(centered, beta[None])[0]
+    return ResidualFit(beta_hat=beta, residuals=eps, mean_hat=float(mean[0]))
 
 
 class TestCenterSeries:
-    # centering is private to the fit; residuals() shows it through mean_hat
+    # centering is private to the fit; _residuals() shows it through mean_hat
 
     def test_small_example(self):
-        sample = SeriesSample.from_values([3.0, 1.0, 2.0, 3.0], p=1)
-        fit = residuals(sample, [1.0])
+        fit = _residuals([3.0, 1.0, 2.0, 3.0], [1.0])
         assert fit.mean_hat == 2.0  # mean of the n = 3 working values only
         # centered values [1, -1, 0, 1], differenced
         np.testing.assert_array_equal(fit.residuals, [-2.0, 1.0, 1.0])
 
     def test_constant_series_centers_to_zero(self):
-        fit = residuals(SeriesSample.from_values(np.full(7, 5.25), p=2), [0.3, -0.2])
+        fit = _residuals(np.full(7, 5.25), [0.3, -0.2])
         assert fit.mean_hat == 5.25
         np.testing.assert_array_equal(fit.residuals, np.zeros(5))
 
     def test_presample_values_share_the_same_mean(self):
         # the pre-sample value is centered by the working-sample mean 2,
         # not by a mean of its own: centered values are [98, -1, 1]
-        fit = residuals(SeriesSample.from_values([100.0, 1.0, 3.0], p=1), [1.0])
+        fit = _residuals([100.0, 1.0, 3.0], [1.0])
         assert fit.mean_hat == 2.0
         np.testing.assert_array_equal(fit.residuals, [-99.0, 2.0])
 
@@ -49,16 +56,16 @@ class TestOlsEstimate:
         # mean is exactly 0 and the Gram matrix 16 * 0.5**2 = 4 after scaling
         # to [0.5, 1), so the solve is exact
         values = (-1.0) ** np.arange(17.0)
-        beta_hat = ols_estimate(SeriesSample.from_values(values, p=1))
+        beta_hat = fit_ar(SeriesSample.from_values(values, p=1)).beta_hat
         np.testing.assert_array_equal(beta_hat, [-1.0])
 
     def test_order_zero_has_no_parameters(self):
-        assert ols_estimate(SeriesSample.from_values([1.0, -1.0], p=0)).shape == (0,)
+        assert fit_ar(SeriesSample.from_values([1.0, -1.0], p=0)).beta_hat.shape == (0,)
 
     def test_monte_carlo_consistency(self):
         model = ArModel(coeffs=(0.6,), mean=1.0, innovation=Gaussian(1.0))
         for seed in (0, 1, 2):
-            beta_hat = ols_estimate(simulate_ar(model, n=10_000, seed=seed))
+            beta_hat = fit_ar(simulate_ar(model, n=10_000, seed=seed)).beta_hat
             assert abs(beta_hat[0] - 0.6) < 0.05
 
     def test_error_halves_when_n_quadruples(self):
@@ -68,7 +75,7 @@ class TestOlsEstimate:
             errs = []
             for rep in range(200):
                 sample = simulate_ar(model, n=n, seed=substream(777, n, rep))
-                errs.append(abs(ols_estimate(sample)[0] - 0.5))
+                errs.append(abs(fit_ar(sample).beta_hat[0] - 0.5))
             errors[n] = np.median(errs)
         ratio = errors[4000] / errors[1000]
         assert 0.35 < ratio < 0.7  # root-n rate: ideal ratio is 0.5
@@ -76,56 +83,45 @@ class TestOlsEstimate:
     def test_constant_series_is_singular(self):
         sample = SeriesSample.from_values(np.full(30, 2.0), p=1)
         with pytest.raises(DegenerateDataError, match="^singular normal equations"):
-            ols_estimate(sample)
+            fit_ar(sample)
 
     def test_order_above_limit_rejected(self):
         values = substream(4).normal(size=MAX_ORDER + 40)
         message = f"^p must not exceed {MAX_ORDER}, got {MAX_ORDER + 1}$"
         with pytest.raises(ValueError, match=message):
-            ols_estimate(SeriesSample.from_values(values, p=MAX_ORDER + 1))
+            fit_ar(SeriesSample.from_values(values, p=MAX_ORDER + 1))
 
 
 class TestResiduals:
     def test_tiny_example(self):
-        fit = residuals(SeriesSample.from_values([1.0, 2.0, 3.0], p=1), np.array([1.0]))
+        fit = _residuals([1.0, 2.0, 3.0], [1.0])
         np.testing.assert_array_equal(fit.residuals, [1.0, 1.0])
         assert fit.s2_hat == 1.0
         assert fit.n == 2 and fit.order == 1
 
     def test_zero_coefficients_return_centered_values(self):
         values = np.array([0.5, -1.5, 2.5, -1.5])
-        fit = residuals(SeriesSample.from_values(values, p=1), np.array([0.0]))
+        fit = _residuals(values, [0.0])
         np.testing.assert_array_equal(fit.residuals, values[1:] - fit.mean_hat)
 
     def test_scale_estimate_is_mean_square(self):
         values = substream(6).normal(size=50)
-        fit = residuals(SeriesSample.from_values(values, p=2), np.array([0.3, -0.2]))
+        fit = _residuals(values, [0.3, -0.2])
         assert fit.s2_hat == float(np.mean(np.square(fit.residuals)))
         assert fit.s_hat == np.sqrt(fit.s2_hat)
 
     def test_scale_estimate_is_not_an_argument(self):
         with pytest.raises(TypeError):
-            ResidualFit(beta_hat=np.empty(0), residuals=np.array([1.0, -1.0]), s2_hat=1.0)
-
-    def test_wrong_order_rejected(self):
-        sample = SeriesSample.from_values(np.arange(6.0), p=1)
-        with pytest.raises(ValueError):
-            residuals(sample, np.array([0.5, 0.1]))
-
-    def test_external_coefficients_accepted(self):
-        # room for user-supplied estimators: residuals() takes any coefficient
-        # vector, not only the least-squares one
-        model = ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(1.0))
-        fit = residuals(simulate_ar(model, n=200, seed=8), np.array([0.47]))
-        assert fit.beta_hat[0] == 0.47
-        assert fit.s2_hat > 0
+            ResidualFit(beta_hat=np.empty(0), residuals=np.array([1.0, -1.0]), mean_hat=0.0,
+                        s2_hat=1.0)
 
 
 class TestFitAr:
     def test_pipeline_matches_manual_steps(self, ar1_model):
         sample = simulate_ar(ar1_model, n=300, seed=9)
         fit = fit_ar(sample)
-        manual = residuals(sample, ols_estimate(sample))
+        centered, _ = _centered_rows(sample.values[None], 1)
+        manual = _residuals(sample.values, _ols_rows(centered, 1)[0])
         np.testing.assert_array_equal(fit.beta_hat, manual.beta_hat)
         np.testing.assert_array_equal(fit.residuals, manual.residuals)
         assert fit.mean_hat == float(np.mean(sample.values[1:]))
@@ -151,7 +147,7 @@ class TestFitAr:
         assert fit1.mean_hat == fit0.mean_hat + 64.0
 
     def test_huge_scale_fit_matches_unscaled(self, ar1_model):
-        # the Gram matrix of a 1e200-scale series overflows; ols_estimate
+        # the Gram matrix of a 1e200-scale series overflows; the fit
         # solves for the series scaled by a power of two, which is exact
         # (the squared residuals still overflow; that is checked below)
         x = simulate_ar(ar1_model, n=400, seed=21).values

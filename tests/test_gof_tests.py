@@ -17,22 +17,27 @@ from arnorm.errors import DegenerateDataError
 from arnorm.estimation import ResidualFit
 from arnorm.gof_tests import (
     GofResult,
-    eval_process,
-    innovation_edf_gap,
     kolmogorov_from_transforms,
     _sorted_transforms,
     omega2_from_transforms,
     probability_transforms,
-    residual_edf,
 )
 from arnorm.rng import substream
 
 from conftest import upper_quantile
-from oracles import omega2_by_quadrature
+from oracles import eval_process, innovation_edf_gap, omega2_by_quadrature, residual_edf
 
 
 def _fit_from_residuals(resid):
-    return ResidualFit(beta_hat=np.empty(0), residuals=resid)
+    return ResidualFit(beta_hat=np.empty(0), residuals=resid, mean_hat=0.0)
+
+
+def _sup(fit):
+    return kolmogorov_from_transforms(probability_transforms(fit))
+
+
+def _omega2(fit):
+    return omega2_from_transforms(probability_transforms(fit))
 
 
 def _random_fit(seed, n=200):
@@ -105,11 +110,8 @@ class TestStackedTransforms:
 class TestKolmogorovStat:
     def test_two_point_closed_form(self):
         fit = _fit_from_residuals([-1.0, 1.0])
-        result = kolmogorov_stat(fit)
         expected = np.sqrt(2.0) * (0.5 - ndtr(-1.0))
-        assert result.value == pytest.approx(expected, abs=1e-12)
-        assert result.kind is StatKind.KOLMOGOROV
-        assert result.p_value is None and result.rejected is None
+        assert _sup(fit) == pytest.approx(expected, abs=1e-12)
 
     def test_perfectly_spaced_transforms(self):
         # z_i = (2i - 1) / (2n): every gap to the comparison grid is 1/(2n)
@@ -121,17 +123,17 @@ class TestKolmogorovStat:
         # the closed form must agree with brute-force evaluation of the
         # normalized empirical process on a fine grid, up to grid resolution
         fit = _random_fit(1, n=200)
-        result = kolmogorov_stat(fit)
+        value = _sup(fit)
         grid_size = 4096
         t = np.arange(1, grid_size) / grid_size
         values = eval_process(fit, t)
         grid_sup = np.max(np.abs(values))
-        assert grid_sup <= result.value + 1e-12
-        assert result.value - grid_sup < np.sqrt(fit.n) / grid_size
+        assert grid_sup <= value + 1e-12
+        assert value - grid_sup < np.sqrt(fit.n) / grid_size
 
     def test_nonnegative(self):
         for seed in range(5):
-            assert kolmogorov_stat(_random_fit(seed)).value >= 0.0
+            assert _sup(_random_fit(seed)) >= 0.0
 
 
 class TestOmega2Stat:
@@ -143,7 +145,7 @@ class TestOmega2Stat:
     def test_lower_bound(self):
         for seed in range(5):
             fit = _random_fit(seed)
-            assert omega2_stat(fit).value >= 1.0 / (12.0 * fit.n)
+            assert _omega2(fit) >= 1.0 / (12.0 * fit.n)
 
     def test_matches_quadrature_oracle(self):
         rng = substream(20240816)
@@ -151,7 +153,7 @@ class TestOmega2Stat:
         for case in range(50):
             n = int(rng.integers(20, 200))
             fit = _fit_from_residuals(rng.normal(scale=rng.uniform(0.5, 2.0), size=n))
-            closed = omega2_stat(fit).value
+            closed = _omega2(fit)
             numeric = omega2_by_quadrature(fit)
             worst = max(worst, abs(closed - numeric))
         assert worst < 1e-5
@@ -162,8 +164,8 @@ class TestInvariances:
         rng = substream(30)
         base = rng.integers(-8, 9, size=33).astype(float)  # n = 32 exact mean
         fits = [fit_ar(SeriesSample.from_values(base + c, p=1)) for c in (0.0, 128.0)]
-        d = [kolmogorov_stat(f).value for f in fits]
-        w = [omega2_stat(f).value for f in fits]
+        d = [_sup(f) for f in fits]
+        w = [_omega2(f) for f in fits]
         assert d[0] == d[1]
         assert w[0] == w[1]
 
@@ -171,22 +173,22 @@ class TestInvariances:
         sample = simulate_ar(ar1_model, n=400, seed=31)
         fit0 = fit_ar(sample)
         fit1 = fit_ar(SeriesSample.from_values(sample.values + 9.87654321, p=1))
-        assert kolmogorov_stat(fit1).value == pytest.approx(kolmogorov_stat(fit0).value, rel=1e-10)
-        assert omega2_stat(fit1).value == pytest.approx(omega2_stat(fit0).value, rel=1e-10)
+        assert _sup(fit1) == pytest.approx(_sup(fit0), rel=1e-10)
+        assert _omega2(fit1) == pytest.approx(_omega2(fit0), rel=1e-10)
 
     def test_scale_equivariance_power_of_two_is_bitwise(self, ar1_model):
         sample = simulate_ar(ar1_model, n=400, seed=32)
         fit0 = fit_ar(sample)
         fit2 = fit_ar(SeriesSample.from_values(sample.values * 2.0, p=1))
-        assert kolmogorov_stat(fit2).value == kolmogorov_stat(fit0).value
-        assert omega2_stat(fit2).value == omega2_stat(fit0).value
+        assert _sup(fit2) == _sup(fit0)
+        assert _omega2(fit2) == _omega2(fit0)
 
     def test_scale_equivariance_general_factor(self, ar1_model):
         sample = simulate_ar(ar1_model, n=400, seed=33)
         fit0 = fit_ar(sample)
         fit3 = fit_ar(SeriesSample.from_values(sample.values * 3.7, p=1))
-        assert kolmogorov_stat(fit3).value == pytest.approx(kolmogorov_stat(fit0).value, rel=1e-10)
-        assert omega2_stat(fit3).value == pytest.approx(omega2_stat(fit0).value, rel=1e-10)
+        assert _sup(fit3) == pytest.approx(_sup(fit0), rel=1e-10)
+        assert _omega2(fit3) == pytest.approx(_omega2(fit0), rel=1e-10)
 
 
 class TestTableIntegration:
@@ -207,6 +209,7 @@ class TestTableIntegration:
         assert result.critical_value == quantile(null_tables[StatKind.KOLMOGOROV], 0.05)
         assert result.rejected == (result.value > result.critical_value)
         assert result.alpha == 0.05
+        assert result.kind is StatKind.KOLMOGOROV
 
     def test_rejection_consistent_with_p_value(self, null_tables):
         # rejection by critical value must agree with small p-values except
@@ -226,7 +229,7 @@ class TestTableIntegration:
 
     def test_alpha_requires_table(self):
         fit = _random_fit(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             kolmogorov_stat(fit, alpha=0.05)
 
     def test_obvious_non_normality_rejected(self, null_tables):
@@ -301,13 +304,10 @@ class TestInnovationEdfGap:
 
 class TestGofResult:
     def test_validation(self):
+        fields = dict(kind=StatKind.KOLMOGOROV, critical_value=0.9, alpha=0.05)
         with pytest.raises(ValueError):
-            GofResult(kind=StatKind.KOLMOGOROV, value=-0.1)
+            GofResult(value=-0.1, p_value=0.5, **fields)
         with pytest.raises(ValueError):
-            GofResult(kind=StatKind.KOLMOGOROV, value=0.5, p_value=0.0)
+            GofResult(value=0.5, p_value=0.0, **fields)
         with pytest.raises(ValueError):
-            GofResult(kind=StatKind.KOLMOGOROV, value=0.5, p_value=1.2)
-
-    def test_rejected_none_without_table(self):
-        result = GofResult(kind=StatKind.OMEGA2, value=0.2)
-        assert result.rejected is None
+            GofResult(value=0.5, p_value=1.2, **fields)

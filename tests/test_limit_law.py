@@ -3,14 +3,14 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtr
 
 import arnorm.limit_law as limit_law
 from arnorm import Gaussian, StatKind, load_table, quantile, save_table, simulate_limit_tables
-from arnorm.ar_process import CustomLaw, LaplaceLaw, Mixture, StudentTLaw
+from arnorm.ar_process import LaplaceLaw, Mixture, StudentTLaw, ZeroMeanLaw
 from arnorm.limit_law import (
     LimitLawTable,
-    cov_eval,
     cov_matrix,
     local_shift,
     mc_p_value,
@@ -24,38 +24,44 @@ SUP, OMEGA2 = StatKind.KOLMOGOROV, StatKind.OMEGA2
 BOTH = (SUP, OMEGA2)
 
 
+def _kernel(s, t):
+    """``c(s, t)`` at one pair of points, from scipy.stats' normal law."""
+    qs, qt = stats.norm.ppf(s), stats.norm.ppf(t)
+    a_s, a_t = stats.norm.pdf(qs), stats.norm.pdf(qt)
+    return min(s, t) - s * t - a_s * a_t - 0.5 * qs * a_s * qt * a_t
+
+
 class TestCovKernel:
     def test_center_value(self):
         # at s = t = 1/2 the quantile is 0, so the kernel reduces to
         # 1/4 - pdf(0)^2 = 1/4 - 1/(2 pi)
         expected = 0.25 - 1.0 / (2.0 * np.pi)
-        assert cov_eval(0.5, 0.5) == pytest.approx(expected, abs=1e-12)
+        assert cov_matrix([0.5])[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_smaller_than_bridge_kernel(self):
         # estimating location and scale removes variance: the diagonal sits
         # strictly below the Brownian-bridge diagonal t(1 - t)
         t = np.linspace(0.05, 0.95, 19)
-        diag = np.array([cov_eval(x, x) for x in t])
+        diag = np.diag(cov_matrix(t))
         assert np.all(diag < t * (1.0 - t))
         assert np.all(diag > 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            s, t = rng.uniform(0.01, 0.99, size=2)
-            assert cov_eval(s, t) == pytest.approx(cov_eval(t, s), rel=1e-12)
+        kernel = cov_matrix(rng.uniform(0.01, 0.99, size=40))
+        np.testing.assert_array_equal(kernel, kernel.T)
 
     def test_vanishes_at_endpoints(self):
         t = np.linspace(0.0, 1.0, 11)
-        assert np.all(cov_eval(0.0, t) == 0.0)
-        assert np.all(cov_eval(1.0, t) == 0.0)
-        assert cov_eval(0.3, 0.0) == 0.0 and cov_eval(0.3, 1.0) == 0.0
+        kernel = cov_matrix(t)
+        assert np.all(kernel[[0, -1], :] == 0.0)
+        assert np.all(kernel[:, [0, -1]] == 0.0)
 
     def test_domain_checked(self):
         with pytest.raises(ValueError):
-            cov_eval(-0.1, 0.5)
+            cov_matrix([-0.1, 0.5])
         with pytest.raises(ValueError):
-            cov_eval(0.5, 1.1)
+            cov_matrix([0.5, 1.1])
 
     @pytest.mark.parametrize("grid_size", [16, 64, 256])
     def test_matrix_positive_semidefinite(self, grid_size):
@@ -70,7 +76,21 @@ class TestCovKernel:
         kernel = cov_matrix(t)
         for i, s in enumerate(t):
             for j, u in enumerate(t):
-                assert kernel[i, j] == pytest.approx(cov_eval(s, u), rel=1e-12)
+                assert kernel[i, j] == pytest.approx(_kernel(s, u), rel=1e-12)
+
+
+class _NormalByCdf(ZeroMeanLaw):
+    """``N(0, 1.5**2)`` as a law of no known family, so that
+    :func:`local_shift` takes its full formula instead of its zero shortcut."""
+
+    variance = 2.25
+    lipschitz_density = True
+
+    def cdf(self, x):
+        return ndtr(np.asarray(x) / 1.5)
+
+    def sample(self, rng, size):
+        return rng.normal(0.0, 1.5, size)
 
 
 class TestLocalShift:
@@ -80,12 +100,9 @@ class TestLocalShift:
         assert np.all(local_shift(mixture, t) == 0.0)
 
     def test_null_contamination_formula_without_shortcut(self):
-        # same law expressed as a custom cdf, exercising the full formula:
+        # same law through its cdf alone, exercising the full formula:
         # the shift must vanish to rounding error
-        law = CustomLaw(cdf=lambda x: ndtr(np.asarray(x) / 1.5),
-                        sampler=lambda rng: rng.normal(0.0, 1.5),
-                        variance=2.25, lipschitz_density=True)
-        mixture = Mixture(sigma0=1.5, h=law, n=2000)
+        mixture = Mixture(sigma0=1.5, h=_NormalByCdf(), n=2000)
         t = np.linspace(1e-3, 1.0 - 1e-3, 1000)
         assert np.max(np.abs(local_shift(mixture, t))) < 1e-12
 

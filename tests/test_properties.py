@@ -24,12 +24,15 @@ from arnorm import (
     SeriesSample,
     StatKind,
     fit_ar,
-    kolmogorov_stat,
     load_table,
-    omega2_stat,
     save_table,
     simulate_ar,
     simulate_limit_tables,
+)
+from arnorm.gof_tests import (
+    kolmogorov_from_transforms,
+    omega2_from_transforms,
+    probability_transforms,
 )
 from arnorm.limit_law import LimitLawTable, _read_numbers, mc_p_value
 from arnorm.power_lab import pipeline_statistics
@@ -130,8 +133,8 @@ _MODELS = [(), (0.5,), (0.4, 0.25), (0.3, -0.2, 0.1)]
 
 
 def _statistics(values, p):
-    fit = fit_ar(SeriesSample.from_values(values, p))
-    return kolmogorov_stat(fit).value, omega2_stat(fit).value
+    z = probability_transforms(fit_ar(SeriesSample.from_values(values, p)))
+    return kolmogorov_from_transforms(z), omega2_from_transforms(z)
 
 
 @PROPERTY_SETTINGS
