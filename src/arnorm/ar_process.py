@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, stdtr
@@ -39,6 +39,7 @@ __all__ = [
     "ArModel",
     "SeriesSample",
     "char_root_radius",
+    "MAX_BURN_IN",
     "default_burn_in",
     "simulate_ar",
 ]
@@ -46,6 +47,11 @@ __all__ = [
 # Margin used by the stationarity gate: the largest characteristic root must
 # have modulus below 1 - _STATIONARITY_MARGIN.
 _STATIONARITY_MARGIN = 1e-8
+
+# The default warm-up is never shorter than _BURN_IN_FLOOR steps; a model
+# whose derived warm-up exceeds MAX_BURN_IN steps has no default.
+_BURN_IN_FLOOR = 100
+MAX_BURN_IN = 10**6
 
 
 def _require_positive(name: str, value) -> None:
@@ -341,17 +347,49 @@ def char_root_radius(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(roots))) if roots.size else 0.0
 
 
+def _derived_burn_in(coeffs: np.ndarray, radius: float) -> int | None:
+    """The default warm-up of a stationary model, or None above ``MAX_BURN_IN``.
+
+    The smallest ``b >= _BURN_IN_FLOOR`` with ``C * r**b < 2**-53``, where
+    ``r`` is the root radius and ``C`` bounds ``|ma[j]| / r**j`` over the
+    moving-average weights up to ``b``.  ``ma[j] / r**j`` is the impulse
+    response of the filter with coefficients ``coeffs[k-1] / r**k``, whose
+    roots lie on or inside the unit circle, so ``C`` is taken from that
+    response without under- or overflow.  A radius below 1/2 counts as 1/2:
+    the bound stays valid and the floor decides anyway.
+    """
+    r = max(radius, 0.5)
+    decay = -math.log(r)
+    digits = 53 * math.log(2.0)
+    if digits / decay > MAX_BURN_IN:  # C >= ma[0] = 1
+        return None
+    scaled = coeffs / r ** np.arange(1, coeffs.size + 1)
+    m = 128
+    while True:
+        impulse = np.zeros(m + 1)
+        impulse[0] = 1.0
+        c = float(np.max(np.abs(_ar_filter(scaled, impulse))))
+        b = max(_BURN_IN_FLOOR, math.floor((digits + math.log(c)) / decay) + 1)
+        if b > MAX_BURN_IN:
+            return None
+        if b <= m:
+            return b
+        m = max(2 * m, b)
+
+
 @dataclass(frozen=True)
 class ArModel:
     """Stationary AR(p) model: coefficients, series mean, innovation law.
 
     Construction fails unless every characteristic root has modulus below
-    ``1 - 1e-8``; nothing downstream needs to re-check stationarity.
+    ``1 - 1e-8``; nothing downstream needs to re-check stationarity.  The
+    default warm-up (:func:`default_burn_in`) is derived once, here.
     """
 
     coeffs: np.ndarray
     mean: float
     innovation: ZeroMeanLaw
+    _burn_in: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = np.atleast_1d(np.array(self.coeffs, dtype=float, copy=True))
@@ -371,6 +409,7 @@ class ArModel:
         object.__setattr__(self, "coeffs", coeffs)
         if not isinstance(self.innovation, ZeroMeanLaw):
             raise TypeError("innovation must be a ZeroMeanLaw")
+        object.__setattr__(self, "_burn_in", _derived_burn_in(coeffs, radius))
 
     @property
     def order(self) -> int:
@@ -418,17 +457,31 @@ def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return lfilter([1.0], np.concatenate(([1.0], -coeffs)), x)
 
 
-def default_burn_in(p: int) -> int:
-    """Default warm-up length ``b = 1000 + 100 p`` discarded before sampling.
+def default_burn_in(model: ArModel) -> int:
+    """The warm-up :func:`simulate_ar` runs when it is given none.
 
-    The start-up transient decays like ``r**b`` in the root radius ``r``,
-    which falls below double precision (2**-53) only for
-    ``r < 2**(-53 / b)``: for AR(1) (b = 1100) that is ``|beta| < 0.967``.
-    Nearer the unit circle the series starts short of stationarity; at
-    ``beta = 0.999`` the first value has ``1 - beta**2200 = 0.889`` of the
-    stationary variance.  Pass ``burn_in`` explicitly for such models.
+    The recursion starts from zeros, so ``b`` steps later the value still
+    carries a transient of the zero start.  That transient is the free
+    response of the filter to the stationary state ``b`` steps back: at most
+    ``C * r**b`` times the stationary scale, where ``r`` is the root radius
+    (:func:`char_root_radius`) and ``C`` bounds ``|ma[j]| / r**j`` over the
+    moving-average weights.  The default is the smallest ``b`` of at least
+    100 steps with ``C * r**b < 2**-53``, so the first returned value is
+    stationary to double precision: 100 steps for ``beta = (0.5, -0.3)``,
+    36,719 for AR(1) at ``beta = 0.999`` and 367,350 at ``beta = 0.9999``.
+    It is derived once per model, when the :class:`ArModel` is built.
+
+    Raises ``ValueError``, naming the root radius, when the warm-up would
+    exceed ``MAX_BURN_IN`` (10**6) steps (radius above about 0.99996 for
+    AR(1)); pass ``burn_in`` explicitly for such a model.
     """
-    return 1000 + 100 * int(p)
+    if model._burn_in is None:
+        raise ValueError(
+            f"the warm-up for characteristic root radius "
+            f"{char_root_radius(model.coeffs):.10g} exceeds {MAX_BURN_IN} steps; "
+            "give the burn-in explicitly"
+        )
+    return model._burn_in
 
 
 def simulate_ar(
@@ -450,7 +503,7 @@ def simulate_ar(
     if n < p + 1:
         raise ValueError("series too short: requires n >= p + 1")
     if burn_in is None:
-        burn_in = default_burn_in(p)
+        burn_in = default_burn_in(model)
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     rng = make_rng(seed)

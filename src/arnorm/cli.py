@@ -34,6 +34,8 @@ from .ar_process import (
     Gaussian,
     Mixture,
     SeriesSample,
+    char_root_radius,
+    default_burn_in,
     parse_alternative_law,
     simulate_ar,
 )
@@ -201,6 +203,17 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
     if seed is not None:
         lines.append(f"seed: {seed}")
     return lines
+
+
+def _warm_up_line(model, burn_in) -> str:
+    """The header line of the warm-up a simulation runs: ``burn_in`` as
+    given, or the model's default when it is None."""
+    used = {
+        "burn_in": default_burn_in(model) if burn_in is None else burn_in,
+        "root_radius": char_root_radius(model.coeffs),
+        "source": "derived" if burn_in is None else "given",
+    }
+    return "warm-up: " + json.dumps(used, sort_keys=True)
 
 
 def _check_out_is_not_input(args) -> None:
@@ -433,10 +446,12 @@ def _cmd_power(args, out) -> int:
         study = run_size_study if h_text == "none" else run_power_study
         try:
             reports = study(spec, kinds, workers=args.workers)
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: {h_text}: {exc}") from None
+        except (ValueError, DegenerateDataError) as exc:
+            raise type(exc)(f"{args.config}: {h_text}: {exc}") from None
         results.append((h_text, spec, reports))
     header = _header_lines("power", {"command": "power", **config}, config["seed"])
+    # every cell shares the coefficients, and so the warm-up
+    header.append(_warm_up_line(cells[0][1].model, config["burn_in"]))
     header.extend(notes)
     write_power_csv(results, out or sys.stdout, header_comments=header)
     return 0
@@ -470,6 +485,7 @@ def _cmd_simulate(args, out) -> int:
         )
     with _named_flag("--beta"):
         model = ArModel(coeffs=beta, mean=args.mu, innovation=innovation)
+        warm_up = _warm_up_line(model, args.burn_in)
     sample = simulate_ar(model, args.n, burn_in=args.burn_in, seed=args.seed)
     config = {
         "command": "simulate",
@@ -481,7 +497,7 @@ def _cmd_simulate(args, out) -> int:
         "burn_in": args.burn_in,
         "p": sample.p,
     }
-    header = _header_lines("simulate", config, args.seed)
+    header = _header_lines("simulate", config, args.seed) + [warm_up]
     body = [repr(float(v)) for v in sample.values]
     (out or sys.stdout).write(_text(header, body))
     return 0

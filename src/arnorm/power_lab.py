@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
+from .ar_process import ArModel, Gaussian, Mixture, default_burn_in, simulate_ar
 from .estimation import MAX_ORDER, _fit_rows, _mean_square
 from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
 from .limit_law import DEFAULT_GRID, DEFAULT_REPS, StatKind, quantile, simulate_limit_tables
@@ -53,7 +53,11 @@ _BLOCK_VALUES = 2**14
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Configuration of one size or power study; the statistics are named per call."""
+    """Configuration of one size or power study; the statistics are named per call.
+
+    ``burn_in=None`` takes the model's :func:`~arnorm.ar_process.default_burn_in`;
+    a model without one is refused here, before any table is simulated.
+    """
 
     model: ArModel
     n: int
@@ -79,7 +83,9 @@ class ExperimentSpec:
             raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
         if self.limit_reps < 1:
             raise ValueError(f"limit_reps must be at least 1, got {self.limit_reps}")
-        if self.burn_in is not None and self.burn_in < 0:
+        if self.burn_in is None:
+            default_burn_in(self.model)
+        elif self.burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
 
 
@@ -101,7 +107,10 @@ def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
     its stream in :func:`~arnorm.rng.replication_blocks` into a row of a
     block of ``_BLOCK_VALUES`` values.  The fit, the transforms and both
     statistics then run once per block, and every row comes out as the fit
-    and test of its series alone would give it.
+    and test of its series alone would give it.  The statistics are
+    scale-free, so each row is first scaled exactly by a power of two into
+    [0.5, 1), as ``arnorm test`` scales its series: a series at 1e154 scale
+    then cannot overflow the squares of the scale estimate.
     """
     p = model.order
     rows = max(1, _BLOCK_VALUES // (n + p))
@@ -112,6 +121,8 @@ def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
         block = buffer[: min(rows, stop - block_start)]
         for row, stream in zip(block, streams):
             row[:] = simulate_ar(model, n, burn_in=burn_in, seed=stream).values
+        exponent = np.frexp(np.max(np.abs(block), axis=1))[1]
+        np.ldexp(block, -exponent[:, None], out=block)
         _, resid, _ = _fit_rows(block, p)
         transforms = _sorted_transforms(resid, _mean_square(resid))
         sel = slice(block_start - start, block_start - start + len(block))

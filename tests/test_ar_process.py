@@ -1,11 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import lfilter, lfiltic
 
 from arnorm import ArModel, Gaussian, SeriesSample, simulate_ar
 from arnorm.ar_process import (
+    MAX_BURN_IN,
     LaplaceLaw,
     Mixture,
     StudentTLaw,
@@ -17,7 +20,7 @@ from arnorm.ar_process import (
 )
 from arnorm.rng import make_rng, substream
 
-from oracles import ma_coefficients
+from oracles import autocov_matrix, ma_coefficients
 
 
 class TestMaCoefficients:
@@ -144,19 +147,102 @@ class TestSimulateAr:
         se_mean = np.sqrt(target_var / (n * (1.0 - 0.9) ** 2 / (1.0 - 0.81)))
         assert abs(np.mean(values) - 2.0) < 3.0 * se_mean
 
-    def test_default_burn_in_grows_with_order(self):
-        assert default_burn_in(0) == 1000
-        assert default_burn_in(3) == 1300
-        model = ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(1.0))
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        # the floor; 2**-53 at beta**b; the same at ten times the length
+        [((), 100), ((0.5, -0.3), 100), ((0.999,), 36_719), ((0.9999,), 367_350)],
+        ids=["order-0", "ar2", "ar1-0.999", "ar1-0.9999"],
+    )
+    def test_default_burn_in_follows_root_radius(self, coeffs, expected):
+        model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+        assert default_burn_in(model) == expected
         with_default = simulate_ar(model, n=10, seed=1)
-        explicit = simulate_ar(model, n=10, burn_in=default_burn_in(1), seed=1)
+        explicit = simulate_ar(model, n=10, burn_in=expected, seed=1)
         np.testing.assert_array_equal(with_default.values, explicit.values)
+
+    @pytest.mark.parametrize("coeffs", [(0.9999999,), (1.9999, -0.99995)], ids=["ar1", "ar2"])
+    def test_over_budget_radius_needs_explicit_burn_in(self, coeffs):
+        model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+        radius = f"{char_root_radius(model.coeffs):.10g}"
+        message = f"warm-up for characteristic root radius {radius} exceeds {MAX_BURN_IN} steps"
+        with pytest.raises(ValueError, match=message):
+            default_burn_in(model)
+        with pytest.raises(ValueError, match=message):
+            simulate_ar(model, n=10, seed=1)
+        assert simulate_ar(model, n=10, burn_in=50, seed=1).values.size == 10 + len(coeffs)
 
     def test_bad_arguments(self, ar1_model):
         with pytest.raises(ValueError):
             simulate_ar(ar1_model, n=1)  # needs n >= p + 1
         with pytest.raises(ValueError):
             simulate_ar(ar1_model, n=10, burn_in=-1)
+
+
+def _ar_with_roots(*roots):
+    """Coefficients of the AR model whose characteristic roots are ``roots``
+    and, for each complex one, its conjugate."""
+    full = [z for r in roots for z in ((r, np.conj(r)) if np.iscomplex(r) else (r,))]
+    return tuple(-np.real(np.poly(full))[1:])
+
+
+def _polar(radius, angle):
+    return radius * complex(math.cos(angle), math.sin(angle))
+
+
+# orders 1, 2 and 5 with real, complex and clustered roots, near the unit
+# circle where the warm-up of 1000 + 100 p steps fell short and away from it
+TRANSIENT_CASES = {
+    "ar1-real": (0.5,),
+    "ar1-near-negative": (-0.9999,),
+    "ar2-real-near": _ar_with_roots(0.9995, 0.5),
+    "ar2-complex-near": _ar_with_roots(_polar(0.9995, 0.3)),
+    "ar2-clustered-near": _ar_with_roots(0.99, 0.9899),
+    "ar5-mixed": _ar_with_roots(_polar(0.8, 0.7), _polar(0.95, 1.3), 0.5),
+    "ar5-clustered": _ar_with_roots(0.92, _polar(0.92, 0.01), _polar(0.92, 0.02)),
+}
+
+
+class TestWarmUp:
+    """The default warm-up starts every series stationary to double precision."""
+
+    @pytest.mark.parametrize("name", sorted(TRANSIENT_CASES))
+    def test_zero_start_transient_below_double_precision(self, name):
+        # Filter one innovation sequence from a zero start 3b steps back and
+        # from one b steps back.  The two differ by the free response of the
+        # far run's state at the near start; taken on its own, that carries
+        # none of the rounding of the innovations, which near the unit circle
+        # alone moves the two runs apart by some eps * scale**2 (150 ulps of
+        # the scale for the complex AR(2)).
+        coeffs = np.array(TRANSIENT_CASES[name])
+        model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+        b, p = default_burn_in(model), coeffs.size
+        a = np.concatenate(([1.0], -coeffs))
+        far = lfilter([1.0], a, substream(41).normal(size=3 * b))
+        state = far[2 * b - p : 2 * b][::-1]
+        free = lfilter([1.0], a, np.zeros(b + 1), zi=lfiltic([1.0], a, state))[0]
+        scale = math.sqrt(autocov_matrix(coeffs, 1.0)[0, 0])
+        assert abs(free[b]) <= 4 * 2.0**-52 * scale
+        assert abs(free[0]) > 2.0**-10 * scale  # the state was not already zero
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        # radius 0.9997: after 1000 + 100 p steps the first value had 0.51
+        # (AR(1)) and 0.54 (AR(2)) of the stationary variance, 6 standard
+        # errors short; the derived warm-up draws 37M innovations per case
+        [(0.9997,), _ar_with_roots(0.9997, 0.5)],
+        ids=["ar1", "ar2"],
+    )
+    def test_first_value_has_stationary_variance(self, coeffs):
+        model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+        n_reps, p = 300, len(coeffs)
+        first = np.array(
+            [simulate_ar(model, n=p + 1, seed=substream(43, r)).values[0] for r in range(n_reps)]
+        )
+        target = autocov_matrix(np.array(coeffs), 1.0)[0, 0]
+        # the first values are independent N(0, target): their mean square
+        # has standard error target * sqrt(2 / n_reps)
+        se = target * math.sqrt(2.0 / n_reps)
+        assert abs(np.mean(first**2) - target) < 3.0 * se
 
 
 LAW_CASES = [

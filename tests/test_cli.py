@@ -10,6 +10,7 @@ import pytest
 import arnorm
 from arnorm import load_table, quantile
 from arnorm.cli import main
+from arnorm.errors import DegenerateDataError
 from arnorm.estimation import ResidualFit
 from arnorm.rng import substream
 
@@ -61,6 +62,34 @@ class TestSimulate:
         assert any("seed: 1" in l for l in header)
         assert len(data) == 21  # n = 20 plus p = 1 pre-sample values
         np.array([float(v) for v in data])  # every line parses
+
+    @pytest.mark.parametrize(
+        "flags, warm_up",
+        [([], '{"burn_in": 100, "root_radius": 0.5, "source": "derived"}'),
+         (["--burn-in", "7"], '{"burn_in": 7, "root_radius": 0.5, "source": "given"}')],
+        ids=["derived", "given"],
+    )
+    def test_header_states_warm_up(self, capsys, flags, warm_up):
+        assert main(["simulate", "--n", "20", "--beta", "0.5", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        config = json.loads(lines[1].removeprefix("# config: "))
+        assert config["burn_in"] == (7 if flags else None)  # as given
+        assert lines[3] == f"# warm-up: {warm_up}"
+
+    def test_over_budget_radius_exits_2(self, capsys, monkeypatch):
+        # 0.99999999 is refused as not stationary; at 0.9999999 the warm-up
+        # would be 3.7e8 steps
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated an over-budget model")
+
+        monkeypatch.setattr(arnorm.cli, "simulate_ar", must_not_run)
+        assert main(["simulate", "--n", "30", "--beta", "0.9999999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "arnorm: the warm-up for characteristic root radius 0.9999999 exceeds "
+            "1000000 steps; give the burn-in explicitly (--beta)\n"
+        )
+        assert captured.out == ""
 
     def test_mixture_alternative_accepted(self, capsys):
         code = main([
@@ -690,6 +719,53 @@ class TestPower:
             f"arnorm: {config}: {h}: omega2 limit samples overflow under the shift\n"
         )
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("burn_in, used", [(None, 100), (5, 5)])
+    def test_header_states_warm_up(self, tmp_path, burn_in, used):
+        out = tmp_path / "grid.csv"
+        config = _power_config(tmp_path, n_reps=100, limit_reps=200, grid=16, burn_in=burn_in)
+        assert main(["power", str(config), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[1].removeprefix("# config: "))["burn_in"] == burn_in
+        warm_up = json.loads(lines[3].removeprefix("# warm-up: "))
+        assert warm_up == {"burn_in": used, "root_radius": 0.5,
+                           "source": "derived" if burn_in is None else "given"}
+
+    def test_over_budget_radius_names_config(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables",
+                            lambda *args, **kwargs: calls.append(args))
+        config = _power_config(tmp_path, beta=[0.9999999])
+        assert main(["power", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"arnorm: {config}: the warm-up for characteristic root radius 0.9999999 "
+            "exceeds 1000000 steps; give the burn-in explicitly\n"
+        )
+        assert captured.out == "" and calls == []
+
+    def test_overflowing_scale_estimate_is_scaled_away(self, tmp_path):
+        # unscaled, the residuals of a 1e154-scale series overflow their
+        # mean square, with numpy warnings on stderr
+        config = _power_config(tmp_path, h="laplace:1e308", statistics=["kolmogorov"],
+                               n_reps=100, limit_reps=200, grid=16)
+        proc = _run_cli(["power", str(config)], cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = proc.stdout.splitlines()[-1].split(",")
+        assert row[1:3] == ["laplace:1e308", "kolmogorov"]
+
+    def test_degenerate_study_names_config_and_alternative(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateDataError("residual scale estimate is zero")
+
+        monkeypatch.setattr(arnorm.cli, "run_power_study", degenerate)
+        config = _power_config(tmp_path)
+        assert main(["power", str(config)]) == 3
+        assert capsys.readouterr().err == (
+            f"arnorm: {config}: gauss-scale:2.0: residual scale estimate is zero\n"
+        )
 
 
 class TestEntryPoint:

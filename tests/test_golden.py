@@ -37,17 +37,17 @@ RUNS = [
         ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",
          "--seed", "4", "--out", "s.txt"],
         hashlib.sha256(b"").hexdigest(),
-        ("s.txt", "82a72365b87185edc87236422b0888c64c9153e27e24d332aadfc235be1a81e9"),
+        ("s.txt", "6f04e1169ae2666412c8c8bd3b3706df26821aec96fd0a4a46cb6f36ae87f5e1"),
     ),
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
          "--seed", "5"],
-        "3cf202498266e2780fd81b88d6759ab378473d56ecd996c17fc3ffcf86fc59dd",
+        "d54c1cc67e34960e34314401a5788c77f608d20fccff2f6151c25be56e30043f",
         None,
     ),
     (
         ["power", "c.json"],
-        "721498debcfad9c63c6327dd91c4fbdbbed4974d927d47b9f489b1a087ccbc15",
+        "7d8a9aed1bfcaab30cb5de59d03430279d1d6b524f9c4d7f0f995b445a1e7660",
         None,
     ),
 ]

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import arnorm.ar_process
 from arnorm import ArModel, Gaussian, StatKind
-from arnorm.ar_process import LaplaceLaw, Mixture
+from arnorm.ar_process import MAX_BURN_IN, LaplaceLaw, Mixture
 from arnorm.estimation import MAX_ORDER
 from arnorm.power_lab import (
     ExperimentSpec,
@@ -91,6 +92,32 @@ class TestPipelineStatistics:
             parallel = pipeline_statistics(ar1_model, 150, BOTH, 201, seed=3, workers=workers)
             for kind in BOTH:
                 np.testing.assert_array_equal(serial[kind], parallel[kind])
+
+    def test_warm_up_derived_once_per_model(self, monkeypatch):
+        # the derivation costs a root radius and an impulse response; it runs
+        # when the model is built, never once per replication
+        calls = []
+        radius = arnorm.ar_process.char_root_radius
+        monkeypatch.setattr(arnorm.ar_process, "char_root_radius",
+                            lambda coeffs: calls.append(1) or radius(coeffs))
+        model = ArModel(coeffs=(0.5, -0.3), mean=0.0, innovation=Gaussian(1.0))
+        assert len(calls) == 1
+        pipeline_statistics(model, 50, BOTH, 200, seed=34)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("exponent", [510, -540])
+    def test_statistics_free_of_series_scale(self, exponent):
+        # each row is scaled by a power of two before the fit, so a series at
+        # 2**510 scale (whose squares overflow) or at 2**-540 (whose squares
+        # underflow) gives the bits of the same series at unit scale
+        scale = 2.0**exponent
+        models = [
+            ArModel(coeffs=(0.5,), mean=0.7 * s, innovation=Mixture(s, Gaussian(2.0 * s), 50))
+            for s in (1.0, scale)
+        ]
+        unit, scaled = (pipeline_statistics(m, 50, BOTH, 150, seed=35) for m in models)
+        for kind in BOTH:
+            np.testing.assert_array_equal(scaled[kind], unit[kind])
 
     def test_statistics_are_positive(self, ar1_model):
         stats = pipeline_statistics(ar1_model, 200, BOTH, 30, seed=4)
@@ -296,6 +323,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="burn_in must be non-negative, got -1"):
             _size_spec(burn_in=-1)
         assert _size_spec(burn_in=0).burn_in == 0
+
+    def test_over_budget_warm_up_refused(self):
+        # refused when the spec is built, before any table is simulated
+        model = ArModel(coeffs=(0.9999999,), mean=0.0, innovation=Gaussian(1.0))
+        message = f"root radius 0.9999999 exceeds {MAX_BURN_IN} steps"
+        with pytest.raises(ValueError, match=message):
+            _size_spec(model=model)
+        assert _size_spec(model=model, burn_in=10).burn_in == 10
 
     def test_grid_size_and_seed(self):
         with pytest.raises(ValueError, match="grid_size must be at least 2, got 1"):
