@@ -276,8 +276,9 @@ def _cmd_test(args, out) -> int:
     _check_table_flags(args)
     values = _read_series(args.series)
     # The statistics are scale-invariant: fit the series scaled exactly by a
-    # power of two into [0.5, 1), so that a series at 1e200 (or 1e-200)
-    # scale cannot overflow (or underflow) the squares in the fit.
+    # power of two into [0.5, 1).  The fit scales its rows too, but returns
+    # residuals in the series' own units, whose mean square (s2_hat)
+    # overflows for a series at 1e200 scale (or underflows at 1e-200).
     exponent = int(np.frexp(np.max(np.abs(values)))[1])
     sample = SeriesSample.from_values(np.ldexp(values, -exponent), args.p)
     # a degenerate series exits before any table is loaded or simulated

@@ -108,11 +108,7 @@ def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"p must not exceed {MAX_ORDER}, got {p}")
     if p == 0:
         return np.empty((centered.shape[0], 0))
-    # beta_hat is scale-free: scaling exactly by a power of two into [0.5, 1)
-    # keeps the Gram matrix of a series at 1e200 scale from overflowing
-    exponent = np.frexp(np.max(np.abs(centered), axis=1))[1]
-    scaled = np.ldexp(centered, -exponent[:, None])
-    lags = _lags(scaled, p)
+    lags = _lags(centered, p)
     # Each sum runs in a fixed order within its row and calls no BLAS, so a
     # fit does not depend on the block it is computed in or on BLAS threads.
     # The orders are einsum's on one series' column-stacked design, so fits
@@ -124,7 +120,7 @@ def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
     for i in range(p):
         for j in range(i + 1):
             gram[:, i, j] = gram[:, j, i] = dot(lags[i], lags[j])
-        rhs[:, i] = dot(lags[i], scaled[:, p:])
+        rhs[:, i] = dot(lags[i], centered[:, p:])
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -146,17 +142,22 @@ def _residual_rows(centered: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _fit_rows(values: np.ndarray, p: int):
     """The stacked fit: center, estimate and take residuals of every row.
 
-    ``values`` holds one stretch of ``n + p`` values per row.  Returns the
-    coefficients ``(rows, p)``, the residuals ``(rows, n)`` and the working-
-    sample averages ``(rows,)``; row ``r`` equals :func:`fit_ar` of row
-    ``r`` alone, bit for bit.
+    ``values`` holds one stretch of ``n + p`` values per row.  Each row is
+    first scaled exactly by the power of two ``2**-e`` that brings its
+    largest magnitude into [0.5, 1): the coefficients are scale-free, and
+    the Gram matrix of a series at 1e200 scale then cannot overflow.
+    Returns the coefficients ``(rows, p)``, the residuals ``(rows, n)`` and
+    the working-sample averages ``(rows,)``, both in scaled units, and the
+    exponents ``e`` ``(rows,)``; row ``r`` unscaled by ``ldexp`` equals
+    :func:`fit_ar` of row ``r`` alone, bit for bit.
     """
-    centered, mean = _centered_rows(values, p)
+    exponent = np.frexp(np.max(np.abs(values), axis=1))[1]
+    centered, mean = _centered_rows(np.ldexp(values, -exponent[:, None]), p)
     beta = _ols_rows(centered, p)
     resid = _residual_rows(centered, beta)
     if not np.all(np.isfinite(resid)):
         raise ValueError("residuals must be finite")
-    return beta, resid, mean
+    return beta, resid, mean, exponent
 
 
 def fit_ar(sample: SeriesSample) -> ResidualFit:
@@ -165,5 +166,6 @@ def fit_ar(sample: SeriesSample) -> ResidualFit:
     Raises :class:`~arnorm.errors.DegenerateDataError` when the normal
     equations are singular (a degenerate series).
     """
-    beta, resid, mean = _fit_rows(sample.values[None], sample.p)
-    return ResidualFit(beta_hat=beta[0], residuals=resid[0], mean_hat=float(mean[0]))
+    beta, resid, mean, exponent = _fit_rows(sample.values[None], sample.p)
+    return ResidualFit(beta_hat=beta[0], residuals=np.ldexp(resid[0], exponent[0]),
+                       mean_hat=float(np.ldexp(mean[0], exponent[0])))

@@ -22,10 +22,10 @@ Durbin's (1973, Ann. Statist. 1:279) form ``X = B + a Z1 + 0.5 b Z2`` of the
 process, with ``Z1 = int q dW`` and ``Z2 = int (q**2 - 1) dW`` on the Brownian
 motion ``W`` of the bridge ``B``: O(grid_size) per path, each replication on
 its own, drawn from the stream of its block of 64 (see
-:func:`~arnorm.rng.replication_blocks`), so tables are reproducible,
+:func:`~arnorm.rng.map_replications`), so tables are reproducible,
 worker-count independent, and extended by longer runs.  Paths are assembled
-a few at a time, at most 64 and about 2**15 normals per block, so that a
-block stays in cache.
+a few at a time, at most 64 and about 2**15 normals per call, so that they
+stay in cache.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ar_process import Gaussian, Mixture
-from .rng import REPLICATION_BLOCK, map_replications, replication_blocks
+from .rng import map_replications
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -79,6 +79,14 @@ class StatKind(str, enum.Enum):
 
     KOLMOGOROV = "kolmogorov"  # sup over t of |process|, scaled by sqrt(n)
     OMEGA2 = "omega2"  # integral over t of process**2
+
+
+def _stat_kinds(kinds) -> tuple[StatKind, ...]:
+    """``kinds`` as a tuple of :class:`StatKind`; a kind named twice is refused."""
+    kinds = tuple(StatKind(k) for k in kinds)
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("duplicate statistic kinds")
+    return kinds
 
 
 def _normal_pdf(x):
@@ -219,37 +227,22 @@ def _assemble_paths(normals, weights):
     return paths
 
 
-def _functional_chunk(kinds, shift, grid_size, seed, start, stop):
-    """Functional samples for replications ``start..stop-1``; replication
-    ``r`` draws its ``grid_size + 2`` normals from its stream in
-    :func:`~arnorm.rng.replication_blocks`.
+def _path_block(kinds, weights, shift_values, stream, count):
+    """Functional samples of the next ``count`` replications of ``stream``.
 
-    Paths are assembled in blocks of at most 64 rows and about 256 KB of
-    normals, which stay in cache through assembly and both functionals.  A
-    block lies within one stream's 64 rows, and one row-major draw fills it
-    with the values that drawing row by row would give.
+    One row-major draw of ``count`` rows of ``grid_size + 2`` normals gives
+    the values that drawing the rows one by one would give.
     """
-    weights = _path_weights(grid_size)
-    sup_correction = SUP_CONTINUITY_BETA / math.sqrt(grid_size)
-    shift_values = local_shift(shift, weights[0]) if shift is not None else None
-    rows = min(REPLICATION_BLOCK, max(1, 2**15 // grid_size))
-    buffer = np.empty((min(rows, stop - start), grid_size + 2))
-    out = {kind: np.empty(stop - start) for kind in kinds}
-    for stream, lo, hi in replication_blocks(seed, start, stop):
-        for block_start in range(lo, hi, rows):
-            block_stop = min(block_start + rows, hi)
-            normals = buffer[: block_stop - block_start]
-            stream.standard_normal(out=normals)
-            paths = _assemble_paths(normals, weights)
-            if shift_values is not None:
-                paths += shift_values
-            sel = slice(block_start - start, block_stop - start)
-            for kind in kinds:
-                if kind is StatKind.KOLMOGOROV:
-                    out[kind][sel] = np.max(np.abs(paths), axis=1) + sup_correction
-                else:
-                    out[kind][sel] = np.einsum("ij,ij->i", paths, paths) / grid_size
-    return out
+    m = weights[3].size
+    paths = _assemble_paths(stream.standard_normal((count, m + 2)), weights)
+    if shift_values is not None:
+        paths += shift_values
+    return {
+        kind: np.max(np.abs(paths), axis=1) + SUP_CONTINUITY_BETA / math.sqrt(m)
+        if kind is StatKind.KOLMOGOROV
+        else np.einsum("ij,ij->i", paths, paths) / m
+        for kind in kinds
+    }
 
 
 def simulate_limit_tables(
@@ -267,17 +260,18 @@ def simulate_limit_tables(
     Monte Carlo noise.  Sup samples include the continuity correction, so
     their law is that of the sup over [0, 1] for any grid fine enough for
     the first-order correction.  Output is bit-identical for any
-    ``workers >= 1`` and for chunks cut at 64-replication edges, and the
-    samples of a run are among those of any run with more replications and
-    the same seed.
+    ``workers >= 1``, and the samples of a run are among those of any run
+    with more replications and the same seed.
     """
-    kinds = tuple(StatKind(k) for k in kinds)
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("duplicate statistic kinds")
+    kinds = _stat_kinds(kinds)
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    args = (kinds, shift, grid_size, seed)
-    samples = map_replications(_functional_chunk, args, n_reps, workers)
+    weights = _path_weights(grid_size)
+    shift_values = local_shift(shift, weights[0]) if shift is not None else None
+    # about 256 KB of normals per call, which stay in cache through
+    # assembly and both functionals
+    samples = map_replications(_path_block, (kinds, weights, shift_values), seed, n_reps,
+                               2**15 // grid_size, workers)
     for kind in kinds:
         # null paths are bounded; only a huge shift can overflow a functional
         if not np.all(np.isfinite(samples[kind])):

@@ -30,8 +30,9 @@ import numpy as np
 from .ar_process import ArModel, Gaussian, Mixture, default_burn_in, simulate_ar
 from .estimation import MAX_ORDER, _fit_rows, _mean_square
 from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
-from .limit_law import DEFAULT_GRID, DEFAULT_REPS, StatKind, quantile, simulate_limit_tables
-from .rng import _checked_seed, derive_seed, map_replications, replication_blocks
+from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _stat_kinds, quantile,
+                        simulate_limit_tables)
+from .rng import _checked_seed, derive_seed, map_replications
 
 __all__ = [
     "ExperimentSpec",
@@ -100,38 +101,26 @@ class PowerReport:
     critical_value: float
 
 
-def _pipeline_chunk(model, n, burn_in, kinds, seed, start, stop):
-    """Test statistics for pipeline replications ``start..stop-1``.
+def _pipeline_block(model, n, burn_in, kinds, stream, count):
+    """Test statistics of the next ``count`` pipeline replications of ``stream``.
 
-    Each replication draws its series by one :func:`simulate_ar` call from
-    its stream in :func:`~arnorm.rng.replication_blocks` into a row of a
-    block of ``_BLOCK_VALUES`` values.  The fit, the transforms and both
-    statistics then run once per block, and every row comes out as the fit
-    and test of its series alone would give it.  The statistics are
-    scale-free, so each row is first scaled exactly by a power of two into
-    [0.5, 1), as ``arnorm test`` scales its series: a series at 1e154 scale
-    then cannot overflow the squares of the scale estimate.
+    Each replication draws its series by one :func:`simulate_ar` call into
+    a row of the block.  The fit, the transforms and both statistics then
+    run once per block, and every row comes out as the fit and test of its
+    series alone would give it.  The statistics are scale-free, so they take
+    the fit's residuals in its scaled units: a series at 1e154 scale then
+    cannot overflow the squares of the scale estimate.
     """
-    p = model.order
-    rows = max(1, _BLOCK_VALUES // (n + p))
-    buffer = np.empty((min(rows, stop - start), n + p))
-    streams = (s for s, lo, hi in replication_blocks(seed, start, stop) for _ in range(lo, hi))
-    out = {kind: np.empty(stop - start) for kind in kinds}
-    for block_start in range(start, stop, rows):
-        block = buffer[: min(rows, stop - block_start)]
-        for row, stream in zip(block, streams):
-            row[:] = simulate_ar(model, n, burn_in=burn_in, seed=stream).values
-        exponent = np.frexp(np.max(np.abs(block), axis=1))[1]
-        np.ldexp(block, -exponent[:, None], out=block)
-        _, resid, _ = _fit_rows(block, p)
-        transforms = _sorted_transforms(resid, _mean_square(resid))
-        sel = slice(block_start - start, block_start - start + len(block))
-        for kind in kinds:
-            if kind is StatKind.KOLMOGOROV:
-                out[kind][sel] = kolmogorov_from_transforms(transforms)
-            else:
-                out[kind][sel] = omega2_from_transforms(transforms)
-    return out
+    values = np.array([simulate_ar(model, n, burn_in=burn_in, seed=stream).values
+                       for _ in range(count)])
+    _, resid, _, _ = _fit_rows(values, model.order)
+    transforms = _sorted_transforms(resid, _mean_square(resid))
+    return {
+        kind: kolmogorov_from_transforms(transforms)
+        if kind is StatKind.KOLMOGOROV
+        else omega2_from_transforms(transforms)
+        for kind in kinds
+    }
 
 
 def pipeline_statistics(
@@ -147,15 +136,11 @@ def pipeline_statistics(
 
     Replication ``r`` draws from ``substream(seed, r // 64)`` after the
     earlier replications of its block of 64, so the arrays are bit-identical
-    for any ``workers >= 1`` and for chunks cut at 64-replication edges, and
-    a shorter run is a prefix of a longer one.
+    for any ``workers >= 1``, and a shorter run is a prefix of a longer one.
     """
-    kinds = tuple(StatKind(k) for k in kinds)
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("duplicate statistic kinds")
-    return map_replications(
-        _pipeline_chunk, (model, n, burn_in, kinds, seed), n_reps, workers
-    )
+    args = (model, n, burn_in, _stat_kinds(kinds))
+    rows = _BLOCK_VALUES // (n + model.order)
+    return map_replications(_pipeline_block, args, seed, n_reps, rows, workers)
 
 
 def _binomial_stderr(rate: float, n_reps: int) -> float:
@@ -163,7 +148,7 @@ def _binomial_stderr(rate: float, n_reps: int) -> float:
 
 
 def _run_study(spec, kinds, shift, workers):
-    kinds = tuple(StatKind(k) for k in kinds)
+    kinds = _stat_kinds(kinds)
     null_tables = simulate_limit_tables(
         kinds,
         None,

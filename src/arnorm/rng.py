@@ -3,9 +3,10 @@
 All randomness in this package flows through numpy ``Generator`` objects
 built from explicit integer seeds, by the rule ``PCG64(SeedSequence(seed,
 spawn_key=key))``.  Replications come in blocks of 64, and each block draws
-from its own child stream (:func:`replication_blocks`), so results depend
-only on the seed and the replication index, never on scheduling, on the
-worker count, or on chunks cut at 64-replication edges.
+from its own child stream, ``substream(seed, r // 64)`` for replication
+``r``.  :func:`map_replications` is the one code that opens these streams
+and cuts the work, so results depend only on the seed and the replication
+index, never on scheduling, on the worker count, or on block sizes.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["make_rng", "substream", "derive_seed", "map_replications", "replication_blocks"]
+__all__ = ["make_rng", "substream", "derive_seed", "map_replications"]
 
-# Replications per keyed stream; chunks of work start on multiples of it.
+# Replications per keyed stream; pieces of work start on multiples of it.
 REPLICATION_BLOCK = 64
 
 
@@ -48,22 +49,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
 
 
-def replication_blocks(seed: int, start: int, stop: int):
-    """Iterator over ``(stream, lo, hi)`` for replications ``start..stop-1``.
-
-    Replication ``r`` draws from ``substream(seed, r // REPLICATION_BLOCK)``
-    after replications ``lo..r-1`` of its block ``lo..hi-1``.  ``start``
-    must be a multiple of ``REPLICATION_BLOCK`` and ``seed`` non-negative,
-    else ``ValueError``.
-    """
-    # not a generator itself, so a bad seed or start is rejected at the call
-    _checked_seed(seed)
-    if start % REPLICATION_BLOCK:
-        raise ValueError(f"start {start} is not a multiple of {REPLICATION_BLOCK}")
-    return ((substream(seed, b // REPLICATION_BLOCK), b, min(b + REPLICATION_BLOCK, stop))
-            for b in range(start, stop, REPLICATION_BLOCK))
-
-
 def derive_seed(seed: int, *key: int) -> int:
     """A 63-bit integer seed derived from ``(seed, key)``, for nested use."""
     return int(_seed_sequence(seed, key).generate_state(1, dtype=np.uint64)[0] >> 1)
@@ -76,25 +61,48 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_replications(chunk, args, n_reps: int, workers: int = 1) -> dict:
-    """Join ``chunk(*args, start, stop)`` over replications ``0..n_reps-1``.
+def _walk(block, args, seed: int, rows: int, start: int, stop: int) -> list:
+    """The parts ``block(*args, stream, count)`` for replications ``start..stop-1``.
 
-    ``chunk`` returns a dict of per-replication arrays, and must draw from
-    the streams of :func:`replication_blocks`.  The range is cut into at
-    most ``workers`` pieces at multiples of ``REPLICATION_BLOCK``, which
-    does not change the output, and the pieces run on at most as many
-    processes as there are CPUs.
+    Block ``k`` of 64 replications opens ``substream(seed, k)`` once and
+    hands it on in runs of at most ``rows``, so no run spans two streams.
+    ``start`` must be a multiple of ``REPLICATION_BLOCK`` and ``seed``
+    non-negative, else ``ValueError``.
+    """
+    _checked_seed(seed)
+    if start % REPLICATION_BLOCK:
+        raise ValueError(f"start {start} is not a multiple of {REPLICATION_BLOCK}")
+    step = max(1, min(rows, REPLICATION_BLOCK))
+    parts = []
+    for lo in range(start, stop, REPLICATION_BLOCK):
+        stream = substream(seed, lo // REPLICATION_BLOCK)
+        hi = min(lo + REPLICATION_BLOCK, stop)
+        parts.extend(block(*args, stream, min(step, hi - r)) for r in range(lo, hi, step))
+    return parts
+
+
+def map_replications(block, args, seed: int, n_reps: int, rows: int, workers: int = 1) -> dict:
+    """Join ``block(*args, stream, count)`` over replications ``0..n_reps-1``.
+
+    Replication ``r`` draws from ``stream = substream(seed, r // 64)`` after
+    the earlier replications of its block.  Each call takes the next
+    ``count`` replications of ``stream``, at most ``rows`` and at least one,
+    and returns a dict of arrays with one entry per replication; the dicts
+    are joined in replication order.  Pieces of whole blocks run on up to
+    ``workers`` processes, capped at the CPU count, which does not change
+    the output.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    walk = partial(_walk, block, args, seed, rows)
     n_blocks = -(-n_reps // REPLICATION_BLOCK)
     pieces = min(workers, n_blocks)
     if pieces == 1:
-        chunks = [chunk(*args, 0, n_reps)]
+        parts = walk(0, n_reps)
     else:
         bounds = np.minimum(np.arange(pieces + 1) * n_blocks // pieces * REPLICATION_BLOCK, n_reps)
         with ProcessPoolExecutor(max_workers=min(pieces, _available_cpus())) as pool:
-            chunks = list(pool.map(partial(chunk, *args), bounds[:-1], bounds[1:]))
-    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+            parts = [part for piece in pool.map(walk, bounds[:-1], bounds[1:]) for part in piece]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -186,13 +186,13 @@ class TestStackedFit:
     def test_rows_equal_single_series_fits(self, p, innovation, n, rows):
         model = ArModel(coeffs=AR_COEFFS[p], mean=-2.5, innovation=innovation)
         samples = [simulate_ar(model, n, seed=substream(40, r)) for r in range(rows)]
-        beta, resid, mean = _fit_rows(np.array([s.values for s in samples]), p)
+        beta, resid, mean, exponent = _fit_rows(np.array([s.values for s in samples]), p)
         assert beta.shape == (rows, p) and resid.shape == (rows, n)
         for r, sample in enumerate(samples):
             fit = fit_ar(sample)
             np.testing.assert_array_equal(beta[r], fit.beta_hat)
-            np.testing.assert_array_equal(resid[r], fit.residuals)
-            assert mean[r] == fit.mean_hat
+            np.testing.assert_array_equal(np.ldexp(resid[r], exponent[r]), fit.residuals)
+            assert np.ldexp(mean[r], exponent[r]) == fit.mean_hat
 
     @pytest.mark.parametrize("p", sorted(AR_COEFFS))
     @pytest.mark.parametrize("n", [30, 2000, 9000])

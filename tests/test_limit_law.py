@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import accumulate
 
@@ -15,7 +16,7 @@ from arnorm.limit_law import (
     local_shift,
     mc_p_value,
 )
-from arnorm.rng import derive_seed, substream
+from arnorm.rng import derive_seed, map_replications, substream
 
 from conftest import upper_quantile
 from oracles import corrected_bridge_sup_check
@@ -223,28 +224,27 @@ class TestSimulation:
             assert np.all(np.isin(short[kind].samples, long[kind].samples)), kind
 
     def test_block_width_does_not_change_samples(self):
-        # chunks that start on a 64-replication edge give the samples of the
-        # whole run; at grid 4096 a path block holds 8 rows, so a stream's
-        # block of 64 is drawn in 8 parts, which must give the values of one
-        # draw of the whole block
-        for grid_size in (64, 512):
-            args = (BOTH, None, grid_size, 13)
-            whole = limit_law._functional_chunk(*args, 0, 200)
-            for start, stop in ((0, 64), (64, 200), (128, 130), (192, 200)):
-                part = limit_law._functional_chunk(*args, start, stop)
+        # map_replications gives a path block at most 64 rows of one stream,
+        # and the table's row count shrinks as the grid grows; any width
+        # must give the values of one draw of each stream's rows, also at
+        # grid 4096, where a block holds 8 rows and a stream's 64 are drawn
+        # in 8 parts
+        for grid_size in (64, 512, 4096):
+            weights = limit_law._path_weights(grid_size)
+            args = (BOTH, weights, None)
+            whole = map_replications(limit_law._path_block, args, 13, 100, 2**15 // grid_size)
+            for start, stop in ((0, 64), (64, 100)):
+                normals = substream(13, start // 64).standard_normal((stop - start, grid_size + 2))
+                paths = limit_law._assemble_paths(normals, weights)
+                correction = limit_law.SUP_CONTINUITY_BETA / math.sqrt(grid_size)
+                sup = np.max(np.abs(paths), axis=1) + correction
+                omega2 = np.einsum("ij,ij->i", paths, paths) / grid_size
+                np.testing.assert_array_equal(whole[SUP][start:stop], sup)
+                np.testing.assert_array_equal(whole[OMEGA2][start:stop], omega2)
+            for rows in (1, 7):
+                part = map_replications(limit_law._path_block, args, 13, 100, rows)
                 for kind in BOTH:
-                    np.testing.assert_array_equal(part[kind], whole[kind][start:stop])
-        whole = limit_law._functional_chunk(BOTH, None, 4096, 13, 0, 100)
-        weights = limit_law._path_weights(4096)
-        for start, stop in ((0, 64), (64, 100)):
-            normals = substream(13, start // 64).standard_normal((stop - start, 4098))
-            paths = limit_law._assemble_paths(normals, weights)
-            sup = np.max(np.abs(paths), axis=1) + limit_law.SUP_CONTINUITY_BETA / 64.0
-            omega2 = np.einsum("ij,ij->i", paths, paths) / 4096
-            np.testing.assert_array_equal(whole[SUP][start:stop], sup)
-            np.testing.assert_array_equal(whole[OMEGA2][start:stop], omega2)
-        with pytest.raises(ValueError, match="37 is not a multiple of 64"):
-            limit_law._functional_chunk(BOTH, None, 64, 13, 37, 200)
+                    np.testing.assert_array_equal(part[kind], whole[kind])
 
     def test_null_mixture_shift_reproduces_null_table(self):
         mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=2000)

@@ -142,8 +142,8 @@ class TestBlockedPipeline:
     @pytest.mark.parametrize("p", sorted(AR_COEFFS))
     @pytest.mark.parametrize(
         "n, n_reps",
-        # hundreds of rows per block and a partial last block; one short
-        # block of 32 rows and a partial one; a row longer than a block
+        # 64-row blocks, capped by the streams, and a partial last one; one
+        # short block of 32 rows and a partial one; a row longer than a block
         [(30, 600), (500, 40), (16_400, 2)],
     )
     def test_matches_replication_loop(self, innovation, p, n, n_reps):
@@ -167,7 +167,7 @@ class TestBlockedPipeline:
     def test_peak_memory_does_not_grow_with_replications(self, ar1_model):
         # A block holds a fixed number of values whatever n_reps is, and the
         # streams are opened one block of 64 replications at a time.  Only
-        # the outputs grow: two kinds, a chunk's array and the joined copy.
+        # the outputs grow: two kinds, the blocks' parts and the joined copy.
         pipeline_statistics(ar1_model, 2000, BOTH, 10, seed=33)  # lazy imports
         peaks = {}
         for n_reps in (200, 2000):

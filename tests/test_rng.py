@@ -7,7 +7,6 @@ from arnorm.rng import (
     derive_seed,
     make_rng,
     map_replications,
-    replication_blocks,
     substream,
 )
 
@@ -57,8 +56,12 @@ class TestMakeRng:
             make_rng(3.5)
 
 
+def _stream_and_count(stream, count):
+    return stream, count
+
+
 class TestSubstreams:
-    """``replication_blocks`` gives block ``k`` of 64 replications ``substream(seed, k)``."""
+    """``rng._walk`` gives block ``k`` of 64 replications ``substream(seed, k)``."""
 
     SEEDS = [0, 1, 12345, 20240801, 2**62 + 12345, 2**64 + 7, 2**130 + 99, 2**200 + 3]
     # blocks from 0 and off 0; keys of one, two and three 32-bit words
@@ -70,25 +73,25 @@ class TestSubstreams:
     def test_matches_substream(self, seed, start, stop):
         # replications of blocks start..stop-1, the last block one short
         first, last = start * REPLICATION_BLOCK, stop * REPLICATION_BLOCK - 1
-        blocks = list(replication_blocks(seed, first, last))
-        assert len(blocks) == stop - start
-        for key, (stream, lo, hi) in zip(range(start, stop), blocks):
-            assert (lo, hi) == (key * REPLICATION_BLOCK, min(lo + REPLICATION_BLOCK, last))
+        parts = rng_module._walk(_stream_and_count, (), seed, REPLICATION_BLOCK, first, last)
+        assert len(parts) == stop - start
+        for key, (stream, count) in zip(range(start, stop), parts):
+            assert count == min(REPLICATION_BLOCK, last - key * REPLICATION_BLOCK)
             np.testing.assert_array_equal(
                 stream.standard_normal(5), substream(seed, key).standard_normal(5)
             )
 
     def test_empty_range(self):
-        assert list(replication_blocks(5, 640, 640)) == []
-        assert list(replication_blocks(5, 640, 192)) == []
+        assert rng_module._walk(_stream_and_count, (), 5, 64, 640, 640) == []
+        assert rng_module._walk(_stream_and_count, (), 5, 64, 640, 192) == []
 
     def test_negative_seed_rejected_before_iteration(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-            replication_blocks(-1, 0, 0)
+            rng_module._walk(_stream_and_count, (), -1, 64, 0, 0)
 
     def test_off_edge_start_rejected(self):
         with pytest.raises(ValueError, match="start 37 is not a multiple of 64"):
-            replication_blocks(5, 37, 200)
+            rng_module._walk(_stream_and_count, (), 5, 64, 37, 200)
 
 
 @pytest.mark.parametrize("derive", [make_rng, substream, derive_seed])
@@ -97,12 +100,13 @@ def test_negative_seed_named_in_error(derive):
         derive(-1)
 
 
-def _squares(offset, start, stop):
-    return {"x": offset + np.arange(start, stop) ** 2}
+def _draws(stream, count):
+    return {"x": stream.random(count)}
 
 
-def _piece_bounds(start, stop):
-    return {"bounds": np.array([start, stop])}
+def _record(calls, stream, count):
+    calls.append((stream, count))
+    return _draws(stream, count)
 
 
 class _InlinePool:
@@ -132,13 +136,50 @@ class TestMapReplications:
         monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(rng_module, "_available_cpus", lambda: cpus)
         _InlinePool.sizes = []
-        split = map_replications(_squares, (5,), 200, workers=workers)
+        split = map_replications(_draws, (), 5, 200, 64, workers=workers)
         assert _InlinePool.sizes == [processes]
-        np.testing.assert_array_equal(split["x"], _squares(5, 0, 200)["x"])
+        np.testing.assert_array_equal(split["x"], map_replications(_draws, (), 5, 200, 64)["x"])
 
     def test_pieces_cut_at_block_edges(self, monkeypatch):
         # 201 replications are four 64-replication blocks, the last partial;
         # three pieces take whole blocks, so no block is split between them
         monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _InlinePool)
-        bounds = map_replications(_piece_bounds, (), 201, workers=3)["bounds"]
-        np.testing.assert_array_equal(bounds, [0, 64, 64, 128, 128, 201])
+        walk, pieces = rng_module._walk, []
+
+        def recording_walk(*args):
+            pieces.append(args[-2:])
+            return walk(*args)
+
+        monkeypatch.setattr(rng_module, "_walk", recording_walk)
+        map_replications(_draws, (), 5, 201, 64, workers=3)
+        assert pieces == [(0, 64), (64, 128), (128, 201)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_reps", [1, 63, 64, 65, 201])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 300])
+    def test_block_contract(self, monkeypatch, rows, n_reps, workers):
+        # each call takes at most min(rows, 64) replications of one block,
+        # with that block's stream; the streams are substream(seed, k) in
+        # order, and the joined output is in replication order
+        monkeypatch.setattr(rng_module, "ProcessPoolExecutor", _InlinePool)
+        calls = []
+        x = map_replications(_record, (calls,), 9, n_reps, rows, workers)["x"]
+        streams, done = [], 0
+        for stream, count in calls:
+            assert 1 <= count <= min(rows, REPLICATION_BLOCK)
+            assert done // REPLICATION_BLOCK == (done + count - 1) // REPLICATION_BLOCK
+            if done % REPLICATION_BLOCK == 0:
+                assert all(stream is not s for s in streams)
+                streams.append(stream)
+            assert stream is streams[-1]
+            done += count
+        assert done == n_reps == x.size
+        expected = [substream(9, k).random(min(REPLICATION_BLOCK, n_reps - k * REPLICATION_BLOCK))
+                    for k in range(len(streams))]
+        np.testing.assert_array_equal(x, np.concatenate(expected))
+
+    def test_rows_below_one_give_one_replication_per_call(self):
+        # a table on a grid finer than 2**15 points asks for 0 rows
+        calls = []
+        map_replications(_record, (calls,), 9, 3, 0)
+        assert [count for _, count in calls] == [1, 1, 1]
