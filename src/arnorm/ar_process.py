@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from .rng import make_rng
+from .rng import substream
 
 __all__ = [
     "ZeroMeanLaw",
@@ -496,8 +496,9 @@ def simulate_ar(
     (default :func:`default_burn_in`), and the last ``n + p`` values are
     returned as a :class:`SeriesSample` (so the fitting pipeline has its
     ``p`` pre-sample values).  Innovations are drawn in a single vectorized
-    pass from ``seed`` (an integer, or a Generator drawn from in place), so
-    equal seeds give bit-identical output.
+    pass from ``seed`` (an integer, whose stream is ``substream(seed)``, or
+    a Generator drawn from in place), so equal seeds give bit-identical
+    output.
     """
     p = model.order
     if n < p + 1:
@@ -506,7 +507,7 @@ def simulate_ar(
         burn_in = default_burn_in(model)
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    rng = make_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     eps = model.innovation.sample(rng, burn_in + n + p)
     centered = _ar_filter(model.coeffs, eps)
     values = model.mean + centered[burn_in:]

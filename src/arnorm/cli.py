@@ -34,6 +34,7 @@ from .ar_process import (
     Gaussian,
     Mixture,
     SeriesSample,
+    _require_scale,
     char_root_radius,
     default_burn_in,
     parse_alternative_law,
@@ -274,16 +275,10 @@ def _cmd_test(args, out) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     _check_table_flags(args)
-    values = _read_series(args.series)
-    # The statistics are scale-invariant: fit the series scaled exactly by a
-    # power of two into [0.5, 1).  The fit scales its rows too, but returns
-    # residuals in the series' own units, whose mean square (s2_hat)
-    # overflows for a series at 1e200 scale (or underflows at 1e-200).
-    exponent = int(np.frexp(np.max(np.abs(values)))[1])
-    sample = SeriesSample.from_values(np.ldexp(values, -exponent), args.p)
+    sample = SeriesSample.from_values(_read_series(args.series), args.p)
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
-    _check_scale(fit.s2_hat)
+    _check_scale(fit.s_hat)
     tables, sources = _resolve_tables(args)
     results = [
         kolmogorov_stat(fit, tables[StatKind.KOLMOGOROV], args.alpha),
@@ -306,9 +301,7 @@ def _cmd_test(args, out) -> int:
             "seed": table.seed,
         }
         header.append("table: " + json.dumps(provenance, sort_keys=True))
-    mean_hat = math.ldexp(fit.mean_hat, exponent)
-    s_hat = math.ldexp(fit.s_hat, exponent)
-    body = [f"n={sample.n} p={sample.p} mean_hat={mean_hat!r} s_hat={s_hat!r}"]
+    body = [f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"]
     for res in results:
         verdict = "rejected" if res.rejected else "not-rejected"
         body.append(
@@ -404,6 +397,7 @@ def _power_grid(config) -> tuple[tuple, list, list]:
     and the ``# note:`` lines, built from a loaded config."""
     kinds = tuple(StatKind(name) for name in config["statistics"])
     sigma0 = float(config["sigma0"])
+    _require_scale("sigma0", sigma0)
     laws = [None if h == "none" else parse_alternative_law(h, sigma0) for h in config["h"]]
     notes = [
         f"note: {h_text} has no Lipschitz density; the asymptotic-power "

@@ -6,15 +6,20 @@ The fitting pipeline for a stretch ``v_{1-p}, ..., v_n`` is:
    (pre-sample values are centered by the same constant);
 2. regress the centered value at time ``t`` on its ``p`` centered lags over
    ``t = 1..n``, conditioning on the ``p`` pre-sample values;
-3. form residuals and the scale estimate ``s2_hat = (1/n) * sum residuals**2``.
+3. form residuals and the scale estimate
+   ``s_hat = sqrt((1/n) * sum residuals**2)``.
 
 Because every time point is centered by the same constant, the coefficient
 estimate and the residuals are invariant under shifts of the series mean,
-and they scale exactly with the series under rescaling.
+and they scale exactly with the series under rescaling.  The fit and the
+scale estimate work on values scaled by a power of two into [0.5, 1), which
+is exact, so a series at 1e200 (or 1e-200) scale neither overflows nor
+underflows their squares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +38,18 @@ MAX_ORDER = 20
 class ResidualFit:
     """Fitted coefficients, residuals, and the innovation scale estimate.
 
-    ``s2_hat`` is not an argument: it is the mean squared residual, set once
-    at construction.
+    ``s_hat`` is not an argument: it is the root mean square residual, set
+    once at construction from the residuals scaled by the power of two that
+    brings their largest magnitude into [0.5, 1), then scaled back.  That
+    is exact, so the squares neither overflow nor underflow, and ``s_hat``
+    has the bits of the unscaled formula wherever that is finite and
+    nonzero.
     """
 
     beta_hat: np.ndarray
     residuals: np.ndarray
     mean_hat: float
-    s2_hat: float = field(init=False)
+    s_hat: float = field(init=False)
 
     def __post_init__(self) -> None:
         beta = np.atleast_1d(np.array(self.beta_hat, dtype=float, copy=True))
@@ -53,7 +62,9 @@ class ResidualFit:
         resid.setflags(write=False)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "residuals", resid)
-        object.__setattr__(self, "s2_hat", float(_mean_square(resid)))
+        exponent = math.frexp(np.max(np.abs(resid)))[1]
+        s_hat = math.ldexp(float(_root_mean_square(np.ldexp(resid, -exponent))), exponent)
+        object.__setattr__(self, "s_hat", s_hat)
 
     @property
     def n(self) -> int:
@@ -63,14 +74,10 @@ class ResidualFit:
     def order(self) -> int:
         return int(self.beta_hat.size)
 
-    @property
-    def s_hat(self) -> float:
-        return float(np.sqrt(self.s2_hat))
 
-
-def _mean_square(residuals: np.ndarray):
-    """Mean squared residual along the last axis: the scale estimate ``s2_hat``."""
-    return np.mean(np.square(residuals), axis=-1)
+def _root_mean_square(residuals: np.ndarray):
+    """Root mean square residual along the last axis: the scale estimate ``s_hat``."""
+    return np.sqrt(np.mean(np.square(residuals), axis=-1))
 
 
 def _centered_rows(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,11 @@ closed forms:
 * integrated squared distance:
   ``sum_i (z_i - (2i-1)/(2n))**2 + 1/(12n)``.
 
+The fit forms ``s_hat`` from residuals scaled by a power of two (see
+:class:`~arnorm.estimation.ResidualFit`), so for finite residuals it never
+overflows, and the statistics of a series rescaled by a power of two keep
+their bits.
+
 Because the series mean, the autoregression coefficients, and the scale are
 all estimated, the null distributions differ from the no-estimation EDF
 tables; critical values and p-values come from the Monte Carlo tables of
@@ -63,30 +68,27 @@ class GofResult:
         return self.value > self.critical_value
 
 
-def _check_scale(s2_hat) -> None:
-    """Reject scale estimates that are zero or overflow: the standardized
-    residuals would be undefined, or all zero with every transform 0.5."""
-    if not np.all(s2_hat > 0.0):
+def _check_scale(s_hat) -> None:
+    """Reject zero scale estimates: the standardized residuals are undefined."""
+    if not np.all(s_hat > 0.0):
         raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
-    if not np.all(s2_hat < np.inf):
-        raise DegenerateDataError("residual scale estimate overflows; rescale the series")
 
 
-def _sorted_transforms(residuals: np.ndarray, s2_hat) -> np.ndarray:
+def _sorted_transforms(residuals: np.ndarray, s_hat) -> np.ndarray:
     """Sorted ``Phi(residual / s_hat)`` along the last axis of ``residuals``,
     one scale estimate per row; see :func:`probability_transforms`."""
-    _check_scale(s2_hat)
-    return ndtr(np.sort(residuals, axis=-1) / np.sqrt(s2_hat)[..., None])
+    _check_scale(s_hat)
+    return ndtr(np.sort(residuals, axis=-1) / np.asarray(s_hat)[..., None])
 
 
 def probability_transforms(fit: ResidualFit) -> np.ndarray:
     """Sorted values ``Phi(residual / s_hat)``, the shared core of both tests.
 
     Raises :class:`~arnorm.errors.DegenerateDataError` when the scale
-    estimate vanishes (all residuals zero) or overflows, since the
-    transform is then undefined.
+    estimate vanishes (all residuals zero), since the transform is then
+    undefined.
     """
-    return _sorted_transforms(fit.residuals, fit.s2_hat)
+    return _sorted_transforms(fit.residuals, fit.s_hat)
 
 
 def _value(x: np.ndarray):

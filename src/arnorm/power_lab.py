@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_process import ArModel, Gaussian, Mixture, default_burn_in, simulate_ar
-from .estimation import MAX_ORDER, _fit_rows, _mean_square
+from .estimation import MAX_ORDER, _fit_rows, _root_mean_square
 from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
 from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _stat_kinds, quantile,
                         simulate_limit_tables)
@@ -108,13 +108,13 @@ def _pipeline_block(model, n, burn_in, kinds, stream, count):
     a row of the block.  The fit, the transforms and both statistics then
     run once per block, and every row comes out as the fit and test of its
     series alone would give it.  The statistics are scale-free, so they take
-    the fit's residuals in its scaled units: a series at 1e154 scale then
-    cannot overflow the squares of the scale estimate.
+    the fit's residuals in its units, already scaled by a power of two, and
+    form the scale estimate from them directly.
     """
     values = np.array([simulate_ar(model, n, burn_in=burn_in, seed=stream).values
                        for _ in range(count)])
     _, resid, _, _ = _fit_rows(values, model.order)
-    transforms = _sorted_transforms(resid, _mean_square(resid))
+    transforms = _sorted_transforms(resid, _root_mean_square(resid))
     return {
         kind: kolmogorov_from_transforms(transforms)
         if kind is StatKind.KOLMOGOROV

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-__all__ = ["make_rng", "substream", "derive_seed", "map_replications"]
+__all__ = ["substream", "derive_seed", "map_replications"]
 
 # Replications per keyed stream; pieces of work start on multiples of it.
 REPLICATION_BLOCK = 64
@@ -35,13 +35,6 @@ def _seed_sequence(seed: int, key=()) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         _checked_seed(seed), spawn_key=tuple(operator.index(k) for k in key)
     )
-
-
-def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """A Generator seeded by the integer ``seed``; a Generator passes through unchanged."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

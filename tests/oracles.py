@@ -204,7 +204,7 @@ def eval_process(fit, t_grid):
         raise ValueError("grid points must lie strictly inside (0, 1)")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("grid points must be strictly increasing")
-    _check_scale(fit.s2_hat)
+    _check_scale(fit.s_hat)
     x = fit.s_hat * ndtri(t_grid)
     return np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
 

@@ -18,7 +18,7 @@ from arnorm.ar_process import (
     default_burn_in,
     parse_alternative_law,
 )
-from arnorm.rng import make_rng, substream
+from arnorm.rng import substream
 
 from oracles import autocov_matrix, ma_coefficients
 
@@ -126,6 +126,11 @@ class TestSimulateAr:
         a = simulate_ar(ar1_model, n=20, seed=substream(9, 5))
         b = simulate_ar(ar1_model, n=20, seed=substream(9, 5))
         np.testing.assert_array_equal(a.values, b.values)
+        # a Generator is drawn from in place, not reseeded
+        stream = substream(9, 5)
+        simulate_ar(ar1_model, n=20, seed=stream)
+        c = simulate_ar(ar1_model, n=20, seed=stream)
+        assert not np.array_equal(a.values, c.values)
 
     def test_returns_presample_values(self, ar1_model):
         sample = simulate_ar(ar1_model, n=30, seed=0)
@@ -417,7 +422,7 @@ class TestMixture:
         model = ArModel(coeffs=(), mean=0.0, innovation=law)
         draws = simulate_ar(model, n=1000, burn_in=0, seed=5).values
         assert set(np.unique(draws)) == {-2.0, 2.0}
-        np.testing.assert_array_equal(draws, law.sample(make_rng(5), size=1000))
+        np.testing.assert_array_equal(draws, law.sample(substream(5), size=1000))
         assert model.innovation.variance == pytest.approx(4.0)
 
     def test_gaussian_innovation(self):

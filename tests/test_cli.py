@@ -11,7 +11,6 @@ import arnorm
 from arnorm import load_table, quantile
 from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
-from arnorm.estimation import ResidualFit
 from arnorm.rng import substream
 
 
@@ -230,19 +229,20 @@ class TestTest:
         for p in (0, 1):
             yield self._report(capsys, plain, p, tables), self._report(capsys, scaled, p, tables)
 
-    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600, 2.0**1021],
+                             ids=["2**600", "2**-600", "2**1021"])
     def test_power_of_two_scale_keeps_statistic_bytes(self, tmp_path, capsys, small_tables,
                                                        factor):
-        # the series is rescaled by a power of two before the fit, which is
-        # exact; unscaled, 2**600 overflowed the squares and 2**-600 flushed
-        # them to zero
+        # the fit and the scale estimate work on values scaled by a power of
+        # two, which is exact; unscaled, 2**600 overflowed the squares and
+        # 2**-600 flushed them to zero
         for plain, scaled in self._scaled_reports(tmp_path, capsys, small_tables, factor):
             assert plain[0] == scaled[0] == 0, scaled[2]
             assert ([l for l in scaled[1].splitlines() if l.startswith("statistic=")]
                     == [l for l in plain[1].splitlines() if l.startswith("statistic=")])
 
     def test_huge_scale_series_matches_unscaled(self, tmp_path, capsys, small_tables):
-        # at 1e200 s2_hat overflowed: --p 0 printed a verdict from transforms
+        # at 1e200 the mean square overflowed: --p 0 printed a verdict from transforms
         # that were all 0.5, and --p 1 failed in the Cholesky solve
         for plain, scaled in self._scaled_reports(tmp_path, capsys, small_tables, 1e200):
             assert plain[0] == scaled[0] == 0, scaled[2]
@@ -250,21 +250,6 @@ class TestTest:
             assert set(got) == {"statistic=kolmogorov", "statistic=omega2"}
             for kind, value in want.items():
                 assert got[kind] == pytest.approx(value, rel=1e-12, abs=0.0)
-
-    def test_overflowing_scale_estimate_prints_no_verdict(self, tmp_path, capsys,
-                                                          small_tables, monkeypatch):
-        # the CLI's rescaling keeps real series away from this, so force a
-        # fit whose mean squared residual overflows
-        residuals = np.full(40, 1e200)
-        with np.errstate(over="ignore"):
-            overflowing = ResidualFit(beta_hat=np.empty(0), residuals=residuals, mean_hat=0.0)
-        monkeypatch.setattr(arnorm.cli, "fit_ar", lambda sample: overflowing)
-        series = tmp_path / "series.txt"
-        _write_series(series, substream(134).normal(size=40))
-        code, out, err = self._report(capsys, series, 0, small_tables)
-        assert code in (2, 3)
-        assert "arnorm: residual scale estimate overflows" in err
-        assert "verdict=" not in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["test", str(tmp_path / "nope.txt"), "--reps", "100"]) == 2
@@ -638,17 +623,20 @@ class TestPower:
             ("n_reps", 99, "n_reps must be at least 100, got 99"),
             ("alpha", 1, "alpha must lie strictly between 0 and 1, got 1"),
             ("sigma0", 0, "sigma0 must be positive, got 0"),
+            ("sigma0", 1e200, "sigma0 must have a finite variance sigma0**2, got 1e+200"),
             ("burn_in", -1, "burn_in must be non-negative, got -1"),
         ],
-        ids=["seed", "grid", "limit_reps", "n_reps", "alpha", "sigma0", "burn_in"],
+        ids=["seed", "grid", "limit_reps", "n_reps", "alpha", "sigma0", "sigma0-variance",
+             "burn_in"],
     )
     def test_out_of_range_field_names_config(self, tmp_path, capsys, monkeypatch, field,
                                              value, message):
-        # ExperimentSpec owns the ranges; each still fails before any table
+        # ExperimentSpec owns the ranges; each still fails before any table,
+        # whether the first cell is a size or a power study
         calls = []
         monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables",
                             lambda *args, **kwargs: calls.append(args))
-        config = _power_config(tmp_path, **{field: value})
+        config = _power_config(tmp_path, h=["none", "gauss-scale:2.0"], **{field: value})
         assert main(["power", str(config)]) == 2
         assert f"arnorm: {config}: {message}" in capsys.readouterr().err
         assert calls == []

@@ -96,7 +96,7 @@ class TestResiduals:
     def test_tiny_example(self):
         fit = _residuals([1.0, 2.0, 3.0], [1.0])
         np.testing.assert_array_equal(fit.residuals, [1.0, 1.0])
-        assert fit.s2_hat == 1.0
+        assert fit.s_hat == 1.0
         assert fit.n == 2 and fit.order == 1
 
     def test_zero_coefficients_return_centered_values(self):
@@ -107,13 +107,12 @@ class TestResiduals:
     def test_scale_estimate_is_mean_square(self):
         values = substream(6).normal(size=50)
         fit = _residuals(values, [0.3, -0.2])
-        assert fit.s2_hat == float(np.mean(np.square(fit.residuals)))
-        assert fit.s_hat == np.sqrt(fit.s2_hat)
+        assert fit.s_hat == float(np.sqrt(np.mean(np.square(fit.residuals))))
 
     def test_scale_estimate_is_not_an_argument(self):
         with pytest.raises(TypeError):
             ResidualFit(beta_hat=np.empty(0), residuals=np.array([1.0, -1.0]), mean_hat=0.0,
-                        s2_hat=1.0)
+                        s_hat=1.0)
 
 
 class TestFitAr:
@@ -130,7 +129,7 @@ class TestFitAr:
         model = ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(2.0))
         for seed in (0, 1, 2):
             fit = fit_ar(simulate_ar(model, n=10_000, seed=seed))
-            assert abs(fit.s2_hat - 4.0) < 0.2
+            assert abs(fit.s_hat**2 - 4.0) < 0.2
 
     def test_mean_shift_invariance_exact_case(self):
         # integer series, power-of-two length: the sample mean and every
@@ -143,22 +142,24 @@ class TestFitAr:
         fit1 = fit_ar(SeriesSample.from_values(shifted, p=1))
         np.testing.assert_array_equal(fit0.beta_hat, fit1.beta_hat)
         np.testing.assert_array_equal(fit0.residuals, fit1.residuals)
-        assert fit0.s2_hat == fit1.s2_hat
+        assert fit0.s_hat == fit1.s_hat
         assert fit1.mean_hat == fit0.mean_hat + 64.0
 
     def test_huge_scale_fit_matches_unscaled(self, ar1_model):
-        # the Gram matrix of a 1e200-scale series overflows; the fit
-        # solves for the series scaled by a power of two, which is exact
-        # (the squared residuals still overflow; that is checked below)
+        # the Gram matrix and the squared residuals of a 1e200-scale series
+        # overflow; the fit and the scale estimate work on values scaled by
+        # a power of two, which is exact
         x = simulate_ar(ar1_model, n=400, seed=21).values
-        base = fit_ar(SeriesSample.from_values(x, p=1)).beta_hat
-        with np.errstate(over="ignore"):
-            exact = fit_ar(SeriesSample.from_values(2.0**600 * x, p=1)).beta_hat
+        base = fit_ar(SeriesSample.from_values(x, p=1))
+        with np.errstate(all="raise"):
+            exact = fit_ar(SeriesSample.from_values(2.0**600 * x, p=1))
             huge = fit_ar(SeriesSample.from_values(1e200 * x, p=1))
-        np.testing.assert_array_equal(exact, base)
-        np.testing.assert_allclose(huge.beta_hat, base, rtol=0, atol=1e-12)
-        with pytest.raises(DegenerateDataError, match="overflows"):
-            probability_transforms(huge)
+            transforms = probability_transforms(huge)
+        np.testing.assert_array_equal(exact.beta_hat, base.beta_hat)
+        assert exact.s_hat == 2.0**600 * base.s_hat
+        np.testing.assert_allclose(huge.beta_hat, base.beta_hat, rtol=0, atol=1e-12)
+        assert huge.s_hat == pytest.approx(1e200 * base.s_hat, rel=1e-12)
+        np.testing.assert_allclose(transforms, probability_transforms(base), rtol=0, atol=1e-12)
 
     def test_mean_shift_invariance_float_case(self, ar1_model):
         sample = simulate_ar(ar1_model, n=500, seed=12)
@@ -167,7 +168,7 @@ class TestFitAr:
         np.testing.assert_allclose(fit1.beta_hat, fit0.beta_hat, rtol=0, atol=1e-10)
         scale = np.max(np.abs(fit0.residuals))
         np.testing.assert_allclose(fit1.residuals, fit0.residuals, rtol=0, atol=1e-10 * scale)
-        assert fit1.s2_hat == pytest.approx(fit0.s2_hat, rel=1e-10)
+        assert fit1.s_hat**2 == pytest.approx(fit0.s_hat**2, rel=1e-10)
 
 
 class TestStackedFit:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -89,7 +92,7 @@ class TestStackedTransforms:
     def test_rows_equal_single_fits(self):
         fits = [_random_fit(seed, n=150) for seed in range(6)]
         resid = np.array([fit.residuals for fit in fits])
-        z = _sorted_transforms(resid, np.array([fit.s2_hat for fit in fits]))
+        z = _sorted_transforms(resid, np.array([fit.s_hat for fit in fits]))
         sup, omega2 = kolmogorov_from_transforms(z), omega2_from_transforms(z)
         assert sup.shape == omega2.shape == (6,)
         for r, fit in enumerate(fits):
@@ -104,7 +107,7 @@ class TestStackedTransforms:
         resid = substream(43).normal(size=(3, 20))
         resid[1] = 0.0
         with pytest.raises(DegenerateDataError, match="scale estimate is zero"):
-            _sorted_transforms(resid, np.mean(np.square(resid), axis=-1))
+            _sorted_transforms(resid, np.sqrt(np.mean(np.square(resid), axis=-1)))
 
 
 class TestKolmogorovStat:
@@ -182,6 +185,26 @@ class TestInvariances:
         fit2 = fit_ar(SeriesSample.from_values(sample.values * 2.0, p=1))
         assert _sup(fit2) == _sup(fit0)
         assert _omega2(fit2) == _omega2(fit0)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_power_of_two_scale_keeps_library_bits(self, null_tables, p):
+        # s_hat is formed from residuals scaled by a power of two: unscaled,
+        # 2**-530 moved the sup in its fifth digit, 2**-540 flushed the
+        # squares to a zero scale and 2**510 overflowed them
+        model = ArModel(coeffs=(0.5, -0.3), mean=1.5, innovation=Gaussian(1.0))
+        values = simulate_ar(model, n=400, seed=34).values
+
+        def report(k):
+            fit = fit_ar(SeriesSample.from_values(math.ldexp(1.0, k) * values, p))
+            results = [kolmogorov_stat(fit, null_tables[StatKind.KOLMOGOROV], 0.05),
+                       omega2_stat(fit, null_tables[StatKind.OMEGA2], 0.05)]
+            return math.ldexp(fit.s_hat, -k), [(r.value, r.p_value) for r in results]
+
+        base = report(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in [*range(-1000, 1021, 10), -530, 510]:
+                assert report(k) == base, k
 
     def test_scale_equivariance_general_factor(self, ar1_model):
         sample = simulate_ar(ar1_model, n=400, seed=33)

@@ -336,37 +336,40 @@ class TestContinuityCorrection:
             assert abs(corrected - exact) <= 4.0 * stderr, (alpha, corrected, exact)
 
 
-def _limit_power(kind, shift, alpha, grid_size, n_reps, seed):
-    """Share of shifted-table samples above the null table's critical value.
+def _limit_power(kind, shifts, alpha, grid_size, n_reps, seed):
+    """Share of shifted-table samples above the null table's critical value,
+    one per shift.
 
-    The two tables come from independent derived streams, as in the power
-    studies.
+    The null table is built once; each shifted table comes from the same
+    derived stream, independent of the null's, as in the power studies.
     """
     null = simulate_limit_tables((kind,), None, grid_size, n_reps, derive_seed(seed, 0))[kind]
-    shifted = simulate_limit_tables((kind,), shift, grid_size, n_reps, derive_seed(seed, 1))[kind]
-    return float(np.mean(shifted.samples > quantile(null, alpha)))
+    critical = quantile(null, alpha)
+    return [
+        float(np.mean(simulate_limit_tables((kind,), shift, grid_size, n_reps,
+                                            derive_seed(seed, 1))[kind].samples > critical))
+        for shift in shifts
+    ]
 
 
 class TestAsymptoticPower:
     def test_null_contamination_recovers_level(self):
         mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=2000)
-        power = _limit_power(SUP, mixture, alpha=0.05, grid_size=128, n_reps=20_000, seed=3)
+        [power] = _limit_power(SUP, [mixture], alpha=0.05, grid_size=128, n_reps=20_000, seed=3)
         # null and shifted tables use independent streams, so both carry
         # Monte Carlo noise: se ~ sqrt(2 * 0.05 * 0.95 / 20000) ~ 0.0022
         assert power == pytest.approx(0.05, abs=0.007)
 
     def test_strong_alternative_beats_level(self):
         mixture = Mixture(sigma0=1.0, h=Gaussian(3.0), n=2000)
-        power = _limit_power(OMEGA2, mixture, alpha=0.05, grid_size=256, n_reps=20_000, seed=3)
+        [power] = _limit_power(OMEGA2, [mixture], alpha=0.05, grid_size=256, n_reps=20_000,
+                               seed=3)
         assert power > 0.5
 
     def test_power_increases_with_contaminating_scale(self):
-        powers = []
-        for scale in (1.0, 1.5, 2.0, 3.0):
-            mixture = Mixture(sigma0=1.0, h=Gaussian(scale), n=2000)
-            powers.append(
-                _limit_power(SUP, mixture, alpha=0.05, grid_size=256, n_reps=20_000, seed=5)
-            )
+        mixtures = [Mixture(sigma0=1.0, h=Gaussian(scale), n=2000)
+                    for scale in (1.0, 1.5, 2.0, 3.0)]
+        powers = _limit_power(SUP, mixtures, alpha=0.05, grid_size=256, n_reps=20_000, seed=5)
         for lo, hi in zip(powers, powers[1:]):
             assert hi > lo - 0.02  # nondecreasing up to Monte Carlo noise
         assert powers[-1] > powers[0] + 0.2

@@ -5,7 +5,6 @@ import arnorm.rng as rng_module
 from arnorm.rng import (
     REPLICATION_BLOCK,
     derive_seed,
-    make_rng,
     map_replications,
     substream,
 )
@@ -30,6 +29,16 @@ class TestSubstream:
         b = substream(7, 12).standard_normal(4)
         assert not np.array_equal(a, b)
 
+    def test_root_stream_reproduces(self):
+        # with no key, the stream of a seed alone, as simulate_ar opens it
+        a = substream(5).standard_normal(4)
+        b = substream(5).standard_normal(4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_rejects_nonsense(self):
+        with pytest.raises(TypeError):
+            substream(3.5)
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
@@ -41,19 +50,6 @@ class TestDeriveSeed:
             val = derive_seed(123456789, key)
             assert 0 <= val < 2**63
             np.random.default_rng(val)  # accepted as a seed
-
-
-class TestMakeRng:
-    def test_accepts_int_and_generator(self):
-        a = make_rng(5).standard_normal(4)
-        b = make_rng(5).standard_normal(4)
-        np.testing.assert_array_equal(a, b)
-        gen = make_rng(5)
-        assert make_rng(gen) is gen
-
-    def test_rejects_nonsense(self):
-        with pytest.raises(TypeError):
-            make_rng(3.5)
 
 
 def _stream_and_count(stream, count):
@@ -94,7 +90,7 @@ class TestSubstreams:
             rng_module._walk(_stream_and_count, (), 5, 64, 37, 200)
 
 
-@pytest.mark.parametrize("derive", [make_rng, substream, derive_seed])
+@pytest.mark.parametrize("derive", [substream, derive_seed])
 def test_negative_seed_named_in_error(derive):
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         derive(-1)
