@@ -259,7 +259,14 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
         if family == "gauss-scale" and len(params) == 1:
             if not 0.0 < params[0] < math.inf:
                 raise ValueError("scale must be positive and finite")
-            return Gaussian(params[0] * sigma0)
+            # name the product the user wrote, not Gaussian's sigma field
+            sigma = params[0] * sigma0
+            if not (sigma > 0.0 and sigma * sigma < math.inf):
+                raise ValueError(
+                    "c * sigma0 must be positive with a finite variance (c * sigma0)**2, "
+                    f"got {params[0]!r} * {sigma0!r} = {sigma!r}"
+                )
+            return Gaussian(sigma)
         if family == "gauss" and len(params) == 1:
             return Gaussian(params[0])
         if family == "laplace" and len(params) == 1:

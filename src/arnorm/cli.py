@@ -238,8 +238,7 @@ def _text(header, body) -> str:
 
 
 def _read_series(path) -> np.ndarray:
-    with open(path) as fh:
-        values = _read_numbers(fh, path)
+    values = _read_numbers(path)
     if not values.size:
         raise ValueError(f"{path}: no observations found")
     return values
@@ -335,7 +334,8 @@ def _cmd_quantiles(args, out) -> int:
     ]
     sys.stdout.write(_text(header, body))
     if out:
-        _write_table(table, out, comments=header + body)
+        # samples follow the table's text header as raw bytes
+        _write_table(table, out.buffer, comments=header + body)
     return 0
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,34 +308,44 @@ def mc_p_value(table: LimitLawTable, value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# persistence: plain-text tables that round-trip bit-exactly
+# persistence: a text header, then the samples as raw float64 bytes
 # ---------------------------------------------------------------------------
 
-_TABLE_MAGIC = "limit-table v1"
+_TABLE_MAGIC = "limit-table v2"
+# Tables of earlier releases: the same header with a ``shift`` field, then one
+# ``repr`` sample per line.
+_TABLE_MAGIC_V1 = "limit-table v1"
+
+
+def _data_line(n_reps: int) -> bytes:
+    """The last header line of a table; its samples follow."""
+    return f"# data: {n_reps} float64 little-endian\n".encode()
 
 
 def save_table(table: LimitLawTable, path, comments=()) -> None:
-    """Write a null table as text: a header line, optional comments, one sample per line.
+    """Write a null table: ``#`` header lines, then its samples as raw
+    little-endian float64, so a load reproduces the array bit-exactly.
 
-    Floats are written with ``repr`` so a load reproduces the array
-    bit-exactly.  The format holds null laws only; a shifted table is refused.
+    The first line names the kind, grid, reps and seed; each of ``comments``
+    follows as a ``#`` line, and a ``# data: <n_reps> float64 little-endian``
+    line ends the header.  The format holds null laws only; a shifted table
+    is refused.
     """
     if table.shift is not None:
         raise ValueError("only null tables can be saved; this one is shifted")
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _write_table(table, fh, comments)
 
 
 def _write_table(table: LimitLawTable, fh, comments=()) -> None:
-    """:func:`save_table` into a file that is already open for writing."""
-    fh.write(
-        f"# {_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
-        f"n_reps={table.n_reps} seed={table.seed} shift=none\n"
-    )
-    for line in comments:
-        fh.write(f"# {line}\n")
-    for value in table.samples:
-        fh.write(f"{float(value)!r}\n")
+    """:func:`save_table` into a binary file that is already open for writing."""
+    header = [
+        f"{_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
+        f"n_reps={table.n_reps} seed={table.seed}",
+        *comments,
+    ]
+    fh.write("".join(f"# {line}\n" for line in header).encode() + _data_line(table.n_reps))
+    fh.write(table.samples.astype("<f8", copy=False))
 
 
 # Text converted per batch by :func:`_read_numbers`: about 3000 table lines,
@@ -342,30 +353,33 @@ def _write_table(table: LimitLawTable, fh, comments=()) -> None:
 _READ_BATCH_CHARS = 1 << 16
 
 
-def _read_numbers(fh, path) -> np.ndarray:
-    """The numbers of a text file from ``fh`` on, one per line, skipping blank
-    lines and ``#`` comments; the first line that is not a finite number is
-    named by its line number in the file.
+def _read_numbers(path) -> np.ndarray:
+    """The numbers of a text file, one per line, skipping blank lines and
+    ``#`` comments; the first line that is not a finite number is named by
+    its line number in the file.
 
-    After the leading ``#`` lines (a table header or comments), the lines are
-    read about 64 KB at a time and each batch is converted by one
-    ``np.array(batch, dtype=float)`` call, which applies ``float``'s grammar
-    and rounding.  A batch that does not convert, or holds a value that is not
-    finite, sends the file through :func:`_read_numbers_by_line` instead.
+    Bytes that are not UTF-8 decode to U+FFFD, so such a line is named as
+    not a number.  After the leading ``#`` lines (a table header or
+    comments), the lines are read about 64 KB at a time and each batch is
+    converted by one ``np.array(batch, dtype=float)`` call, which applies
+    ``float``'s grammar and rounding.  A batch that does not convert, or holds
+    a value that is not finite, sends the file through
+    :func:`_read_numbers_by_line` instead.
     """
-    start = fh.tell()
-    while fh.readline().startswith("#"):
-        start = fh.tell()
-    fh.seek(start)
-    chunks = []
-    while batch := fh.readlines(_READ_BATCH_CHARS):
-        try:
-            values = np.array(batch, dtype=float)
-        except ValueError:
-            return _read_numbers_by_line(fh, path)
-        if not np.all(np.isfinite(values)):
-            return _read_numbers_by_line(fh, path)
-        chunks.append(values)
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        start = 0
+        while fh.readline().startswith("#"):
+            start = fh.tell()
+        fh.seek(start)
+        chunks = []
+        while batch := fh.readlines(_READ_BATCH_CHARS):
+            try:
+                values = np.array(batch, dtype=float)
+            except ValueError:
+                return _read_numbers_by_line(fh, path)
+            if not np.all(np.isfinite(values)):
+                return _read_numbers_by_line(fh, path)
+            chunks.append(values)
     return np.concatenate(chunks) if chunks else np.empty(0)
 
 
@@ -387,28 +401,55 @@ def _read_numbers_by_line(fh, path) -> np.ndarray:
     return np.array(values)
 
 
+def _header_fields(line: bytes, path) -> tuple[str, dict[str, str]]:
+    """The format magic and the ``key=value`` fields of a table's first line."""
+    try:
+        text = line.decode()
+    except UnicodeDecodeError:
+        text = ""
+    for magic in (_TABLE_MAGIC, _TABLE_MAGIC_V1):
+        prefix = f"# {magic} "
+        if text.startswith(prefix):
+            return magic, dict(token.partition("=")[::2] for token in text[len(prefix) :].split())
+    raise ValueError(f"{path}: not a limit-table file")
+
+
+def _read_samples(fh, path, n_reps: int) -> np.ndarray:
+    """The raw samples after the comment lines and the data line of a table."""
+    data_line = _data_line(n_reps)
+    line = fh.readline()
+    while line != data_line:
+        if not line.startswith(b"#"):
+            raise ValueError(f"{path}: no {data_line.decode().strip()!r} line ends the header")
+        line = fh.readline()
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != 8 * n_reps:
+        raise ValueError(
+            f"{path}: the data section holds {size} bytes, but n_reps={n_reps} "
+            f"needs {8 * n_reps}"
+        )
+    return np.frombuffer(fh.read(), dtype="<f8")
+
+
 def load_table(path) -> LimitLawTable:
-    """Read a null table written by :func:`save_table`."""
-    with open(path) as fh:
-        header = fh.readline()
-        prefix = f"# {_TABLE_MAGIC} "
-        if not header.startswith(prefix):
-            raise ValueError(f"{path}: not a limit-table file")
-        fields = {}
-        for token in header[len(prefix) :].split():
-            key, _, value = token.partition("=")
-            fields[key] = value
+    """Read a null table written by :func:`save_table`, or a ``limit-table v1``
+    text table of an earlier release."""
+    with open(path, "rb") as fh:
+        magic, fields = _header_fields(fh.readline(), path)
         try:
             kind = StatKind(fields["kind"])
             grid_size = int(fields["grid_size"])
             n_reps = int(fields["n_reps"])
             seed = int(fields["seed"])
-            shift_text = fields["shift"]
+            shift_text = fields["shift"] if magic == _TABLE_MAGIC_V1 else "none"
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed table header: {exc}") from None
         if shift_text != "none":
             raise ValueError(f"{path}: table was simulated under a shift, not the null")
-        samples = _read_numbers(fh, path)
+        if magic == _TABLE_MAGIC_V1:
+            samples = _read_numbers(path)
+        else:
+            samples = _read_samples(fh, path, n_reps)
     try:
         return LimitLawTable(
             kind=kind,

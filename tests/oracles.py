@@ -8,7 +8,8 @@ informative.  Two oracles instead fix the arithmetic, for results that
 must agree bit for bit: :func:`fit_by_design_matrix` fits one series from
 its column-stacked lag design, and :func:`pipeline_statistics_by_replication`
 runs the simulate/fit/test pipeline one replication at a time through the
-public single-series functions.
+public single-series functions.  :func:`write_v1_table` writes a table in
+the text format of earlier releases, which the loader still reads.
 
 The residual EDF and the process evaluated from it (:func:`residual_edf`,
 :func:`eval_process`), the residual-vs-innovation EDF gap
@@ -39,6 +40,19 @@ from arnorm.rng import substream
 
 # Tail cutoff for the moving-average series in autocov_matrix.
 _MA_TAIL_TOL = 1e-12
+
+
+def write_v1_table(path, table, comments=()):
+    """Write ``table`` as a ``limit-table v1`` text file, the format of
+    earlier releases: the header with its ``shift=none`` field, the comments
+    as ``#`` lines, then one ``repr`` sample per line."""
+    lines = [
+        f"limit-table v1 kind={table.kind.value} grid_size={table.grid_size} "
+        f"n_reps={table.n_reps} seed={table.seed} shift=none",
+        *comments,
+    ]
+    Path(path).write_text("".join(f"# {line}\n" for line in lines)
+                          + "".join(f"{float(v)!r}\n" for v in table.samples))
 
 
 def read_numbers_by_float(path):

@@ -13,6 +13,8 @@ from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
 from arnorm.rng import substream
 
+from oracles import write_v1_table
+
 
 def _write_series(path, values):
     path.write_text("".join(f"{float(v)!r}\n" for v in values))
@@ -141,8 +143,12 @@ class TestSimulate:
           "series too short: requires n >= p + 1 (--n)"),
          (["--beta", "0.5,nan"], "coeffs must be finite (--beta)"),
          (["--sigma0", "1e200"],
-          "sigma must have a finite variance sigma**2, got 1e+200 (--sigma0)")],
-        ids=["burn-in", "n-mixture", "n-below-order", "beta-nan", "sigma0-overflow"],
+          "sigma must have a finite variance sigma**2, got 1e+200 (--sigma0)"),
+         (["--sigma0", "1e154", "--h", "gauss-scale:2"],
+          "invalid law descriptor 'gauss-scale:2': c * sigma0 must be positive with a "
+          "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154")],
+        ids=["burn-in", "n-mixture", "n-below-order", "beta-nan", "sigma0-overflow",
+             "scale-product-overflow"],
     )
     def test_bad_flag_named_before_simulating(self, capsys, monkeypatch, flags, message):
         def must_not_run(*args, **kwargs):
@@ -324,8 +330,10 @@ class TestTest:
         assert main(["test", str(series), "--p", "5", "--reps", "100"]) == 2
 
     def test_nan_in_table_file_exits_2(self, tmp_path, capsys, small_tables):
+        # a v1 text table, which names a bad line by its number
         table = tmp_path / "kolmogorov.table"
-        lines = Path(small_tables["kolmogorov"]).read_text().splitlines()
+        write_v1_table(table, load_table(small_tables["kolmogorov"]), comments=("by hand",))
+        lines = table.read_text().splitlines()
         middle = len(lines) // 2
         assert not lines[middle].startswith("#")
         lines[middle] = "nan"
@@ -340,8 +348,10 @@ class TestTest:
         assert f"{table}: line {middle + 1} is not finite: 'nan'" in err
 
     def test_non_numeric_table_line_reported_with_number(self, tmp_path, capsys, small_tables):
+        # a v1 text table, which names a bad line by its number
         table = tmp_path / "kolmogorov.table"
-        lines = Path(small_tables["kolmogorov"]).read_text().splitlines()
+        write_v1_table(table, load_table(small_tables["kolmogorov"]), comments=("by hand",))
+        lines = table.read_text().splitlines()
         middle = len(lines) // 2
         assert not lines[middle].startswith("#")
         lines[middle] = "abc"
@@ -418,6 +428,96 @@ class TestTest:
             "--table", small_tables["kolmogorov"],
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("kind, message", [
+        ("truncated", "the data section holds 159992 bytes, but n_reps=20000 needs 160000"),
+        ("trailing", "the data section holds 160001 bytes, but n_reps=20000 needs 160000"),
+        ("no-data-line", "no '# data: 20000 float64 little-endian' line ends the header"),
+        ("nan", "samples must be finite"),
+        ("unsorted", "samples must be sorted in ascending order"),
+    ])
+    def test_v2_table_defect_exits_2_naming_the_file(self, tmp_path, capsys, small_tables,
+                                                     kind, message):
+        data_line = b"# data: 20000 float64 little-endian\n"
+        header, found, data = Path(small_tables["kolmogorov"]).read_bytes().partition(data_line)
+        assert found and len(data) == 8 * 20_000
+        if kind == "truncated":
+            data = data[:-8]
+        elif kind == "trailing":
+            data += b"\0"
+        elif kind == "no-data-line":
+            data_line = b"# no data line\n"
+        else:
+            samples = np.frombuffer(data, dtype="<f8").copy()
+            if kind == "nan":
+                samples[10_000] = np.nan
+            else:
+                samples[[10_000, 10_001]] = samples[[10_001, 10_000]]
+            data = samples.tobytes()
+        table = tmp_path / "kolmogorov.table"
+        table.write_bytes(header + data_line + data)
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(130).normal(size=200))
+        code = main([
+            "test", str(series), "--table", str(table), "--table", small_tables["omega2"],
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"arnorm: {table}: {message}\n"
+
+    def test_v1_and_v2_tables_give_the_same_report(self, tmp_path, capsys, small_tables):
+        # the report names each table's path, so both formats sit at one path
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(131).normal(size=500))
+        paths = {kind: tmp_path / f"{kind}.table" for kind in small_tables}
+        for kind, path in paths.items():
+            path.write_bytes(Path(small_tables[kind]).read_bytes())
+        argv = ["test", str(series), "--p", "1", "--table", str(paths["kolmogorov"]),
+                "--table", str(paths["omega2"])]
+        assert main(argv) == 0
+        from_v2 = capsys.readouterr().out
+        for kind, path in paths.items():
+            write_v1_table(path, load_table(small_tables[kind]))
+            assert path.read_text().startswith("# limit-table v1 ")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_v2
+
+    @pytest.mark.parametrize("case", ["series", "v1-table"])
+    def test_non_utf8_line_named_by_number(self, tmp_path, capsys, small_tables, case):
+        bad = tmp_path / "bad.txt"
+        body = b"0.5\n0.25\n\xff\xfe1.0\n0.75\n"
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(132).normal(size=200))
+        if case == "series":
+            bad.write_bytes(body)
+            argv = ["test", str(bad), "--table", small_tables["kolmogorov"],
+                    "--table", small_tables["omega2"]]
+            lineno = 3
+        else:
+            bad.write_bytes(b"# limit-table v1 kind=kolmogorov grid_size=16 n_reps=4 seed=7 "
+                            b"shift=none\n" + body)
+            argv = ["test", str(series), "--table", str(bad), "--table", small_tables["omega2"]]
+            lineno = 4
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"arnorm: {bad}: line {lineno} is not a number: ")
+
+    @pytest.mark.parametrize("first_line", [
+        b"# limit-table v2 kind=kolmogorov\xff grid_size=16 n_reps=1 seed=7\n",
+        b"# limit-table v1 kind=kolmogorov grid_size=16 n_reps=1 seed=7 shift=\xff\n",
+        b"\x7fELF\x02\x01\x01\x00\xff\xfe\n",
+    ], ids=["v2", "v1", "binary"])
+    def test_undecodable_table_header_is_not_a_table(self, tmp_path, capsys, small_tables,
+                                                     first_line):
+        table = tmp_path / "bad.table"
+        table.write_bytes(first_line + b"# data: 1 float64 little-endian\n" + bytes(8))
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(133).normal(size=200))
+        assert main(["test", str(series), "--table", str(table),
+                     "--table", small_tables["omega2"]]) == 2
+        assert capsys.readouterr().err == f"arnorm: {table}: not a limit-table file\n"
 
     def test_shifted_table_file_rejected(self, tmp_path, capsys, small_tables):
         # the header of a shifted table as earlier releases wrote it
@@ -624,10 +724,12 @@ class TestPower:
             ("alpha", 1, "alpha must lie strictly between 0 and 1, got 1"),
             ("sigma0", 0, "sigma0 must be positive, got 0"),
             ("sigma0", 1e200, "sigma0 must have a finite variance sigma0**2, got 1e+200"),
+            ("sigma0", 1e154, "invalid law descriptor 'gauss-scale:2.0': c * sigma0 must be "
+             "positive with a finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154"),
             ("burn_in", -1, "burn_in must be non-negative, got -1"),
         ],
         ids=["seed", "grid", "limit_reps", "n_reps", "alpha", "sigma0", "sigma0-variance",
-             "burn_in"],
+             "scale-product-variance", "burn_in"],
     )
     def test_out_of_range_field_names_config(self, tmp_path, capsys, monkeypatch, field,
                                              value, message):

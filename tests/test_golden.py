@@ -31,7 +31,7 @@ RUNS = [
         ["quantiles", "--kind", "omega2", "--grid", "32", "--reps", "2000", "--seed", "3",
          "--out", "o.txt"],
         "170f61519197c05ad46cd6ffa4979bdc05d95991e516c18f09630ccbd02f22a8",
-        ("o.txt", "0e64debea93c3a34d6c592001230b2112b104ec89790d073ceaf776c0e997c5e"),
+        ("o.txt", "16d2de14e651db9a13f1c3bc5032d6021470223f94e1ea3999388d9a8ab012fb"),
     ),
     (
         ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",

@@ -19,7 +19,7 @@ from arnorm.limit_law import (
 from arnorm.rng import derive_seed, map_replications, substream
 
 from conftest import upper_quantile
-from oracles import corrected_bridge_sup_check
+from oracles import corrected_bridge_sup_check, write_v1_table
 
 SUP, OMEGA2 = StatKind.KOLMOGOROV, StatKind.OMEGA2
 BOTH = (SUP, OMEGA2)
@@ -411,10 +411,15 @@ class TestTableSerialization:
         np.testing.assert_array_equal(
             back.samples, [0.01714550407092106, 0.04126951175426999, 0.1162914161394552]
         )
-        # the same table saved now has the same bytes
+        # saved again, it is a v2 file of the same samples, fields and comments
         again = tmp_path / "again.table"
         save_table(back, again, comments=("made by arnorm 0.1.0",))
-        assert again.read_bytes() == path.read_bytes()
+        assert again.read_bytes() == (
+            b"# limit-table v2 kind=omega2 grid_size=16 n_reps=3 seed=7\n"
+            b"# made by arnorm 0.1.0\n"
+            b"# data: 3 float64 little-endian\n"
+            + np.array(back.samples, dtype="<f8").tobytes()
+        )
 
     def test_rejects_shifted_file(self, tmp_path):
         path = tmp_path / "shifted.table"
@@ -453,7 +458,7 @@ class TestTableSerialization:
     def test_rejects_truncated_header(self, tmp_path):
         table = simulate_limit_tables((SUP,), None, 64, 100, seed=1)[SUP]
         path = tmp_path / "t.table"
-        save_table(table, path)
+        write_v1_table(path, table)
         lines = path.read_text().splitlines()
         lines[0] = lines[0].rsplit(" ", 2)[0]  # drop trailing header fields
         path.write_text("\n".join(lines) + "\n")
@@ -463,28 +468,59 @@ class TestTableSerialization:
     def test_rejects_sample_count_mismatch(self, tmp_path):
         table = simulate_limit_tables((SUP,), None, 64, 100, seed=1)[SUP]
         path = tmp_path / "t.table"
-        save_table(table, path)
+        write_v1_table(path, table)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(ValueError):
             load_table(path)
 
 
-def _save_sorted_table(path, n_reps, seed):
+def _sorted_table(n_reps, seed):
     samples = np.sort(substream(seed).standard_normal(n_reps))
-    table = LimitLawTable(kind=OMEGA2, shift=None, samples=samples, grid_size=16,
-                          n_reps=n_reps, seed=seed)
-    save_table(table, path)
-    return table
+    return LimitLawTable(kind=OMEGA2, shift=None, samples=samples, grid_size=16,
+                         n_reps=n_reps, seed=seed)
+
+
+class TestTableV2:
+    """The binary table file: a text header, then raw little-endian float64."""
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        # signed zeros, a subnormal and neighbours one ulp apart keep their bits
+        samples = np.array([-1e308, -0.0, 0.0, 5e-324, 0.1, np.nextafter(0.1, 1.0), 1e308])
+        table = LimitLawTable(kind=SUP, shift=None, samples=samples, grid_size=32,
+                              n_reps=samples.size, seed=5)
+        path = tmp_path / "t.table"
+        save_table(table, path, comments=("two", "comments"))
+        back = load_table(path)
+        np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+        assert (back.kind, back.grid_size, back.n_reps, back.seed) == (SUP, 32, 7, 5)
+
+    def test_header_is_text_and_data_is_little_endian(self, tmp_path):
+        table = _sorted_table(4, seed=45)
+        path = tmp_path / "t.table"
+        save_table(table, path)
+        header, _, data = path.read_bytes().partition(b"# data: 4 float64 little-endian\n")
+        assert header == b"# limit-table v2 kind=omega2 grid_size=16 n_reps=4 seed=45\n"
+        assert data == table.samples.astype("<f8").tobytes()
+
+    def test_loads_like_the_v1_text_of_the_same_table(self, tmp_path):
+        table = _sorted_table(5000, seed=46)
+        v1, v2 = tmp_path / "v1.table", tmp_path / "v2.table"
+        write_v1_table(v1, table, comments=("made by hand",))
+        save_table(table, v2, comments=("made by hand",))
+        np.testing.assert_array_equal(load_table(v2).samples.view(np.uint64),
+                                      load_table(v1).samples.view(np.uint64))
 
 
 class TestTableReadBatches:
-    """Tables long enough that the reader converts them in several batches."""
+    """v1 text tables long enough that the reader converts them in several batches."""
 
     @pytest.fixture
     def saved(self, tmp_path):
         path = tmp_path / "long.table"
-        return _save_sorted_table(path, 20_000, seed=41), path
+        table = _sorted_table(20_000, seed=41)
+        write_v1_table(path, table)
+        return table, path
 
     @staticmethod
     def _batch_starts(path):
@@ -521,18 +557,21 @@ class TestTableReadBatches:
 
 
 def test_load_table_peak_memory_under_four_sample_arrays(tmp_path):
-    # the text of a 100k-line table is read in batches, never held whole:
-    # the peak stays under four float arrays of the table's length
+    # a v2 table's bytes are read into one array; the text of a 100k-line v1
+    # table is read in batches, never held whole: either way the peak stays
+    # under four float arrays of the table's length
     n_reps = 100_000
-    path = tmp_path / "big.table"
-    _save_sorted_table(path, n_reps, seed=43)
-    tracemalloc.start()
-    try:
-        load_table(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 8 * n_reps
+    table = _sorted_table(n_reps, seed=43)
+    for save in (save_table, write_v1_table):
+        path = tmp_path / f"big-{save.__name__}.table"
+        save(path=path, table=table)
+        tracemalloc.start()
+        try:
+            load_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n_reps, save.__name__
 
 
 def test_table_construction_peak_memory_under_one_and_a_half_sample_arrays():

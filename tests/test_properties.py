@@ -108,17 +108,12 @@ def _read_outcome(read, path):
         return str(exc)
 
 
-def _read_file(path):
-    with open(path) as fh:
-        return _read_numbers(fh, path)
-
-
 @PROPERTY_SETTINGS
 @given(text=number_files())
 def test_number_file_reads_as_float_per_line(table_dir, text):
     path = table_dir / "numbers.txt"
     path.write_bytes(text.encode())
-    assert _read_outcome(_read_file, path) == _read_outcome(read_numbers_by_float, path)
+    assert _read_outcome(_read_numbers, path) == _read_outcome(read_numbers_by_float, path)
 
 
 @PROPERTY_SETTINGS
