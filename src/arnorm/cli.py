@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -76,7 +77,10 @@ _POWER_DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then shared by
+    every :func:`main` call of the process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="arnorm",
         description="Residual-based normality tests for stationary autoregressions.",

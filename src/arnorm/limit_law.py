@@ -158,6 +158,12 @@ class LimitLawTable:
     tables only.
     ``seed`` is the root seed the samples were generated from; together with
     ``kind``, ``shift`` and ``grid_size`` it reproduces the table exactly.
+
+    ``samples`` ends up a read-only float64 vector that owns its memory.  An
+    array already in that state, as :func:`load_table` and
+    :func:`simulate_limit_tables` hand over, is kept as it is; any other
+    input, a caller's writable array above all, is copied, so changing the
+    caller's array later cannot change the table.
     """
 
     kind: StatKind
@@ -168,7 +174,9 @@ class LimitLawTable:
     seed: int
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=float, copy=True)
+        samples = self.samples
+        if not _is_frozen_vector(samples):
+            samples = np.array(samples, dtype=float, copy=True)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a nonempty vector")
         if self.n_reps != samples.size:
@@ -181,6 +189,24 @@ class LimitLawTable:
             raise ValueError("samples must be sorted in ascending order")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+
+
+def _is_frozen_vector(samples) -> bool:
+    """Whether ``samples`` is a read-only float64 vector that owns its memory:
+    as immutable as the copy :class:`LimitLawTable` would otherwise make."""
+    return (
+        type(samples) is np.ndarray
+        and samples.dtype == np.float64
+        and samples.ndim == 1
+        and samples.flags.owndata
+        and not samples.flags.writeable
+    )
+
+
+def _frozen(samples: np.ndarray) -> np.ndarray:
+    """``samples``, which the caller owns alone, marked read-only."""
+    samples.setflags(write=False)
+    return samples
 
 
 def _path_weights(grid_size: int):
@@ -278,7 +304,7 @@ def simulate_limit_tables(
         if not np.all(np.isfinite(samples[kind])):
             raise ValueError(f"{kind.value} limit samples overflow under the shift")
     return {
-        kind: LimitLawTable(kind=kind, shift=shift, samples=np.sort(samples[kind]),
+        kind: LimitLawTable(kind=kind, shift=shift, samples=_frozen(np.sort(samples[kind])),
                             grid_size=grid_size, n_reps=n_reps, seed=seed)
         for kind in kinds
     }
@@ -329,23 +355,39 @@ def save_table(table: LimitLawTable, path, comments=()) -> None:
     The first line names the kind, grid, reps and seed; each of ``comments``
     follows as a ``#`` line, and a ``# data: <n_reps> float64 little-endian``
     line ends the header.  The format holds null laws only; a shifted table
-    is refused.
+    is refused, and so is a comment that holds a newline or reads as the data
+    line, which would end the header early; either is refused before the
+    file is opened.
     """
     if table.shift is not None:
         raise ValueError("only null tables can be saved; this one is shifted")
+    header = _table_header(table, comments)
     with open(path, "wb") as fh:
-        _write_table(table, fh, comments)
+        fh.write(header)
+        fh.write(table.samples.astype("<f8", copy=False))
 
 
 def _write_table(table: LimitLawTable, fh, comments=()) -> None:
-    """:func:`save_table` into a binary file that is already open for writing."""
-    header = [
-        f"{_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
-        f"n_reps={table.n_reps} seed={table.seed}",
-        *comments,
-    ]
-    fh.write("".join(f"# {line}\n" for line in header).encode() + _data_line(table.n_reps))
+    """:func:`save_table` into a binary file that is already open for writing;
+    a refused comment writes nothing."""
+    fh.write(_table_header(table, comments))
     fh.write(table.samples.astype("<f8", copy=False))
+
+
+def _table_header(table: LimitLawTable, comments) -> bytes:
+    """The ``#`` lines of a table file up to and including its data line."""
+    data_line = _data_line(table.n_reps)
+    lines = [
+        f"# {_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
+        f"n_reps={table.n_reps} seed={table.seed}\n".encode()
+    ]
+    for comment in comments:
+        line = f"# {comment}\n".encode()
+        if "\n" in comment or line == data_line:
+            raise ValueError(f"a table comment may not hold a newline or read as the "
+                             f"data line, got {comment!r}")
+        lines.append(line)
+    return b"".join(lines) + data_line
 
 
 # Text converted per batch by :func:`_read_numbers`: about 3000 table lines,
@@ -415,7 +457,14 @@ def _header_fields(line: bytes, path) -> tuple[str, dict[str, str]]:
 
 
 def _read_samples(fh, path, n_reps: int) -> np.ndarray:
-    """The raw samples after the comment lines and the data line of a table."""
+    """The samples after the comment lines and the data line of a table, read
+    straight into one new array, which is returned read-only so that
+    :class:`LimitLawTable` keeps it without a copy.
+
+    The data section must hold exactly ``n_reps`` float64 values: its size
+    is checked against the file's size before reading, and a read that comes
+    up short (the file shrank meanwhile) is refused too.
+    """
     data_line = _data_line(n_reps)
     line = fh.readline()
     while line != data_line:
@@ -428,7 +477,11 @@ def _read_samples(fh, path, n_reps: int) -> np.ndarray:
             f"{path}: the data section holds {size} bytes, but n_reps={n_reps} "
             f"needs {8 * n_reps}"
         )
-    return np.frombuffer(fh.read(), dtype="<f8")
+    samples = np.empty(n_reps, dtype="<f8")
+    read = fh.readinto(samples)
+    if read != samples.nbytes:
+        raise ValueError(f"{path}: read {read} bytes of a {samples.nbytes}-byte data section")
+    return _frozen(samples)
 
 
 def load_table(path) -> LimitLawTable:

@@ -579,6 +579,62 @@ class TestQuantiles:
         assert main(["quantiles", "--kind", "kolmogorov", "--reps", "0"]) == 2
 
 
+class TestSharedParser:
+    """One process builds the parser once; no call may leave state in it."""
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(
+        self, tmp_path, capsys, monkeypatch, small_tables
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # the same usage width in both
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(136).normal(size=300))
+        tables = [small_tables["kolmogorov"], small_tables["omega2"]]
+        with_tables = ["test", str(series), "--p", "1",
+                       "--table", tables[0], "--table", tables[1]]
+        no_tables = ["test", str(series), "--grid", "16", "--reps", "200"]
+        bad_flag = ["test", str(series), "--no-such-flag"]
+        loaded = []
+        monkeypatch.setattr("arnorm.cli.load_table",
+                            lambda path: loaded.append(path) or load_table(path))
+        # (argv, exit code, the tables the call loads); an earlier call's
+        # --table flags must not leak into a later call
+        calls = [(with_tables, 0, tables), (no_tables, 0, []), (bad_flag, 2, []),
+                 (with_tables, 0, tables)]
+        for argv, expected_code, expected_loads in calls:
+            fresh = _run_cli(argv, cwd=tmp_path)
+            assert fresh.returncode == expected_code, fresh.stderr
+            del loaded[:]
+            capsys.readouterr()
+            if expected_code == 2:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                code = exc.value.code
+            else:
+                code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert loaded == expected_loads, argv
+            if argv is no_tables:
+                assert captured.out.count('"source": "simulated"') == 2
+
+    def test_help_text_is_unchanged_by_earlier_calls(self, tmp_path, capsys, monkeypatch,
+                                                     small_tables):
+        monkeypatch.setenv("COLUMNS", "80")
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(137).normal(size=200))
+        assert main(["test", str(series), "--table", small_tables["kolmogorov"],
+                     "--table", small_tables["omega2"]]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--help"])
+        assert exc.value.code == 0
+        fresh = _run_cli(["test", "--help"], cwd=tmp_path)
+        assert capsys.readouterr().out == fresh.stdout
+        assert fresh.stdout.startswith("usage: arnorm test [-h] [--p P] [--alpha ALPHA]")
+        assert "--table PATH" in fresh.stdout
+
+
 def _power_config(tmp_path, **overrides):
     config = {
         "n": [200],

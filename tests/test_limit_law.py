@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from itertools import accumulate
@@ -512,6 +513,102 @@ class TestTableV2:
                                       load_table(v1).samples.view(np.uint64))
 
 
+    @pytest.mark.parametrize("comment", ["two\nlines", "data: 4 float64 little-endian"],
+                             ids=["newline", "data-line"])
+    def test_save_refuses_comment_that_ends_the_header(self, tmp_path, comment):
+        # either comment would write a file that the loader refuses or misreads
+        table = _sorted_table(4, seed=47)
+        path = tmp_path / "t.table"
+        with pytest.raises(ValueError, match="newline or read as the data line"):
+            save_table(table, path, comments=("fine", comment))
+        assert not path.exists()
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match="newline or read as the data line"):
+            limit_law._write_table(table, fh, comments=("fine", comment))
+        assert fh.getvalue() == b""
+
+    def test_data_line_of_another_size_is_a_plain_comment(self, tmp_path):
+        table = _sorted_table(4, seed=47)
+        path = tmp_path / "t.table"
+        save_table(table, path, comments=("data: 5 float64 little-endian",))
+        np.testing.assert_array_equal(load_table(path).samples, table.samples)
+
+    def test_short_read_of_the_data_section_is_refused(self, tmp_path, monkeypatch):
+        # the size check passed, but the file shrank before it was read
+        table = _sorted_table(4, seed=48)
+        path = tmp_path / "t.table"
+        save_table(table, path)
+        real_open = open
+
+        class ShortReader(io.BufferedReader):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+        def short_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return ShortReader(fh.detach()) if mode == "rb" else fh
+
+        monkeypatch.setattr(limit_law, "open", short_open, raising=False)
+        with pytest.raises(ValueError, match=r"t.table: read 24 bytes of a 32-byte data section"):
+            load_table(path)
+
+
+class TestSampleOwnership:
+    """A table's samples are a read-only array that no caller can change."""
+
+    def test_caller_array_is_copied(self):
+        samples = np.array([0.1, 0.2, 0.3])
+        table = LimitLawTable(kind=SUP, shift=None, samples=samples, grid_size=16,
+                              n_reps=3, seed=0)
+        samples[0] = -1.0
+        assert table.samples.tolist() == [0.1, 0.2, 0.3]
+        assert not table.samples.flags.writeable
+
+    def test_loaded_samples_are_read_only(self, tmp_path):
+        path = tmp_path / "t.table"
+        save_table(_sorted_table(100, seed=49), path)
+        samples = load_table(path).samples
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 0.0
+
+    def test_simulated_samples_are_read_only(self):
+        table = simulate_limit_tables((SUP,), None, 16, 50, seed=50)[SUP]
+        assert not table.samples.flags.writeable
+
+    def test_table_from_another_tables_samples_is_bit_identical(self, tmp_path):
+        path = tmp_path / "t.table"
+        save_table(_sorted_table(100, seed=51), path)
+        table = load_table(path)
+        again = LimitLawTable(kind=table.kind, shift=None, samples=table.samples,
+                              grid_size=table.grid_size, n_reps=table.n_reps, seed=table.seed)
+        np.testing.assert_array_equal(again.samples.view(np.uint64),
+                                      table.samples.view(np.uint64))
+        assert not again.samples.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        # a view shares memory with an array that its owner may still write
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        view = base[:3]
+        view.setflags(write=False)
+        table = LimitLawTable(kind=SUP, shift=None, samples=view, grid_size=16,
+                              n_reps=3, seed=0)
+        base[0] = -1.0
+        assert table.samples.tolist() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [([0.2, 0.1], "sorted"), ([0.1, np.inf], "finite"), ([0.1], "n_reps")],
+        ids=["unsorted", "non-finite", "count"],
+    )
+    def test_read_only_input_is_still_checked(self, samples, message):
+        samples = np.array(samples)
+        samples.setflags(write=False)
+        with pytest.raises(ValueError, match=message):
+            LimitLawTable(kind=SUP, shift=None, samples=samples, grid_size=16,
+                          n_reps=2, seed=0)
+
+
 class TestTableReadBatches:
     """v1 text tables long enough that the reader converts them in several batches."""
 
@@ -557,9 +654,10 @@ class TestTableReadBatches:
 
 
 def test_load_table_peak_memory_under_four_sample_arrays(tmp_path):
-    # a v2 table's bytes are read into one array; the text of a 100k-line v1
-    # table is read in batches, never held whole: either way the peak stays
-    # under four float arrays of the table's length
+    # a v2 table's bytes are read straight into the one array the table
+    # keeps, so its peak stays under one and a half float arrays of the
+    # table's length; the text of a 100k-line v1 table is read in batches,
+    # never held whole, and its peak stays under four
     n_reps = 100_000
     table = _sorted_table(n_reps, seed=43)
     for save in (save_table, write_v1_table):
@@ -571,7 +669,8 @@ def test_load_table_peak_memory_under_four_sample_arrays(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * n_reps, save.__name__
+        bound = 1.5 if save is save_table else 4
+        assert peak < bound * 8 * n_reps, (save.__name__, peak / (8 * n_reps))
 
 
 def test_table_construction_peak_memory_under_one_and_a_half_sample_arrays():
