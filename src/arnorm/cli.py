@@ -54,12 +54,7 @@ from .limit_law import (
     quantile,
     simulate_limit_tables,
 )
-from .power_lab import (
-    ExperimentSpec,
-    run_power_study,
-    run_size_study,
-    write_power_csv,
-)
+from .power_lab import ExperimentSpec, run_power_study, write_power_csv
 
 _REPORT_ALPHAS = (0.10, 0.05, 0.01)
 
@@ -442,9 +437,8 @@ def _cmd_power(args, out) -> int:
         raise ValueError(f"{args.config}: {exc}") from None
     results = []
     for h_text, spec in cells:
-        study = run_size_study if h_text == "none" else run_power_study
         try:
-            reports = study(spec, kinds, workers=args.workers)
+            reports = run_power_study(spec, kinds, workers=args.workers)
         except (ValueError, DegenerateDataError) as exc:
             raise type(exc)(f"{args.config}: {h_text}: {exc}") from None
         results.append((h_text, spec, reports))

@@ -1,11 +1,15 @@
 """Monte Carlo size and power experiments for the residual normality tests.
 
-An experiment couples three ingredients, each simulated under its own seed
-derived from the study seed, so results are reproducible and worker-count
-independent:
+One function, :func:`run_power_study`, runs every study.  Its alternative
+is the innovation law of the spec's model: a root-n mixture
+:class:`~arnorm.ar_process.Mixture` is a local alternative, and a
+:class:`~arnorm.ar_process.Gaussian` is the null, so a size study is the
+power study at zero shift.  A study couples three ingredients, each
+simulated under its own seed derived from the study seed, so results are
+reproducible and worker-count independent:
 
 * a null limit table (critical values), seeded by ``derive_seed(seed, 0)``;
-* under an alternative, a shifted limit table (asymptotic power), seeded by
+* under a mixture, a shifted limit table (asymptotic power), seeded by
   ``derive_seed(seed, 1)``;
 * finite-sample replications of the simulate/fit/test pipeline, with
   replication ``r`` drawing from ``substream(derive_seed(seed, 2), r // 64)``
@@ -16,9 +20,9 @@ a study are ``pipeline_statistics(model, n, kinds, n_reps,
 derive_seed(seed, 2), burn_in)`` for its spec.  :func:`write_power_csv`
 writes a grid of studies as ``(alternative, spec, reports)`` cells.
 
-The alternative is the root-n mixture :class:`~arnorm.ar_process.Mixture`;
-its coupling invariant (mixture ``n`` equals the experiment sample size) is
-enforced, since the contamination weight is meaningful only on that scale.
+:class:`ExperimentSpec` refuses any other innovation law, and a mixture
+whose ``n`` is not the experiment sample size, since the contamination
+weight is meaningful only on that scale.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "ExperimentSpec",
     "PowerReport",
     "pipeline_statistics",
-    "run_size_study",
     "run_power_study",
     "write_power_csv",
 ]
@@ -56,8 +59,11 @@ _BLOCK_VALUES = 2**14
 class ExperimentSpec:
     """Configuration of one size or power study; the statistics are named per call.
 
-    ``burn_in=None`` takes the model's :func:`~arnorm.ar_process.default_burn_in`;
-    a model without one is refused here, before any table is simulated.
+    The model's innovation must be a :class:`Gaussian` (a size study) or a
+    :class:`Mixture` coupled to ``n`` (a power study).  ``burn_in=None``
+    takes the model's :func:`~arnorm.ar_process.default_burn_in`; a model
+    without one is refused here, like every other bad field, before any
+    table is simulated.
     """
 
     model: ArModel
@@ -88,6 +94,17 @@ class ExperimentSpec:
             default_burn_in(self.model)
         elif self.burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
+        innovation = self.model.innovation
+        if not isinstance(innovation, (Gaussian, Mixture)):
+            raise ValueError(
+                "the innovation must be Gaussian (a size study) or a Mixture "
+                f"(a power study), got {type(innovation).__name__}"
+            )
+        if isinstance(innovation, Mixture) and innovation.n != self.n:
+            raise ValueError(
+                f"mixture is coupled to n = {innovation.n} but the experiment "
+                f"samples n = {self.n}; the contamination weight would be wrong"
+            )
 
 
 @dataclass(frozen=True)
@@ -147,7 +164,17 @@ def _binomial_stderr(rate: float, n_reps: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / n_reps))
 
 
-def _run_study(spec, kinds, shift, workers):
+def run_power_study(
+    spec: ExperimentSpec, kinds, workers: int = 1
+) -> dict[StatKind, PowerReport]:
+    """Rejection rates of the spec's model, plus their asymptotic values.
+
+    A :class:`Mixture` innovation is a root-n local alternative: its
+    asymptotic power comes from a limit table shifted by
+    :func:`~arnorm.limit_law.local_shift`.  A :class:`Gaussian` innovation
+    is the null, a size study: only the null table is simulated, and the
+    asymptotic rejection rate is ``alpha`` itself, with standard error 0.
+    """
     kinds = _stat_kinds(kinds)
     null_tables = simulate_limit_tables(
         kinds,
@@ -157,6 +184,8 @@ def _run_study(spec, kinds, shift, workers):
         derive_seed(spec.seed, _NULL_BRANCH),
         workers,
     )
+    innovation = spec.model.innovation
+    shift = innovation if isinstance(innovation, Mixture) else None
     if shift is not None:
         shifted_tables = simulate_limit_tables(
             kinds,
@@ -192,39 +221,6 @@ def _run_study(spec, kinds, shift, workers):
             critical_value=critical,
         )
     return reports
-
-
-def run_size_study(
-    spec: ExperimentSpec, kinds, workers: int = 1
-) -> dict[StatKind, PowerReport]:
-    """Null rejection rates for several statistics from shared replications.
-
-    The model must have exact Gaussian innovations; the asymptotic rejection
-    rate of a level-``alpha`` test is then ``alpha`` itself.
-    """
-    if not isinstance(spec.model.innovation, Gaussian):
-        raise ValueError("size experiments require Gaussian innovations")
-    return _run_study(spec, kinds, None, workers)
-
-
-def run_power_study(
-    spec: ExperimentSpec, kinds, workers: int = 1
-) -> dict[StatKind, PowerReport]:
-    """Rejection rates under a root-n mixture, plus their asymptotic values.
-
-    The model's innovation law must be a :class:`Mixture` whose ``n`` equals
-    the experiment sample size; it drives the limit shift of
-    :func:`~arnorm.limit_law.local_shift`.
-    """
-    innovation = spec.model.innovation
-    if not isinstance(innovation, Mixture):
-        raise ValueError("power experiments require Mixture innovations")
-    if innovation.n != spec.n:
-        raise ValueError(
-            f"mixture is coupled to n = {innovation.n} but the experiment "
-            f"samples n = {spec.n}; the contamination weight would be wrong"
-        )
-    return _run_study(spec, kinds, innovation, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 VARIANTS = (".gaussian", ".mixture")
+# Spans of functions deleted on purpose whose metrics BENCHMARK.json still
+# lists, so they read 0 until the benchmark's next change retires them
+# (ROADMAP item 3): run_power_study now runs the size cells too.
+RETIRED = {"power_lab.run_size_study"}
 
 
 def _spans():
@@ -33,10 +37,19 @@ def test_benchmark_reports_spans():
     assert _spans()
 
 
-@pytest.mark.parametrize("span", _spans())
+@pytest.mark.parametrize("span", sorted(set(_spans()) - RETIRED))
 def test_span_is_a_public_function(span):
     layer, name = span.split(".")
     module = importlib.import_module(f"arnorm.{layer}")
     assert name in (getattr(module, "__all__", None) or ["main"])
     obj = getattr(module, name)
     assert inspect.isfunction(obj) and obj.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("span", sorted(RETIRED))
+def test_retired_span_is_gone(span):
+    # a retired span must still be listed (else its entry here goes too)
+    # and its function must be gone, not merely un-exported
+    assert span in _spans()
+    layer, name = span.split(".")
+    assert not hasattr(importlib.import_module(f"arnorm.{layer}"), name)

@@ -901,16 +901,18 @@ class TestPower:
         row = proc.stdout.splitlines()[-1].split(",")
         assert row[1:3] == ["laplace:1e308", "kolmogorov"]
 
+    @pytest.mark.parametrize("h", ["none", "gauss-scale:2.0"])
     def test_degenerate_study_names_config_and_alternative(self, tmp_path, capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, h):
+        # size and power cells run through the same study function
         def degenerate(*args, **kwargs):
             raise DegenerateDataError("residual scale estimate is zero")
 
         monkeypatch.setattr(arnorm.cli, "run_power_study", degenerate)
-        config = _power_config(tmp_path)
+        config = _power_config(tmp_path, h=[h])
         assert main(["power", str(config)]) == 3
         assert capsys.readouterr().err == (
-            f"arnorm: {config}: gauss-scale:2.0: residual scale estimate is zero\n"
+            f"arnorm: {config}: {h}: residual scale estimate is zero\n"
         )
 
 

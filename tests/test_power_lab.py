@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import arnorm.ar_process
+import arnorm.power_lab
 from arnorm import ArModel, Gaussian, StatKind
-from arnorm.ar_process import MAX_BURN_IN, LaplaceLaw, Mixture
+from arnorm.ar_process import MAX_BURN_IN, LaplaceLaw, Mixture, StudentTLaw
 from arnorm.estimation import MAX_ORDER
 from arnorm.power_lab import (
     ExperimentSpec,
     PowerReport,
     pipeline_statistics,
     run_power_study,
-    run_size_study,
     write_power_csv,
 )
 from arnorm.rng import derive_seed
@@ -59,6 +59,13 @@ def _study_statistics(spec):
     """The sup statistics of a study's replications, recomputed."""
     seed = derive_seed(spec.seed, 2)
     return pipeline_statistics(spec.model, spec.n, (SUP,), spec.n_reps, seed)[SUP]
+
+
+@pytest.fixture(scope="module")
+def size_reports():
+    # one two-statistic study of _size_spec(); its sup report equals that of
+    # the sup-only study of the same spec
+    return run_power_study(_size_spec(), BOTH)
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +190,19 @@ class TestBlockedPipeline:
 
 
 class TestSizeStudy:
-    def test_rejection_rate_near_level(self):
-        reports = run_size_study(_size_spec(), BOTH)
+    def test_rejection_rate_near_level(self, size_reports):
         for kind in BOTH:
-            report = reports[kind]
+            report = size_reports[kind]
             assert abs(report.empirical_rejection_rate - 0.05) < 0.04
             assert report.asymptotic_power == 0.05
             assert report.asymptotic_stderr == 0.0
+
+    def test_requires_gaussian_innovation(self):
+        # the null is the normal law: a fixed non-normal iid law has no limit
+        # table to compare with, and is refused when the spec is built
+        model = ArModel(coeffs=(0.5,), mean=0.0, innovation=LaplaceLaw(1.0))
+        with pytest.raises(ValueError, match="got LaplaceLaw"):
+            _size_spec(model=model)
 
     @pytest.mark.parametrize("kind", BOTH, ids=lambda k: k.value)
     def test_rejection_rate_at_half_level(self, kind, null_tables, half_level_stats):
@@ -209,26 +222,20 @@ class TestSizeStudy:
         spec = _size_spec(
             model=ArModel(coeffs=(), mean=2.0, innovation=Gaussian(1.5)), n=300
         )
-        report = run_size_study(spec, (SUP,))[SUP]
+        report = run_power_study(spec, (SUP,))[SUP]
         assert abs(report.empirical_rejection_rate - 0.05) < 0.04
 
-    def test_requires_gaussian_innovation(self):
-        spec = _power_spec()
-        with pytest.raises(ValueError):
-            run_size_study(spec, BOTH)
-
-    def test_stderr_matches_binomial_formula(self):
-        spec = _size_spec()
-        report = run_size_study(spec, (SUP,))[SUP]
+    def test_stderr_matches_binomial_formula(self, size_reports):
+        report = size_reports[SUP]
         rate = report.empirical_rejection_rate
-        expected = np.sqrt(rate * (1.0 - rate) / spec.n_reps)
+        expected = np.sqrt(rate * (1.0 - rate) / _size_spec().n_reps)
         assert report.mc_stderr == pytest.approx(expected, rel=1e-12)
 
     def test_rate_from_pipeline_statistics(self):
         # a study's replications are pipeline_statistics under the seed
         # derive_seed(seed, 2)
         spec = _size_spec(n_reps=120)
-        report = run_size_study(spec, (SUP,))[SUP]
+        report = run_power_study(spec, (SUP,))[SUP]
         stats = _study_statistics(spec)
         assert stats.shape == (120,)
         rate = np.mean(stats > report.critical_value)
@@ -238,7 +245,7 @@ class TestSizeStudy:
         # split the study's statistics into 10 batches; the spread of batch
         # rejection rates should be on the scale the binomial stderr predicts
         spec = _size_spec(n_reps=1000)
-        report = run_size_study(spec, (SUP,))[SUP]
+        report = run_power_study(spec, (SUP,))[SUP]
         rejected = _study_statistics(spec) > report.critical_value
         batch_rates = rejected.reshape(10, 100).mean(axis=1)
         batch_se = np.std(batch_rates, ddof=1) / np.sqrt(10)
@@ -260,19 +267,40 @@ class TestPowerStudy:
         assert report.empirical_rejection_rate > 0.05 + 5.0 * report.mc_stderr
 
     def test_requires_mixture_innovation(self):
-        with pytest.raises(ValueError):
-            run_power_study(_size_spec(), BOTH)
+        # a fixed alternative is not the root-n contamination the shifted
+        # limit table describes, and is refused when the spec is built
+        model = ArModel(coeffs=(0.5,), mean=0.0, innovation=StudentTLaw(5, 1.0))
+        with pytest.raises(ValueError, match="got StudentTLaw"):
+            _power_spec(model=model)
 
     def test_mixture_coupling_enforced(self):
         # mixture built for one n must not silently drive an experiment at
-        # another n: the contamination weight would be wrong
+        # another n: the contamination weight would be wrong.  Refused when
+        # the spec is built, before any table is simulated.
         mixture = Mixture(sigma0=1.0, h=Gaussian(2.0), n=500)
         model = ArModel(coeffs=(0.5,), mean=0.0, innovation=mixture)
-        spec = ExperimentSpec(
-            model=model, n=400, n_reps=400, alpha=0.05, seed=0,
-        )
         with pytest.raises(ValueError, match="coupled"):
-            run_power_study(spec, BOTH)
+            ExperimentSpec(model=model, n=400, n_reps=400, alpha=0.05, seed=0)
+
+    @pytest.mark.parametrize("make_spec, calls", [(_size_spec, 1), (_power_spec, 2)],
+                             ids=["gaussian", "mixture"])
+    def test_innovation_picks_the_tables(self, monkeypatch, make_spec, calls):
+        # a Gaussian innovation is the null: the study simulates only the
+        # null table, and its asymptotic rate is alpha exactly; a mixture
+        # adds the shifted table
+        seeds = []
+        simulate = arnorm.power_lab.simulate_limit_tables
+        monkeypatch.setattr(
+            arnorm.power_lab, "simulate_limit_tables",
+            lambda *args: seeds.append(args[4]) or simulate(*args),
+        )
+        spec = make_spec(n_reps=100, limit_reps=1000)
+        reports = run_power_study(spec, BOTH)
+        assert seeds == [derive_seed(spec.seed, 0), derive_seed(spec.seed, 1)][:calls]
+        if calls == 1:
+            for kind in BOTH:
+                assert reports[kind].asymptotic_power == spec.alpha
+                assert reports[kind].asymptotic_stderr == 0.0
 
     def test_null_mixture_power_near_level(self):
         report = run_power_study(_power_spec(scale=1.0, n_reps=500), (SUP,))[SUP]
@@ -356,7 +384,7 @@ class TestValidation:
         assert _size_spec(model=model).model.order == MAX_ORDER
 
     def test_kind_coerced_from_string(self):
-        reports = run_size_study(_size_spec(n_reps=100, limit_reps=1000), ("omega2",))
+        reports = run_power_study(_size_spec(n_reps=100, limit_reps=1000), ("omega2",))
         assert list(reports) == [StatKind.OMEGA2]
 
 
