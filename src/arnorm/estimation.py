@@ -6,8 +6,11 @@ The fitting pipeline for a stretch ``v_{1-p}, ..., v_n`` is:
    (pre-sample values are centered by the same constant);
 2. regress the centered value at time ``t`` on its ``p`` centered lags over
    ``t = 1..n``, conditioning on the ``p`` pre-sample values;
-3. form residuals and the scale estimate
-   ``s_hat = sqrt((1/n) * sum residuals**2)``.
+3. form residuals less their average, and the scale estimate
+   ``s_hat = sqrt((1/n) * sum residuals**2)``.  The regression has no
+   intercept, and near a unit root the residual average grows to
+   O(n**-1/2), which shifts the residual empirical process (Ling 1998,
+   Ann. Statist. 26:741) and makes the tests over-reject.
 
 Because every time point is centered by the same constant, the coefficient
 estimate and the residuals are invariant under shifts of the series mean,
@@ -92,23 +95,6 @@ def _lags(rows: np.ndarray, p: int) -> list[np.ndarray]:
     return [rows[:, p - k : p - k + n] for k in range(1, p + 1)]
 
 
-def _sums_in_time_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row sums of ``a * b``, each added strictly in order of ``t``."""
-    products = a * b
-    return np.cumsum(products, axis=1, out=products)[:, -1]
-
-
-def _contiguous_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products by einsum's kernel for one contiguous pair of vectors.
-
-    A stacked einsum sums a row longer than numpy's buffer piece by piece,
-    so such rows go one at a time.
-    """
-    if a.shape[1] <= np.getbufsize():
-        return np.einsum("rt,rt->r", a, b)
-    return np.array([np.einsum("t,t->", x, y) for x, y in zip(a, b)])
-
-
 def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
     """Least-squares coefficients of each centered row, as ``(rows, p)``."""
     if p > MAX_ORDER:
@@ -116,18 +102,17 @@ def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return np.empty((centered.shape[0], 0))
     lags = _lags(centered, p)
-    # Each sum runs in a fixed order within its row and calls no BLAS, so a
-    # fit does not depend on the block it is computed in or on BLAS threads.
-    # The orders are einsum's on one series' column-stacked design, so fits
-    # keep the bits they had when series were fitted one at a time: one lag
-    # column by the contiguous dot kernel, wider designs in order of t.
-    dot = _contiguous_dots if p == 1 else _sums_in_time_order
+    # Every sum in the fit is numpy's pairwise sum along a row of products,
+    # which calls no BLAS and gives a row the same bits in any block.  A
+    # stacked einsum gives a row other bits than the row alone from about
+    # n = 9000 on, and np.vecdot gives other bits under one and two BLAS
+    # threads.
     gram = np.empty((centered.shape[0], p, p))
     rhs = np.empty((centered.shape[0], p))
     for i in range(p):
         for j in range(i + 1):
-            gram[:, i, j] = gram[:, j, i] = dot(lags[i], lags[j])
-        rhs[:, i] = dot(lags[i], centered[:, p:])
+            gram[:, i, j] = gram[:, j, i] = np.sum(lags[i] * lags[j], axis=1)
+        rhs[:, i] = np.sum(lags[i] * centered[:, p:], axis=1)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -142,8 +127,11 @@ def _residual_rows(centered: np.ndarray, beta: np.ndarray) -> np.ndarray:
     p = beta.shape[1]
     if p == 0:
         return centered
-    lags = np.stack(_lags(centered, p), axis=-1)
-    return centered[:, p:] - np.matmul(lags, beta[:, :, None])[..., 0]
+    lags = _lags(centered, p)
+    fitted = beta[:, :1] * lags[0]
+    for k in range(1, p):
+        fitted += beta[:, k : k + 1] * lags[k]
+    return centered[:, p:] - fitted
 
 
 def _fit_rows(values: np.ndarray, p: int):
@@ -153,10 +141,10 @@ def _fit_rows(values: np.ndarray, p: int):
     first scaled exactly by the power of two ``2**-e`` that brings its
     largest magnitude into [0.5, 1): the coefficients are scale-free, and
     the Gram matrix of a series at 1e200 scale then cannot overflow.
-    Returns the coefficients ``(rows, p)``, the residuals ``(rows, n)`` and
-    the working-sample averages ``(rows,)``, both in scaled units, and the
-    exponents ``e`` ``(rows,)``; row ``r`` unscaled by ``ldexp`` equals
-    :func:`fit_ar` of row ``r`` alone, bit for bit.
+    Returns the coefficients ``(rows, p)``, the recentred residuals
+    ``(rows, n)`` and the working-sample averages ``(rows,)``, both in
+    scaled units, and the exponents ``e`` ``(rows,)``; row ``r`` unscaled
+    by ``ldexp`` equals :func:`fit_ar` of row ``r`` alone, bit for bit.
     """
     exponent = np.frexp(np.max(np.abs(values), axis=1))[1]
     centered, mean = _centered_rows(np.ldexp(values, -exponent[:, None]), p)
@@ -164,6 +152,7 @@ def _fit_rows(values: np.ndarray, p: int):
     resid = _residual_rows(centered, beta)
     if not np.all(np.isfinite(resid)):
         raise ValueError("residuals must be finite")
+    resid -= np.mean(resid, axis=1, keepdims=True)
     return beta, resid, mean, exponent
 
 

@@ -25,7 +25,7 @@ its own, drawn from the stream of its block of 64 (see
 :func:`~arnorm.rng.map_replications`), so tables are reproducible,
 worker-count independent, and extended by longer runs.  Paths are assembled
 a few at a time, at most 64 and about 2**15 normals per call, so that they
-stay in cache.
+stay in cache; a path longer than numpy's buffer is assembled alone.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -237,7 +237,8 @@ def _assemble_paths(normals, weights):
     A row holds the ``m`` cell increments of ``W`` (in units of
     ``1 / sqrt(m)``) and the two top-up normals; it is overwritten, and the
     paths are a view into it.  No step mixes rows or calls BLAS, so a path
-    does not depend on the block it is computed in.
+    no longer than numpy's buffer does not depend on the block it is
+    computed in.
     """
     t_grid, a, half_b, wa, wb, (l11, l21, l22) = weights
     m = wa.size
@@ -296,9 +297,12 @@ def simulate_limit_tables(
     weights = _path_weights(grid_size)
     shift_values = local_shift(shift, weights[0]) if shift is not None else None
     # about 256 KB of normals per call, which stay in cache through
-    # assembly and both functionals
+    # assembly and both functionals; a stacked einsum sums a row longer
+    # than numpy's buffer piece by piece, in pieces that depend on the rows
+    # beside it, so above the buffer a call holds one path
+    rows = 1 if grid_size > np.getbufsize() else 2**15 // grid_size
     samples = map_replications(_path_block, (kinds, weights, shift_values), seed, n_reps,
-                               2**15 // grid_size, workers)
+                               rows, workers)
     for kind in kinds:
         # null paths are bounded; only a huge shift can overflow a functional
         if not np.all(np.isfinite(samples[kind])):

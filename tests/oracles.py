@@ -147,10 +147,12 @@ def fit_by_design_matrix(sample):
     """Coefficients and residuals of one series from its lag design matrix.
 
     The series is centered by its working-sample average and scaled by a
-    power of two into [0.5, 1); the Gram matrix and right-hand side of the
-    column-stacked design ``X`` (column ``k`` is lag ``k + 1``) come from
-    einsum, and the Cholesky system from ``cho_solve``.  The residuals are
-    ``y - X @ beta`` on the unscaled centered series.
+    power of two into [0.5, 1); each entry of the Gram matrix and the
+    right-hand side of the column-stacked design ``X`` (column ``k`` is lag
+    ``k + 1``) is the pairwise sum of a product of two columns, and the
+    Cholesky system is solved by ``cho_solve``.  The residuals are ``y``
+    minus the fitted values summed column by column, on the unscaled
+    centered series, then less their average.
     """
     p, values = sample.p, sample.values
     n = values.size - p
@@ -160,14 +162,18 @@ def fit_by_design_matrix(sample):
         return v[p:], np.column_stack([v[p - k : p - k + n] for k in range(1, p + 1)])
 
     if p == 0:
-        return np.empty(0), centered
+        return np.empty(0), centered - np.mean(centered)
     exponent = int(np.frexp(np.max(np.abs(centered)))[1])
     y, X = design(np.ldexp(centered, -exponent))
-    gram = np.einsum("ti,tj->ij", X, X)
-    rhs = np.einsum("ti,t->i", X, y)
+    gram = np.array([[np.sum(X[:, i] * X[:, j]) for j in range(p)] for i in range(p)])
+    rhs = np.array([np.sum(X[:, i] * y) for i in range(p)])
     beta = cho_solve((np.linalg.cholesky(gram), True), rhs)
     y, X = design(centered)
-    return beta, y - X @ beta
+    fitted = beta[0] * X[:, 0]
+    for k in range(1, p):
+        fitted += beta[k] * X[:, k]
+    resid = y - fitted
+    return beta, resid - np.mean(resid)
 
 
 def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed, burn_in=None):

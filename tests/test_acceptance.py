@@ -1,12 +1,12 @@
-"""Acceptance suite: the eight checks the package must satisfy end to end.
+"""Acceptance suite: the checks the package must satisfy end to end.
 
 Each test prints one summary line of the form
 
     [acceptance] C<k> <name>: PASS/FAIL - <measured values>
 
 so the full gate is readable from the -rA output in one screen.  Checks are
-numbered C1-C8; the analysis behind tolerances (and behind any expected
-failure) lives in the repository notes, not here.
+numbered C1-C8 and C10; the analysis behind tolerances (and behind any
+expected failure) lives in the repository notes, not here.
 """
 
 import numpy as np
@@ -30,8 +30,13 @@ from arnorm.gof_tests import (
     probability_transforms,
 )
 from arnorm.limit_law import cov_matrix, local_shift
-from arnorm.power_lab import ExperimentSpec, run_power_study
-from arnorm.rng import substream
+from arnorm.power_lab import (
+    ExperimentSpec,
+    _binomial_stderr,
+    pipeline_statistics,
+    run_power_study,
+)
+from arnorm.rng import derive_seed, substream
 from scipy.signal import lfilter
 
 from conftest import upper_quantile
@@ -48,11 +53,19 @@ SIZE_SEED = 20240812
 IID_POWER_SEED = 20240813
 EDF_TREND_SEED = 20240814
 KMATRIX_SEED = 20240815
+ROOT_RADIUS_SEED = 20240817
+ROOT_RADIUS_POWER_SEED = 20240818
 
 
 def _statistics(fit):
     z = probability_transforms(fit)
     return kolmogorov_from_transforms(z), omega2_from_transforms(z)
+
+
+def _rejection_rates(model, n, n_reps, seed, tables):
+    """Pipeline rejection rates at level 5% against the given null tables."""
+    stats = pipeline_statistics(model, n, BOTH, n_reps, seed)
+    return {kind: float(np.mean(stats[kind] > quantile(tables[kind], 0.05))) for kind in BOTH}
 
 
 def _report(tag, ok, detail):
@@ -153,7 +166,8 @@ def test_c3_null_mixture_collapses():
     _report("C3 null contamination recovers the level", ok, "; ".join(lines))
 
 
-def test_c4_power_free_of_ar_order(strong_scale_reports, strong_scale_iid_reports):
+def test_c4_power_free_of_ar_order(strong_scale_reports, strong_scale_iid_reports,
+                                   null_tables):
     lines = []
     ok = True
     for kind in BOTH:
@@ -167,6 +181,25 @@ def test_c4_power_free_of_ar_order(strong_scale_reports, strong_scale_iid_report
             f"{kind.value}: AR {ar_rep.empirical_rejection_rate:.4f} vs "
             f"iid {iid_rep.empirical_rejection_rate:.4f}, gap {gap:.4f} "
             f"({'<=' if good else '>'} tol {tol:.4f})"
+        )
+    # near a unit root: laplace:4 power at n = 500 within 3 standard errors
+    # of its power at beta = 0.5
+    n, reps = 500, 4000
+    rates = {}
+    for i, beta in enumerate((0.5, 0.99)):
+        model = ArModel(coeffs=(beta,), mean=0.0,
+                        innovation=Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=n))
+        rates[beta] = _rejection_rates(model, n, reps, derive_seed(ROOT_RADIUS_POWER_SEED, i),
+                                       null_tables)
+    for kind in BOTH:
+        low, high = rates[0.5][kind], rates[0.99][kind]
+        gap = abs(high - low)
+        tol = 3.0 * float(np.hypot(_binomial_stderr(low, reps), _binomial_stderr(high, reps)))
+        good = gap <= tol
+        ok = ok and good
+        lines.append(
+            f"laplace-var-4 n={n} {kind.value}: beta 0.99 {high:.4f} vs beta 0.5 {low:.4f}, "
+            f"gap {gap:.4f} ({'<=' if good else '>'} tol {tol:.4f})"
         )
     _report("C4 power independent of AR coefficients", ok, "; ".join(lines))
 
@@ -321,3 +354,30 @@ def test_c8_byte_reproducibility(tmp_path):
     _report("C8 byte-stable outputs across reruns and workers", ok,
             ", ".join(f"{name}: {'ok' if good else 'DIFFERS'}"
                       for name, good in checks.items()))
+
+
+def test_c10_size_free_of_root_radius(null_tables):
+    # Gaussian AR(1) near a unit root: the 5% size at beta = 0.99 and 0.995
+    # must match the size at beta = 0.5 for the same n, within 3 standard
+    # errors of a difference of two independent 5% rates plus 0.01 of
+    # finite-n slack, both fixed before the run
+    reps = 6000
+    tol = 0.01 + 3.0 * np.sqrt(2.0) * _binomial_stderr(0.05, reps)
+    lines = []
+    ok = True
+    for n in (100, 500):
+        rates = {}
+        for i, beta in enumerate((0.5, 0.99, 0.995)):
+            model = ArModel(coeffs=(beta,), mean=0.0, innovation=Gaussian(1.0))
+            rates[beta] = _rejection_rates(model, n, reps, derive_seed(ROOT_RADIUS_SEED, n, i),
+                                           null_tables)
+        for kind in BOTH:
+            for beta in (0.99, 0.995):
+                gap = abs(rates[beta][kind] - rates[0.5][kind])
+                good = gap <= tol
+                ok = ok and good
+                lines.append(
+                    f"n={n} {kind.value}: beta {beta} {rates[beta][kind]:.4f} vs beta 0.5 "
+                    f"{rates[0.5][kind]:.4f} ({'<=' if good else '>'} tol {tol:.4f})"
+                )
+    _report("C10 size free of the root radius", ok, "; ".join(lines))

@@ -1073,6 +1073,26 @@ class TestEntryPoint:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
 
+    def test_test_report_free_of_blas_threads(self, tmp_path):
+        # every sum of the fit is a pairwise row sum and no BLAS product,
+        # so the BLAS thread count of a fresh process cannot move a bit of
+        # the report, also for a long series of high order
+        env = dict(os.environ, PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+        assert main(["simulate", "--n", "20000", "--beta", "0.3,0.1,-0.1,0.05,0.02",
+                     "--seed", "6", "--out", str(tmp_path / "s.txt")]) == 0
+        reports = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "arnorm", "test", "s.txt", "--p", "5",
+                 "--grid", "32", "--reps", "500", "--seed", "5"],
+                cwd=tmp_path, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert "n=20000 p=5" in reports[0]
+        assert reports[0] == reports[1]
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

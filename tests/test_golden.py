@@ -42,12 +42,12 @@ RUNS = [
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
          "--seed", "5"],
-        "d54c1cc67e34960e34314401a5788c77f608d20fccff2f6151c25be56e30043f",
+        "845bc8d3b38073989ea270647d02fba5cadb15360baf2b14f4eef1bf3a092784",
         None,
     ),
     (
         ["power", "c.json"],
-        "7d8a9aed1bfcaab30cb5de59d03430279d1d6b524f9c4d7f0f995b445a1e7660",
+        "8face7a83caae661964ab3701bd29275eef15bab7ec5cd0d14411b91b7079d3f",
         None,
     ),
 ]

@@ -224,6 +224,16 @@ class TestSimulation:
         for kind in BOTH:
             assert np.all(np.isin(short[kind].samples, long[kind].samples)), kind
 
+    @pytest.mark.parametrize("grid_size", [12000, 16384])
+    def test_longer_run_extends_shorter_above_buffer(self, grid_size):
+        # a stacked einsum sums a path longer than numpy's 8192-value buffer
+        # in pieces that depend on the rows beside it, so such a path must
+        # be assembled alone for a short run to recur in a longer one
+        short = simulate_limit_tables(BOTH, None, grid_size, 3, seed=5)
+        long = simulate_limit_tables(BOTH, None, grid_size, 4, seed=5)
+        for kind in BOTH:
+            assert np.all(np.isin(short[kind].samples, long[kind].samples)), kind
+
     def test_block_width_does_not_change_samples(self):
         # map_replications gives a path block at most 64 rows of one stream,
         # and the table's row count shrinks as the grid grows; any width
