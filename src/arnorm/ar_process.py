@@ -54,10 +54,15 @@ _BURN_IN_FLOOR = 100
 MAX_BURN_IN = 10**6
 
 
+def _require_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _require_positive(name: str, value) -> None:
     """Reject a scale or variance parameter that is not positive and finite."""
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_scale(name: str, value) -> None:
@@ -66,6 +71,21 @@ def _require_scale(name: str, value) -> None:
     _require_positive(name, value)
     if not float(value) * float(value) < math.inf:
         raise ValueError(f"{name} must have a finite variance {name}**2, got {value!r}")
+
+
+def _check_order(p: int) -> None:
+    if p < 0:
+        raise ValueError(f"p must be non-negative, got {p}")
+
+
+def _check_length(n: int, p: int) -> None:
+    if n < p + 1:
+        raise ValueError(f"series too short: requires n >= p + 1, got n = {n} and p = {p}")
+
+
+def _check_burn_in(burn_in: int) -> None:
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +277,7 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
         raise ValueError(f"invalid law descriptor {text!r}: {exc}") from None
     try:
         if family == "gauss-scale" and len(params) == 1:
-            if not 0.0 < params[0] < math.inf:
-                raise ValueError("scale must be positive and finite")
+            _require_positive("scale", params[0])
             # name the product the user wrote, not Gaussian's sigma field
             sigma = params[0] * sigma0
             if not (sigma > 0.0 and sigma * sigma < math.inf):
@@ -311,7 +330,7 @@ class Mixture(ZeroMeanLaw):
     def __post_init__(self) -> None:
         _require_scale("sigma0", self.sigma0)
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.h, ZeroMeanLaw):
             raise TypeError("h must be a ZeroMeanLaw")
 
@@ -410,8 +429,7 @@ class ArModel:
                 f"model is not stationary: characteristic root radius {radius:.6g} "
                 f"is not below {1.0 - _STATIONARITY_MARGIN}"
             )
-        if not math.isfinite(self.mean):
-            raise ValueError("mean must be finite")
+        _require_finite("mean", self.mean)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if not isinstance(self.innovation, ZeroMeanLaw):
@@ -439,10 +457,8 @@ class SeriesSample:
         values = np.array(self.values, dtype=float, copy=True)
         if values.ndim != 1:
             raise ValueError("values must be a one-dimensional vector")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
-        if values.size - self.p < self.p + 1:
-            raise ValueError("series too short: requires n >= p + 1")
+        _check_order(self.p)
+        _check_length(values.size - self.p, self.p)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -508,12 +524,10 @@ def simulate_ar(
     output.
     """
     p = model.order
-    if n < p + 1:
-        raise ValueError("series too short: requires n >= p + 1")
+    _check_length(n, p)
     if burn_in is None:
         burn_in = default_burn_in(model)
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    _check_burn_in(burn_in)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     eps = model.innovation.sample(rng, burn_in + n + p)
     centered = _ar_filter(model.coeffs, eps)

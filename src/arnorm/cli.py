@@ -23,32 +23,31 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ar_process, estimation, limit_law, rng
 from .ar_process import (
     ArModel,
     Gaussian,
     Mixture,
     SeriesSample,
-    _require_scale,
     char_root_radius,
     default_burn_in,
     parse_alternative_law,
     simulate_ar,
 )
 from .errors import DegenerateDataError
-from .estimation import MAX_ORDER, fit_ar
+from .estimation import fit_ar
 from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
 from .limit_law import (
     DEFAULT_GRID,
     DEFAULT_REPS,
     StatKind,
     _read_numbers,
+    _stat_kinds,
     _write_table,
     load_table,
     quantile,
@@ -70,6 +69,19 @@ _POWER_DEFAULTS = {
     "burn_in": None,
     "statistics": ["kolmogorov", "omega2"],
 }
+
+# The library check that owns each numeric flag's rule, by the flag's
+# argparse dest: a flag is checked by the call, and gets the message, that
+# the library's own use of the value makes.
+_FLAG_CHECKS = (
+    ("p", ar_process._check_order), ("p", estimation._check_max_order),
+    ("alpha", limit_law._check_alpha), ("grid", limit_law._check_grid_size),
+    ("reps", functools.partial(rng._check_count, "n_reps")),
+    ("workers", functools.partial(rng._check_count, "workers")),
+    ("seed", rng._checked_seed), ("burn_in", ar_process._check_burn_in),
+    ("mu", functools.partial(ar_process._require_finite, "mu")),
+    ("sigma0", functools.partial(ar_process._require_scale, "sigma0")),
+)
 
 
 @functools.cache
@@ -139,23 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_table_flags(parser) -> None:
-    """The flags of a null limit table built on the fly; see :func:`_check_table_flags`."""
+    """The flags of a null limit table built on the fly."""
     parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="limit-table grid size")
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS, help="limit-table replications")
     parser.add_argument("--seed", type=int, default=0, help="limit-table seed")
     parser.add_argument("--workers", type=int, default=1, help="parallel workers")
-
-
-def _check_workers(args) -> None:
-    """Reject a bad ``--workers`` by its name, before any input is read."""
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
-
-
-def _check_seed(args) -> None:
-    """Reject a negative ``--seed`` by its name, before any input is read."""
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed} (--seed)")
 
 
 @contextlib.contextmanager
@@ -167,20 +167,21 @@ def _named_flag(flag):
         raise ValueError(f"{exc} ({flag})") from None
 
 
-def _check_table_flags(args) -> None:
-    """Reject bad table flags by their names, before any input is read."""
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
-    if args.grid < 2:
-        raise ValueError("--grid must be at least 2")
-    _check_seed(args)
-    _check_workers(args)
+def _check_flags(args) -> None:
+    """Check each flag of :data:`_FLAG_CHECKS` that is set, naming the flag."""
+    for dest, check in _FLAG_CHECKS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            with _named_flag("--" + dest.replace("_", "-")):
+                check(value)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # a bad flag exits before any input is opened or anything simulated
+        _check_flags(args)
         _check_out_is_not_input(args)
         with _opened_out(args.out) as out:
             return args.func(args, out)
@@ -236,11 +237,12 @@ def _text(header, body) -> str:
     return "".join(f"# {line}\n" for line in header) + "".join(f"{line}\n" for line in body)
 
 
-def _read_series(path) -> np.ndarray:
+def _read_series(path, p) -> SeriesSample:
     values = _read_numbers(path)
-    if not values.size:
-        raise ValueError(f"{path}: no observations found")
-    return values
+    try:
+        return SeriesSample.from_values(values, p)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc} (--p)") from None
 
 
 def _resolve_tables(args) -> tuple[dict, dict]:
@@ -266,14 +268,7 @@ def _resolve_tables(args) -> tuple[dict, dict]:
 
 
 def _cmd_test(args, out) -> int:
-    if args.p < 0:
-        raise ValueError("--p must be nonnegative")
-    if args.p > MAX_ORDER:
-        raise ValueError(f"--p must not exceed {MAX_ORDER}, got {args.p}")
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("--alpha must lie strictly between 0 and 1")
-    _check_table_flags(args)
-    sample = SeriesSample.from_values(_read_series(args.series), args.p)
+    sample = _read_series(args.series, args.p)
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
     _check_scale(fit.s_hat)
@@ -315,7 +310,6 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_quantiles(args, out) -> int:
-    _check_table_flags(args)
     kind = StatKind(args.kind)
     table = simulate_limit_tables(
         (kind,), None, args.grid, args.reps, args.seed, args.workers
@@ -372,20 +366,15 @@ def _load_power_config(path) -> dict:
     for name in ("n", "h", "statistics"):
         if not config[name]:
             raise ValueError(f"{path}: {name} must not be empty")
-    statistics = config["statistics"]
-    if len(set(statistics)) < len(statistics):
-        raise ValueError(f"{path}: statistics must not repeat a name, got {statistics}")
     beta = listed("beta", (int, float), "a list of numbers", scalar_ok=False)
     config["beta"] = [float(v) for v in beta]
     for name in ("mu", "sigma0", "alpha"):
-        if not typed(config[name], (int, float)) or not math.isfinite(config[name]):
-            raise ValueError(f"{path}: {name} must be a finite number")
-    if config["sigma0"] <= 0:
-        raise ValueError(f"{path}: sigma0 must be positive, got {config['sigma0']}")
+        if not typed(config[name], (int, float)):
+            raise ValueError(f"{path}: {name} must be a number")
     for name in ("n_reps", "seed", "grid", "limit_reps"):
         if not typed(config[name], int):
             raise ValueError(f"{path}: {name} must be an integer")
-    # the ranges of the study fields are checked by ExperimentSpec
+    # the ranges are checked by their owners, through _power_grid
     if config["burn_in"] is not None and not typed(config["burn_in"], int):
         raise ValueError(f"{path}: burn_in must be an integer or null")
     return config
@@ -394,9 +383,10 @@ def _load_power_config(path) -> dict:
 def _power_grid(config) -> tuple[tuple, list, list]:
     """The statistic kinds, the ``(alternative, spec)`` cells in run order,
     and the ``# note:`` lines, built from a loaded config."""
-    kinds = tuple(StatKind(name) for name in config["statistics"])
+    kinds = _stat_kinds(config["statistics"])
+    ar_process._require_finite("mu", config["mu"])
+    ar_process._require_scale("sigma0", config["sigma0"])
     sigma0 = float(config["sigma0"])
-    _require_scale("sigma0", sigma0)
     laws = [None if h == "none" else parse_alternative_law(h, sigma0) for h in config["h"]]
     notes = [
         f"note: {h_text} has no Lipschitz density; the asymptotic-power "
@@ -428,7 +418,6 @@ def _power_grid(config) -> tuple[tuple, list, list]:
 
 
 def _cmd_power(args, out) -> int:
-    _check_workers(args)
     config = _load_power_config(args.config)
     # every cell is checked before the first study simulates anything
     try:
@@ -451,31 +440,16 @@ def _cmd_power(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be positive")
-    if args.h is not None and args.n < 2:
-        raise ValueError("n must be an integer >= 2 (--n)")
-    if args.burn_in is not None and args.burn_in < 0:
-        raise ValueError("burn_in must be nonnegative (--burn-in)")
-    _check_seed(args)
     try:
         beta = np.array([float(tok) for tok in args.beta.split(",")] if args.beta else [])
     except ValueError:
         raise ValueError(
             f"--beta must be comma-separated numbers, got {args.beta!r}"
         ) from None
-    if args.n < beta.size + 1:
-        raise ValueError("series too short: requires n >= p + 1 (--n)")
-    if not math.isfinite(args.mu):
-        raise ValueError("--mu must be finite")
-    if not 0.0 < args.sigma0 < math.inf:
-        raise ValueError("--sigma0 must be positive and finite")
-    with _named_flag("--sigma0"):
-        innovation = Gaussian(args.sigma0)
-    if args.h is not None:
-        innovation = Mixture(
-            sigma0=args.sigma0, h=parse_alternative_law(args.h, args.sigma0), n=args.n
-        )
+    law = None if args.h is None else parse_alternative_law(args.h, args.sigma0)
+    with _named_flag("--n"):
+        ar_process._check_length(args.n, beta.size)
+        innovation = Gaussian(args.sigma0) if law is None else Mixture(args.sigma0, law, args.n)
     with _named_flag("--beta"):
         model = ArModel(coeffs=beta, mean=args.mu, innovation=innovation)
         warm_up = _warm_up_line(model, args.burn_in)

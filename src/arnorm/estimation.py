@@ -78,6 +78,11 @@ class ResidualFit:
         return int(self.beta_hat.size)
 
 
+def _check_max_order(p: int) -> None:
+    if p > MAX_ORDER:
+        raise ValueError(f"p must not exceed {MAX_ORDER}, got {p}")
+
+
 def _root_mean_square(residuals: np.ndarray):
     """Root mean square residual along the last axis: the scale estimate ``s_hat``."""
     return np.sqrt(np.mean(np.square(residuals), axis=-1))
@@ -97,8 +102,7 @@ def _lags(rows: np.ndarray, p: int) -> list[np.ndarray]:
 
 def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
     """Least-squares coefficients of each centered row, as ``(rows, p)``."""
-    if p > MAX_ORDER:
-        raise ValueError(f"p must not exceed {MAX_ORDER}, got {p}")
+    _check_max_order(p)
     if p == 0:
         return np.empty((centered.shape[0], 0))
     lags = _lags(centered, p)

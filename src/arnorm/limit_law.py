@@ -86,8 +86,18 @@ def _stat_kinds(kinds) -> tuple[StatKind, ...]:
     """``kinds`` as a tuple of :class:`StatKind`; a kind named twice is refused."""
     kinds = tuple(StatKind(k) for k in kinds)
     if len(set(kinds)) != len(kinds):
-        raise ValueError("duplicate statistic kinds")
+        raise ValueError(f"statistics must not repeat a name, got {[k.value for k in kinds]}")
     return kinds
+
+
+def _check_grid_size(grid_size: int) -> None:
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
 def _normal_pdf(x):
@@ -181,8 +191,7 @@ class LimitLawTable:
             raise ValueError("samples must be a nonempty vector")
         if self.n_reps != samples.size:
             raise ValueError("n_reps must equal the number of samples")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+        _check_grid_size(self.grid_size)
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         if np.any(samples[1:] < samples[:-1]):
@@ -292,8 +301,7 @@ def simulate_limit_tables(
     with more replications and the same seed.
     """
     kinds = _stat_kinds(kinds)
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    _check_grid_size(grid_size)
     weights = _path_weights(grid_size)
     shift_values = local_shift(shift, weights[0]) if shift is not None else None
     # about 256 KB of normals per call, which stay in cache through
@@ -316,8 +324,7 @@ def simulate_limit_tables(
 
 def quantile(table: LimitLawTable, alpha: float) -> float:
     """Upper ``alpha`` critical value: nearest-rank (1 - alpha) quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     rank = math.ceil((1.0 - alpha) * table.n_reps)
     rank = min(max(rank, 1), table.n_reps)
     return float(table.samples[rank - 1])

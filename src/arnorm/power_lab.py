@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_process import ArModel, Gaussian, Mixture, default_burn_in, simulate_ar
-from .estimation import MAX_ORDER, _fit_rows, _root_mean_square
+from .ar_process import ArModel, Gaussian, Mixture, _check_burn_in, default_burn_in, simulate_ar
+from .estimation import _check_max_order, _fit_rows, _root_mean_square
 from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
-from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _stat_kinds, quantile,
-                        simulate_limit_tables)
-from .rng import _checked_seed, derive_seed, map_replications
+from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _check_alpha, _check_grid_size,
+                        _stat_kinds, quantile, simulate_limit_tables)
+from .rng import _check_count, _checked_seed, derive_seed, map_replications
 
 __all__ = [
     "ExperimentSpec",
@@ -76,24 +76,20 @@ class ExperimentSpec:
     burn_in: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.n_reps < 100:
             raise ValueError(f"n_reps must be at least 100, got {self.n_reps}")
         # n = 1 at order 0 leaves one residual, which is exactly zero
         if self.n < max(2, self.model.order + 1):
             raise ValueError(f"series too short: requires n >= max(2, p + 1), got {self.n}")
-        if self.model.order > MAX_ORDER:
-            raise ValueError(f"p must not exceed {MAX_ORDER}, got {self.model.order}")
+        _check_max_order(self.model.order)
         _checked_seed(self.seed)
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
-        if self.limit_reps < 1:
-            raise ValueError(f"limit_reps must be at least 1, got {self.limit_reps}")
+        _check_grid_size(self.grid_size)
+        _check_count("limit_reps", self.limit_reps)
         if self.burn_in is None:
             default_burn_in(self.model)
-        elif self.burn_in < 0:
-            raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
+        else:
+            _check_burn_in(self.burn_in)
         innovation = self.model.innovation
         if not isinstance(innovation, (Gaussian, Mixture)):
             raise ValueError(

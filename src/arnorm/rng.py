@@ -31,6 +31,11 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _seed_sequence(seed: int, key=()) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         _checked_seed(seed), spawn_key=tuple(operator.index(k) for k in key)
@@ -85,10 +90,8 @@ def map_replications(block, args, seed: int, n_reps: int, rows: int, workers: in
     ``workers`` processes, capped at the CPU count, which does not change
     the output.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_count("n_reps", n_reps)
+    _check_count("workers", workers)
     walk = partial(_walk, block, args, seed, rows)
     n_blocks = -(-n_reps // REPLICATION_BLOCK)
     pieces = min(workers, n_blocks)

@@ -92,10 +92,10 @@ class TestSeriesSample:
 
     def test_too_short_rejected(self):
         # need at least p pre-sample values plus n >= p + 1 observations
-        message = r"^series too short: requires n >= p \+ 1$"
-        with pytest.raises(ValueError, match=message):
+        message = r"^series too short: requires n >= p \+ 1, got n = {} and p = {}$"
+        with pytest.raises(ValueError, match=message.format(1, 2)):
             SeriesSample.from_values(np.arange(3.0), p=2)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message.format(0, 0)):
             SeriesSample(np.empty(0), 0)
 
     @pytest.mark.parametrize("size,p", [(1, 0), (7, 3), (43, 20)])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import arnorm
-from arnorm import load_table, quantile
+from arnorm import ar_process, estimation, limit_law, load_table, quantile, rng
+from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
 from arnorm.rng import substream
@@ -123,7 +124,7 @@ class TestSimulate:
     def test_non_finite_mu_exits_2(self, capsys, value):
         assert main(["simulate", "--n", "30", f"--mu={value}"]) == 2
         captured = capsys.readouterr()
-        assert "arnorm: --mu must be finite" in captured.err
+        assert f"arnorm: mu must be finite, got {value} (--mu)" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -132,18 +133,19 @@ class TestSimulate:
         argv = ["simulate", "--n", "30", "--sigma0", value]
         assert main(argv + (["--h", h] if h else [])) == 2
         captured = capsys.readouterr()
-        assert "arnorm: --sigma0 must be positive and finite" in captured.err
+        message = f"sigma0 must be positive and finite, got {value} (--sigma0)"
+        assert f"arnorm: {message}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--burn-in", "-1"], "burn_in must be nonnegative (--burn-in)"),
-         (["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2 (--n)"),
+        [(["--burn-in", "-1"], "burn_in must be non-negative, got -1 (--burn-in)"),
+         (["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2, got 1 (--n)"),
          (["--n", "3", "--beta", "0.1,0.1,0.1"],
-          "series too short: requires n >= p + 1 (--n)"),
+          "series too short: requires n >= p + 1, got n = 3 and p = 3 (--n)"),
          (["--beta", "0.5,nan"], "coeffs must be finite (--beta)"),
          (["--sigma0", "1e200"],
-          "sigma must have a finite variance sigma**2, got 1e+200 (--sigma0)"),
+          "sigma0 must have a finite variance sigma0**2, got 1e+200 (--sigma0)"),
          (["--sigma0", "1e154", "--h", "gauss-scale:2"],
           "invalid law descriptor 'gauss-scale:2': c * sigma0 must be positive with a "
           "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154")],
@@ -328,6 +330,15 @@ class TestTest:
         series = tmp_path / "short.txt"
         _write_series(series, [1.0, 2.0, 3.0])
         assert main(["test", str(series), "--p", "5", "--reps", "100"]) == 2
+
+    def test_too_short_series_names_file_sizes_and_flag(self, tmp_path, capsys):
+        series = tmp_path / "ten.txt"
+        _write_series(series, np.arange(10.0))
+        assert main(["test", str(series), "--p", "9", "--reps", "100"]) == 2
+        assert capsys.readouterr().err == (
+            f"arnorm: {series}: series too short: requires n >= p + 1, got n = 1 and p = 9 "
+            "(--p)\n"
+        )
 
     def test_nan_in_table_file_exits_2(self, tmp_path, capsys, small_tables):
         # a v1 text table, which names a bad line by its number
@@ -778,7 +789,7 @@ class TestPower:
             ("limit_reps", 0, "limit_reps must be at least 1, got 0"),
             ("n_reps", 99, "n_reps must be at least 100, got 99"),
             ("alpha", 1, "alpha must lie strictly between 0 and 1, got 1"),
-            ("sigma0", 0, "sigma0 must be positive, got 0"),
+            ("sigma0", 0, "sigma0 must be positive and finite, got 0"),
             ("sigma0", 1e200, "sigma0 must have a finite variance sigma0**2, got 1e+200"),
             ("sigma0", 1e154, "invalid law descriptor 'gauss-scale:2.0': c * sigma0 must be "
              "positive with a finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154"),
@@ -943,9 +954,9 @@ class TestEntryPoint:
     @pytest.mark.parametrize("command", ["test", "quantiles"])
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--grid", "1", "--grid must be at least 2"),
-         ("--reps", "0", "--reps must be at least 1"),
-         ("--workers", "0", "--workers must be at least 1, got 0"),
+        [("--grid", "1", "grid_size must be at least 2, got 1 (--grid)"),
+         ("--reps", "0", "n_reps must be at least 1, got 0 (--reps)"),
+         ("--workers", "0", "workers must be at least 1, got 0 (--workers)"),
          ("--seed", "-1", "seed must be a non-negative integer, got -1 (--seed)")],
         ids=["grid-1", "reps-0", "workers-0", "seed-negative"],
     )
@@ -968,7 +979,7 @@ class TestEntryPoint:
         assert main(["power", str(missing), "--workers", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "arnorm: --workers must be at least 1, got 0\n"
+        assert captured.err == "arnorm: workers must be at least 1, got 0 (--workers)\n"
 
     def test_p_above_limit_named_before_the_series_is_read(self, tmp_path, capsys):
         # the series path names no file: --p is checked before it is opened
@@ -976,7 +987,7 @@ class TestEntryPoint:
         assert main(["test", str(missing), "--p", "21"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "arnorm: --p must not exceed 20, got 21\n"
+        assert captured.err == "arnorm: p must not exceed 20, got 21 (--p)\n"
 
     @pytest.mark.parametrize("case", ["test-series", "test-table", "power-config"])
     def test_out_naming_an_input_is_refused(self, tmp_path, capsys, monkeypatch, case):
@@ -1096,3 +1107,63 @@ class TestEntryPoint:
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def _message(check) -> str:
+    """The message of the ``ValueError`` that ``check()`` raises."""
+    with pytest.raises(ValueError) as info:
+        check()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "owner, argv, config, config_owner",
+    [
+        (lambda: limit_law._check_grid_size(1),
+         ["quantiles", "--kind", "omega2", "--grid", "1"], {"grid": 1}, None),
+        (lambda: rng._check_count("n_reps", 0),
+         ["quantiles", "--kind", "omega2", "--reps", "0"], {"limit_reps": 0},
+         lambda: rng._check_count("limit_reps", 0)),
+        (lambda: rng._check_count("workers", 0),
+         ["power", "missing.json", "--workers", "0"], None, None),
+        (lambda: rng._checked_seed(-1), ["simulate", "--n", "30", "--seed", "-1"],
+         {"seed": -1}, None),
+        (lambda: ar_process._check_order(-1), ["test", "missing.txt", "--p", "-1"], None, None),
+        (lambda: estimation._check_max_order(21), ["test", "missing.txt", "--p", "21"],
+         {"beta": [0.01] * 21}, None),
+        (lambda: limit_law._check_alpha(1.5), ["test", "missing.txt", "--alpha", "1.5"],
+         {"alpha": 1.5}, None),
+        (lambda: ar_process._check_burn_in(-1), ["simulate", "--n", "30", "--burn-in", "-1"],
+         {"burn_in": -1}, None),
+        (lambda: ar_process._check_length(3, 3),
+         ["simulate", "--beta", "0.1,0.1,0.1", "--n", "3"], None, None),
+        (lambda: Mixture(1.0, LaplaceLaw(4.0), 1), ["simulate", "--h", "laplace:4", "--n", "1"],
+         {"n": [1], "h": "laplace:4"}, None),
+        (lambda: ar_process._require_finite("mu", float("nan")),
+         ["simulate", "--n", "30", "--mu", "nan"], {"mu": float("nan")}, None),
+        (lambda: ar_process._require_scale("sigma0", 1e200),
+         ["simulate", "--n", "30", "--sigma0", "1e200"], {"sigma0": 1e200}, None),
+    ],
+    ids=["grid", "reps", "workers", "seed", "p-negative", "p-above-limit", "alpha", "burn-in",
+         "n-below-order", "n-mixture", "mu", "sigma0"],
+)
+def test_one_message_per_rule(tmp_path, capsys, monkeypatch, owner, argv, config,
+                              config_owner):
+    # the owner's message, with the flag after it on the command line and
+    # the config path before it in a study; no input file exists, and
+    # nothing may be simulated
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated with a bad value")
+
+    for module, name in [(arnorm.cli, "simulate_ar"), (arnorm.cli, "simulate_limit_tables"),
+                         (arnorm.power_lab, "simulate_limit_tables")]:
+        monkeypatch.setattr(module, name, must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"arnorm: {_message(owner)} ({argv[-2]})\n")
+    if config is not None:
+        path = _power_config(tmp_path, **config)
+        assert main(["power", str(path)]) == 2
+        message = _message(config_owner or owner)
+        assert capsys.readouterr().err == f"arnorm: {path}: {message}\n"
