@@ -40,7 +40,6 @@ __all__ = [
     "SeriesSample",
     "char_root_radius",
     "MAX_BURN_IN",
-    "default_burn_in",
     "simulate_ar",
 ]
 
@@ -48,8 +47,8 @@ __all__ = [
 # have modulus below 1 - _STATIONARITY_MARGIN.
 _STATIONARITY_MARGIN = 1e-8
 
-# The default warm-up is never shorter than _BURN_IN_FLOOR steps; a model
-# whose derived warm-up exceeds MAX_BURN_IN steps has no default.
+# The warm-up is never shorter than _BURN_IN_FLOOR steps; a model whose
+# warm-up would exceed MAX_BURN_IN steps is refused.
 _BURN_IN_FLOOR = 100
 MAX_BURN_IN = 10**6
 
@@ -81,11 +80,6 @@ def _check_order(p: int) -> None:
 def _check_length(n: int, p: int) -> None:
     if n < p + 1:
         raise ValueError(f"series too short: requires n >= p + 1, got n = {n} and p = {p}")
-
-
-def _check_burn_in(burn_in: int) -> None:
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +368,7 @@ def char_root_radius(coeffs: np.ndarray) -> float:
 
 
 def _derived_burn_in(coeffs: np.ndarray, radius: float) -> int | None:
-    """The default warm-up of a stationary model, or None above ``MAX_BURN_IN``.
+    """The warm-up of a stationary model, or None above ``MAX_BURN_IN``.
 
     The smallest ``b >= _BURN_IN_FLOOR`` with ``C * r**b < 2**-53``, where
     ``r`` is the root radius and ``C`` bounds ``|ma[j]| / r**j`` over the
@@ -408,14 +402,27 @@ class ArModel:
     """Stationary AR(p) model: coefficients, series mean, innovation law.
 
     Construction fails unless every characteristic root has modulus below
-    ``1 - 1e-8``; nothing downstream needs to re-check stationarity.  The
-    default warm-up (:func:`default_burn_in`) is derived once, here.
+    ``1 - 1e-8``; nothing downstream needs to re-check stationarity.
+
+    ``burn_in`` is not an argument: it is the warm-up :func:`simulate_ar`
+    runs, derived here once.  The recursion starts from zeros, so ``b``
+    steps later the value still carries a transient of the zero start.
+    That transient is the free response of the filter to the stationary
+    state ``b`` steps back: at most ``C * r**b`` times the stationary
+    scale, where ``r`` is the root radius (:func:`char_root_radius`) and
+    ``C`` bounds ``|ma[j]| / r**j`` over the moving-average weights.
+    ``burn_in`` is the smallest ``b`` of at least 100 steps with
+    ``C * r**b < 2**-53``, so the first simulated value is stationary to
+    double precision: 100 steps for ``beta = (0.5, -0.3)``, 36,719 for
+    AR(1) at ``beta = 0.999`` and 367,350 at ``beta = 0.9999``.  A model
+    whose warm-up would exceed ``MAX_BURN_IN`` (10**6) steps (radius above
+    about 0.99996 for AR(1)) is refused, with a message naming the radius.
     """
 
     coeffs: np.ndarray
     mean: float
     innovation: ZeroMeanLaw
-    _burn_in: int | None = field(init=False, repr=False, compare=False)
+    burn_in: int = field(init=False)
 
     def __post_init__(self) -> None:
         coeffs = np.atleast_1d(np.array(self.coeffs, dtype=float, copy=True))
@@ -434,7 +441,13 @@ class ArModel:
         object.__setattr__(self, "coeffs", coeffs)
         if not isinstance(self.innovation, ZeroMeanLaw):
             raise TypeError("innovation must be a ZeroMeanLaw")
-        object.__setattr__(self, "_burn_in", _derived_burn_in(coeffs, radius))
+        burn_in = _derived_burn_in(coeffs, radius)
+        if burn_in is None:
+            raise ValueError(
+                f"the warm-up for characteristic root radius {radius:.10g} "
+                f"exceeds {MAX_BURN_IN} steps"
+            )
+        object.__setattr__(self, "burn_in", burn_in)
 
     @property
     def order(self) -> int:
@@ -447,7 +460,8 @@ class SeriesSample:
 
     The first ``p`` entries are the pre-sample values used to condition the
     least-squares fit; the last ``n = values.size - p`` are the working
-    sample.
+    sample, so ``n >= p + 1`` needs at least ``2p + 1`` values.  Every
+    value must be finite; the first that is not is named by its index.
     """
 
     values: np.ndarray
@@ -458,7 +472,14 @@ class SeriesSample:
         if values.ndim != 1:
             raise ValueError("values must be a one-dimensional vector")
         _check_order(self.p)
-        _check_length(values.size - self.p, self.p)
+        if values.size < 2 * self.p + 1:
+            raise ValueError(
+                f"series too short: requires at least 2p + 1 = {2 * self.p + 1} values, "
+                f"got {values.size} values and p = {self.p}"
+            )
+        if not np.all(np.isfinite(values)):
+            i = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"values must be finite, got {float(values[i])!r} at index {i}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -480,56 +501,21 @@ def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return lfilter([1.0], np.concatenate(([1.0], -coeffs)), x)
 
 
-def default_burn_in(model: ArModel) -> int:
-    """The warm-up :func:`simulate_ar` runs when it is given none.
-
-    The recursion starts from zeros, so ``b`` steps later the value still
-    carries a transient of the zero start.  That transient is the free
-    response of the filter to the stationary state ``b`` steps back: at most
-    ``C * r**b`` times the stationary scale, where ``r`` is the root radius
-    (:func:`char_root_radius`) and ``C`` bounds ``|ma[j]| / r**j`` over the
-    moving-average weights.  The default is the smallest ``b`` of at least
-    100 steps with ``C * r**b < 2**-53``, so the first returned value is
-    stationary to double precision: 100 steps for ``beta = (0.5, -0.3)``,
-    36,719 for AR(1) at ``beta = 0.999`` and 367,350 at ``beta = 0.9999``.
-    It is derived once per model, when the :class:`ArModel` is built.
-
-    Raises ``ValueError``, naming the root radius, when the warm-up would
-    exceed ``MAX_BURN_IN`` (10**6) steps (radius above about 0.99996 for
-    AR(1)); pass ``burn_in`` explicitly for such a model.
-    """
-    if model._burn_in is None:
-        raise ValueError(
-            f"the warm-up for characteristic root radius "
-            f"{char_root_radius(model.coeffs):.10g} exceeds {MAX_BURN_IN} steps; "
-            "give the burn-in explicitly"
-        )
-    return model._burn_in
-
-
-def simulate_ar(
-    model: ArModel,
-    n: int,
-    burn_in: int | None = None,
-    seed: int | np.random.Generator = 0,
-) -> SeriesSample:
+def simulate_ar(model: ArModel, n: int, seed: int | np.random.Generator = 0) -> SeriesSample:
     """Simulate ``n + p`` consecutive observations of the model.
 
-    The recursion starts from zeros, runs for ``burn_in`` warm-up steps
-    (default :func:`default_burn_in`), and the last ``n + p`` values are
-    returned as a :class:`SeriesSample` (so the fitting pipeline has its
-    ``p`` pre-sample values).  Innovations are drawn in a single vectorized
-    pass from ``seed`` (an integer, whose stream is ``substream(seed)``, or
-    a Generator drawn from in place), so equal seeds give bit-identical
+    The recursion starts from zeros, runs for the model's ``burn_in``
+    warm-up steps, and the last ``n + p`` values are returned as a
+    :class:`SeriesSample` (so the fitting pipeline has its ``p`` pre-sample
+    values).  Innovations are drawn in a single vectorized pass from
+    ``seed`` (an integer, whose stream is ``substream(seed)``, or a
+    Generator drawn from in place), so equal seeds give bit-identical
     output.
     """
     p = model.order
     _check_length(n, p)
-    if burn_in is None:
-        burn_in = default_burn_in(model)
-    _check_burn_in(burn_in)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    eps = model.innovation.sample(rng, burn_in + n + p)
+    eps = model.innovation.sample(rng, model.burn_in + n + p)
     centered = _ar_filter(model.coeffs, eps)
-    values = model.mean + centered[burn_in:]
+    values = model.mean + centered[model.burn_in:]
     return SeriesSample(values=values, p=p)

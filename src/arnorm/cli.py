@@ -35,7 +35,6 @@ from .ar_process import (
     Mixture,
     SeriesSample,
     char_root_radius,
-    default_burn_in,
     parse_alternative_law,
     simulate_ar,
 )
@@ -66,7 +65,6 @@ _POWER_DEFAULTS = {
     "seed": 0,
     "grid": DEFAULT_GRID,
     "limit_reps": DEFAULT_REPS,
-    "burn_in": None,
     "statistics": ["kolmogorov", "omega2"],
 }
 
@@ -78,7 +76,7 @@ _FLAG_CHECKS = (
     ("alpha", limit_law._check_alpha), ("grid", limit_law._check_grid_size),
     ("reps", functools.partial(rng._check_count, "n_reps")),
     ("workers", functools.partial(rng._check_count, "workers")),
-    ("seed", rng._checked_seed), ("burn_in", ar_process._check_burn_in),
+    ("seed", rng._checked_seed),
     ("mu", functools.partial(ar_process._require_finite, "mu")),
     ("sigma0", functools.partial(ar_process._require_scale, "sigma0")),
 )
@@ -142,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="contaminate innovations with this law at weight n**-0.5 "
         "(e.g. gauss-scale:3.0, laplace:4.0, student:5,4.0, twopoint:1.0)",
     )
-    p_sim.add_argument("--burn-in", type=int, default=None, help="warm-up length")
     p_sim.add_argument("--seed", type=int, default=0, help="root seed")
     p_sim.add_argument("--out", help="write the series here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -206,14 +203,9 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
     return lines
 
 
-def _warm_up_line(model, burn_in) -> str:
-    """The header line of the warm-up a simulation runs: ``burn_in`` as
-    given, or the model's default when it is None."""
-    used = {
-        "burn_in": default_burn_in(model) if burn_in is None else burn_in,
-        "root_radius": char_root_radius(model.coeffs),
-        "source": "derived" if burn_in is None else "given",
-    }
+def _warm_up_line(model) -> str:
+    """The header line of the warm-up the model's simulations run."""
+    used = {"burn_in": model.burn_in, "root_radius": char_root_radius(model.coeffs)}
     return "warm-up: " + json.dumps(used, sort_keys=True)
 
 
@@ -375,8 +367,6 @@ def _load_power_config(path) -> dict:
         if not typed(config[name], int):
             raise ValueError(f"{path}: {name} must be an integer")
     # the ranges are checked by their owners, through _power_grid
-    if config["burn_in"] is not None and not typed(config["burn_in"], int):
-        raise ValueError(f"{path}: burn_in must be an integer or null")
     return config
 
 
@@ -411,7 +401,6 @@ def _power_grid(config) -> tuple[tuple, list, list]:
                 seed=config["seed"],
                 grid_size=config["grid"],
                 limit_reps=config["limit_reps"],
-                burn_in=config["burn_in"],
             )
             cells.append((h_text, spec))
     return kinds, cells, notes
@@ -433,7 +422,7 @@ def _cmd_power(args, out) -> int:
         results.append((h_text, spec, reports))
     header = _header_lines("power", {"command": "power", **config}, config["seed"])
     # every cell shares the coefficients, and so the warm-up
-    header.append(_warm_up_line(cells[0][1].model, config["burn_in"]))
+    header.append(_warm_up_line(cells[0][1].model))
     header.extend(notes)
     write_power_csv(results, out or sys.stdout, header_comments=header)
     return 0
@@ -452,8 +441,7 @@ def _cmd_simulate(args, out) -> int:
         innovation = Gaussian(args.sigma0) if law is None else Mixture(args.sigma0, law, args.n)
     with _named_flag("--beta"):
         model = ArModel(coeffs=beta, mean=args.mu, innovation=innovation)
-        warm_up = _warm_up_line(model, args.burn_in)
-    sample = simulate_ar(model, args.n, burn_in=args.burn_in, seed=args.seed)
+    sample = simulate_ar(model, args.n, seed=args.seed)
     config = {
         "command": "simulate",
         "n": args.n,
@@ -461,10 +449,9 @@ def _cmd_simulate(args, out) -> int:
         "mu": args.mu,
         "sigma0": args.sigma0,
         "h": args.h,
-        "burn_in": args.burn_in,
         "p": sample.p,
     }
-    header = _header_lines("simulate", config, args.seed) + [warm_up]
+    header = _header_lines("simulate", config, args.seed) + [_warm_up_line(model)]
     body = [repr(float(v)) for v in sample.values]
     (out or sys.stdout).write(_text(header, body))
     return 0

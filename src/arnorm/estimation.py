@@ -141,8 +141,9 @@ def _residual_rows(centered: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _fit_rows(values: np.ndarray, p: int):
     """The stacked fit: center, estimate and take residuals of every row.
 
-    ``values`` holds one stretch of ``n + p`` values per row.  Each row is
-    first scaled exactly by the power of two ``2**-e`` that brings its
+    ``values`` holds one stretch of ``n + p`` values per row, each finite
+    as :class:`SeriesSample` makes it.  Each row is first scaled exactly
+    by the power of two ``2**-e`` that brings its
     largest magnitude into [0.5, 1): the coefficients are scale-free, and
     the Gram matrix of a series at 1e200 scale then cannot overflow.
     Returns the coefficients ``(rows, p)``, the recentred residuals
@@ -154,8 +155,6 @@ def _fit_rows(values: np.ndarray, p: int):
     centered, mean = _centered_rows(np.ldexp(values, -exponent[:, None]), p)
     beta = _ols_rows(centered, p)
     resid = _residual_rows(centered, beta)
-    if not np.all(np.isfinite(resid)):
-        raise ValueError("residuals must be finite")
     resid -= np.mean(resid, axis=1, keepdims=True)
     return beta, resid, mean, exponent
 

@@ -119,12 +119,18 @@ def _pdf_terms(t):
     return a, b
 
 
+def _check_unit_interval(t: np.ndarray) -> None:
+    """Refuse points outside [0, 1], NaN among them, naming the first."""
+    bad = t[~((t >= 0.0) & (t <= 1.0))]
+    if bad.size:
+        raise ValueError(f"t must lie in [0, 1], got {float(bad[0])!r}")
+
+
 def cov_matrix(t_grid) -> np.ndarray:
     """Covariance kernel ``c(t_i, t_j)`` of the limiting process on a grid
     of points in [0, 1]."""
     t = np.asarray(t_grid, dtype=float)
-    if np.any((t < 0) | (t > 1)):
-        raise ValueError("kernel arguments must lie in [0, 1]")
+    _check_unit_interval(t)
     s, u = t[:, None], t[None, :]
     a, b = _pdf_terms(t)
     return np.minimum(s, u) - s * u - a[:, None] * a[None, :] - 0.5 * b[:, None] * b[None, :]
@@ -141,8 +147,7 @@ def local_shift(mixture: Mixture, t):
     exactly).  Identically zero when ``h`` is the null law ``N(0, sigma0**2)``.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any((t_arr < 0) | (t_arr > 1)):
-        raise ValueError("t must lie in [0, 1]")
+    _check_unit_interval(t_arr)
     out = np.zeros_like(t_arr)
     # Mixing the innovation law with itself changes nothing; keep exact zeros
     # instead of round-trip noise so downstream tables stay bit-reproducible

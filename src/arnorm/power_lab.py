@@ -17,7 +17,7 @@ reproducible and worker-count independent:
 
 A study reports rates, not the replications behind them; the statistics of
 a study are ``pipeline_statistics(model, n, kinds, n_reps,
-derive_seed(seed, 2), burn_in)`` for its spec.  :func:`write_power_csv`
+derive_seed(seed, 2))`` for its spec.  :func:`write_power_csv`
 writes a grid of studies as ``(alternative, spec, reports)`` cells.
 
 :class:`ExperimentSpec` refuses any other innovation law, and a mixture
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_process import ArModel, Gaussian, Mixture, _check_burn_in, default_burn_in, simulate_ar
+from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
 from .estimation import _check_max_order, _fit_rows, _root_mean_square
 from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
 from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _check_alpha, _check_grid_size,
@@ -60,10 +60,8 @@ class ExperimentSpec:
     """Configuration of one size or power study; the statistics are named per call.
 
     The model's innovation must be a :class:`Gaussian` (a size study) or a
-    :class:`Mixture` coupled to ``n`` (a power study).  ``burn_in=None``
-    takes the model's :func:`~arnorm.ar_process.default_burn_in`; a model
-    without one is refused here, like every other bad field, before any
-    table is simulated.
+    :class:`Mixture` coupled to ``n`` (a power study).  Every bad field is
+    refused here, before any table is simulated.
     """
 
     model: ArModel
@@ -73,7 +71,6 @@ class ExperimentSpec:
     seed: int
     grid_size: int = DEFAULT_GRID
     limit_reps: int = DEFAULT_REPS
-    burn_in: int | None = None
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
@@ -86,10 +83,6 @@ class ExperimentSpec:
         _checked_seed(self.seed)
         _check_grid_size(self.grid_size)
         _check_count("limit_reps", self.limit_reps)
-        if self.burn_in is None:
-            default_burn_in(self.model)
-        else:
-            _check_burn_in(self.burn_in)
         innovation = self.model.innovation
         if not isinstance(innovation, (Gaussian, Mixture)):
             raise ValueError(
@@ -114,7 +107,7 @@ class PowerReport:
     critical_value: float
 
 
-def _pipeline_block(model, n, burn_in, kinds, stream, count):
+def _pipeline_block(model, n, kinds, stream, count):
     """Test statistics of the next ``count`` pipeline replications of ``stream``.
 
     Each replication draws its series by one :func:`simulate_ar` call into
@@ -124,8 +117,7 @@ def _pipeline_block(model, n, burn_in, kinds, stream, count):
     the fit's residuals in its units, already scaled by a power of two, and
     form the scale estimate from them directly.
     """
-    values = np.array([simulate_ar(model, n, burn_in=burn_in, seed=stream).values
-                       for _ in range(count)])
+    values = np.array([simulate_ar(model, n, seed=stream).values for _ in range(count)])
     _, resid, _, _ = _fit_rows(values, model.order)
     transforms = _sorted_transforms(resid, _root_mean_square(resid))
     return {
@@ -142,7 +134,6 @@ def pipeline_statistics(
     kinds,
     n_reps: int,
     seed: int,
-    burn_in: int | None = None,
     workers: int = 1,
 ) -> dict[StatKind, np.ndarray]:
     """Simulate/fit/test statistics over independent replications.
@@ -151,7 +142,7 @@ def pipeline_statistics(
     earlier replications of its block of 64, so the arrays are bit-identical
     for any ``workers >= 1``, and a shorter run is a prefix of a longer one.
     """
-    args = (model, n, burn_in, _stat_kinds(kinds))
+    args = (model, n, _stat_kinds(kinds))
     rows = _BLOCK_VALUES // (n + model.order)
     return map_replications(_pipeline_block, args, seed, n_reps, rows, workers)
 
@@ -197,7 +188,6 @@ def run_power_study(
         kinds,
         spec.n_reps,
         derive_seed(spec.seed, _PIPELINE_BRANCH),
-        burn_in=spec.burn_in,
         workers=workers,
     )
     reports = {}

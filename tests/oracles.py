@@ -176,7 +176,7 @@ def fit_by_design_matrix(sample):
     return beta, resid - np.mean(resid)
 
 
-def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed, burn_in=None):
+def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed):
     """``pipeline_statistics`` one replication at a time.
 
     Replications come in blocks of 64: replication ``r`` simulates from
@@ -189,7 +189,7 @@ def pipeline_statistics_by_replication(model, n, kinds, n_reps, seed, burn_in=No
     for r in range(n_reps):
         if r % 64 == 0:
             stream = substream(seed, r // 64)
-        sample = simulate_ar(model, n, burn_in=burn_in, seed=stream)
+        sample = simulate_ar(model, n, seed=stream)
         transforms = probability_transforms(fit_ar(sample))
         for kind in kinds:
             if kind is StatKind.KOLMOGOROV:

@@ -15,7 +15,6 @@ from arnorm.ar_process import (
     TwoPointLaw,
     UniformLaw,
     char_root_radius,
-    default_burn_in,
     parse_alternative_law,
 )
 from arnorm.rng import substream
@@ -83,6 +82,18 @@ class TestArModel:
         raw[0] = 0.99
         assert model.coeffs[0] == 0.5
 
+    @pytest.mark.parametrize("coeffs", [(0.9999999,), (1.9999, -0.99995)], ids=["ar1", "ar2"])
+    def test_over_budget_radius_refused(self, coeffs):
+        # stationary, but the warm-up would exceed MAX_BURN_IN steps
+        radius = f"{char_root_radius(np.asarray(coeffs)):.10g}"
+        message = f"^the warm-up for characteristic root radius {radius} exceeds {MAX_BURN_IN} steps$"
+        with pytest.raises(ValueError, match=message):
+            ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+
+    def test_burn_in_is_derived_not_given(self):
+        with pytest.raises(TypeError, match="burn_in"):
+            ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(1.0), burn_in=5)
+
 
 class TestSeriesSample:
     def test_lengths(self):
@@ -91,12 +102,15 @@ class TestSeriesSample:
         assert sample.values.size == 12
 
     def test_too_short_rejected(self):
-        # need at least p pre-sample values plus n >= p + 1 observations
-        message = r"^series too short: requires n >= p \+ 1, got n = {} and p = {}$"
-        with pytest.raises(ValueError, match=message.format(1, 2)):
+        # need at least p pre-sample values plus n >= p + 1 observations;
+        # fewer values than p are counted, never shown as a negative n
+        message = r"^series too short: requires at least 2p \+ 1 = {} values, got {} values and p = {}$"
+        with pytest.raises(ValueError, match=message.format(5, 3, 2)):
             SeriesSample.from_values(np.arange(3.0), p=2)
-        with pytest.raises(ValueError, match=message.format(0, 0)):
+        with pytest.raises(ValueError, match=message.format(1, 0, 0)):
             SeriesSample(np.empty(0), 0)
+        with pytest.raises(ValueError, match=message.format(11, 3, 5)):
+            SeriesSample.from_values(np.arange(3.0), p=5)
 
     @pytest.mark.parametrize("size,p", [(1, 0), (7, 3), (43, 20)])
     def test_n_is_derived_from_values_and_p(self, size, p):
@@ -110,9 +124,10 @@ class TestSeriesSample:
 
 class TestSimulateAr:
     def test_iid_case_is_mean_plus_draws(self):
+        # the warm-up draws come first and are dropped
         model = ArModel(coeffs=(), mean=3.0, innovation=Gaussian(2.0))
-        sample = simulate_ar(model, n=6, burn_in=0, seed=11)
-        draws = substream(11).normal(0.0, 2.0, size=6)
+        sample = simulate_ar(model, n=6, seed=11)
+        draws = substream(11).normal(0.0, 2.0, size=model.burn_in + 6)[model.burn_in:]
         np.testing.assert_array_equal(sample.values, 3.0 + draws)
 
     def test_same_seed_reproduces(self, ar1_model):
@@ -160,27 +175,16 @@ class TestSimulateAr:
     )
     def test_default_burn_in_follows_root_radius(self, coeffs, expected):
         model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
-        assert default_burn_in(model) == expected
-        with_default = simulate_ar(model, n=10, seed=1)
-        explicit = simulate_ar(model, n=10, burn_in=expected, seed=1)
-        np.testing.assert_array_equal(with_default.values, explicit.values)
-
-    @pytest.mark.parametrize("coeffs", [(0.9999999,), (1.9999, -0.99995)], ids=["ar1", "ar2"])
-    def test_over_budget_radius_needs_explicit_burn_in(self, coeffs):
-        model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
-        radius = f"{char_root_radius(model.coeffs):.10g}"
-        message = f"warm-up for characteristic root radius {radius} exceeds {MAX_BURN_IN} steps"
-        with pytest.raises(ValueError, match=message):
-            default_burn_in(model)
-        with pytest.raises(ValueError, match=message):
-            simulate_ar(model, n=10, seed=1)
-        assert simulate_ar(model, n=10, burn_in=50, seed=1).values.size == 10 + len(coeffs)
+        assert model.burn_in == expected
+        # the simulation runs exactly that warm-up from a zero start
+        n, p = 10, len(coeffs)
+        eps = substream(1).normal(0.0, 1.0, size=expected + n + p)
+        full = lfilter([1.0], np.concatenate(([1.0], -model.coeffs)), eps)
+        np.testing.assert_array_equal(simulate_ar(model, n=n, seed=1).values, full[expected:])
 
     def test_bad_arguments(self, ar1_model):
         with pytest.raises(ValueError):
             simulate_ar(ar1_model, n=1)  # needs n >= p + 1
-        with pytest.raises(ValueError):
-            simulate_ar(ar1_model, n=10, burn_in=-1)
 
 
 def _ar_with_roots(*roots):
@@ -220,7 +224,7 @@ class TestWarmUp:
         # the scale for the complex AR(2)).
         coeffs = np.array(TRANSIENT_CASES[name])
         model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
-        b, p = default_burn_in(model), coeffs.size
+        b, p = model.burn_in, coeffs.size
         a = np.concatenate(([1.0], -coeffs))
         far = lfilter([1.0], a, substream(41).normal(size=3 * b))
         state = far[2 * b - p : 2 * b][::-1]
@@ -420,9 +424,10 @@ class TestMixture:
         # any zero-mean law drives the model directly, with no wrapper
         law = TwoPointLaw(2.0)
         model = ArModel(coeffs=(), mean=0.0, innovation=law)
-        draws = simulate_ar(model, n=1000, burn_in=0, seed=5).values
+        draws = simulate_ar(model, n=1000, seed=5).values
         assert set(np.unique(draws)) == {-2.0, 2.0}
-        np.testing.assert_array_equal(draws, law.sample(substream(5), size=1000))
+        b = model.burn_in
+        np.testing.assert_array_equal(draws, law.sample(substream(5), size=b + 1000)[b:])
         assert model.innovation.variance == pytest.approx(4.0)
 
     def test_gaussian_innovation(self):

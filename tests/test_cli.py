@@ -9,7 +9,7 @@ import pytest
 
 import arnorm
 from arnorm import ar_process, estimation, limit_law, load_table, quantile, rng
-from arnorm.ar_process import LaplaceLaw, Mixture
+from arnorm.ar_process import ArModel, Gaussian, LaplaceLaw, Mixture
 from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
 from arnorm.rng import substream
@@ -66,17 +66,25 @@ class TestSimulate:
         np.array([float(v) for v in data])  # every line parses
 
     @pytest.mark.parametrize(
-        "flags, warm_up",
-        [([], '{"burn_in": 100, "root_radius": 0.5, "source": "derived"}'),
-         (["--burn-in", "7"], '{"burn_in": 7, "root_radius": 0.5, "source": "given"}')],
-        ids=["derived", "given"],
+        "beta, warm_up",
+        [("0.5", '{"burn_in": 100, "root_radius": 0.5}'),
+         ("", '{"burn_in": 100, "root_radius": 0.0}')],
+        ids=["derived", "order-0"],
     )
-    def test_header_states_warm_up(self, capsys, flags, warm_up):
-        assert main(["simulate", "--n", "20", "--beta", "0.5", *flags]) == 0
+    def test_header_states_warm_up(self, capsys, beta, warm_up):
+        assert main(["simulate", "--n", "20", "--beta", beta]) == 0
         lines = capsys.readouterr().out.splitlines()
-        config = json.loads(lines[1].removeprefix("# config: "))
-        assert config["burn_in"] == (7 if flags else None)  # as given
+        assert "burn_in" not in json.loads(lines[1].removeprefix("# config: "))
         assert lines[3] == f"# warm-up: {warm_up}"
+
+    def test_burn_in_flag_refused(self, capsys):
+        # the warm-up is the model's own; an old --burn-in is a usage error
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--n", "20", "--burn-in", "5"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --burn-in 5" in captured.err
+        assert captured.out == ""
 
     def test_over_budget_radius_exits_2(self, capsys, monkeypatch):
         # 0.99999999 is refused as not stationary; at 0.9999999 the warm-up
@@ -89,7 +97,7 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err == (
             "arnorm: the warm-up for characteristic root radius 0.9999999 exceeds "
-            "1000000 steps; give the burn-in explicitly (--beta)\n"
+            "1000000 steps (--beta)\n"
         )
         assert captured.out == ""
 
@@ -139,8 +147,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--burn-in", "-1"], "burn_in must be non-negative, got -1 (--burn-in)"),
-         (["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2, got 1 (--n)"),
+        [(["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2, got 1 (--n)"),
          (["--n", "3", "--beta", "0.1,0.1,0.1"],
           "series too short: requires n >= p + 1, got n = 3 and p = 3 (--n)"),
          (["--beta", "0.5,nan"], "coeffs must be finite (--beta)"),
@@ -149,7 +156,7 @@ class TestSimulate:
          (["--sigma0", "1e154", "--h", "gauss-scale:2"],
           "invalid law descriptor 'gauss-scale:2': c * sigma0 must be positive with a "
           "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154")],
-        ids=["burn-in", "n-mixture", "n-below-order", "beta-nan", "sigma0-overflow",
+        ids=["n-mixture", "n-below-order", "beta-nan", "sigma0-overflow",
              "scale-product-overflow"],
     )
     def test_bad_flag_named_before_simulating(self, capsys, monkeypatch, flags, message):
@@ -327,17 +334,22 @@ class TestTest:
         assert main(["test", str(series), "--alpha", "1.5", "--reps", "100"]) == 2
 
     def test_too_short_series_exits_2(self, tmp_path, capsys):
+        # fewer values than p: the message counts values, never a negative n
         series = tmp_path / "short.txt"
         _write_series(series, [1.0, 2.0, 3.0])
         assert main(["test", str(series), "--p", "5", "--reps", "100"]) == 2
+        assert capsys.readouterr().err == (
+            f"arnorm: {series}: series too short: requires at least 2p + 1 = 11 values, "
+            "got 3 values and p = 5 (--p)\n"
+        )
 
     def test_too_short_series_names_file_sizes_and_flag(self, tmp_path, capsys):
         series = tmp_path / "ten.txt"
         _write_series(series, np.arange(10.0))
         assert main(["test", str(series), "--p", "9", "--reps", "100"]) == 2
         assert capsys.readouterr().err == (
-            f"arnorm: {series}: series too short: requires n >= p + 1, got n = 1 and p = 9 "
-            "(--p)\n"
+            f"arnorm: {series}: series too short: requires at least 2p + 1 = 19 values, "
+            "got 10 values and p = 9 (--p)\n"
         )
 
     def test_nan_in_table_file_exits_2(self, tmp_path, capsys, small_tables):
@@ -769,12 +781,10 @@ class TestPower:
             ("seed", True),
             ("grid", "128"),
             ("limit_reps", 5000.5),
-            ("burn_in", 100.0),
         ],
         ids=["beta-string", "beta-string-item", "n-float", "n-bool-item", "h-null",
              "statistics-number", "mu-string", "mu-nan", "sigma0-bool", "alpha-string",
-             "n_reps-float", "seed-bool", "grid-string", "limit_reps-float",
-             "burn_in-float"],
+             "n_reps-float", "seed-bool", "grid-string", "limit_reps-float"],
     )
     def test_mistyped_field_exits_2(self, tmp_path, capsys, field, value):
         config = _power_config(tmp_path, **{field: value})
@@ -793,10 +803,9 @@ class TestPower:
             ("sigma0", 1e200, "sigma0 must have a finite variance sigma0**2, got 1e+200"),
             ("sigma0", 1e154, "invalid law descriptor 'gauss-scale:2.0': c * sigma0 must be "
              "positive with a finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154"),
-            ("burn_in", -1, "burn_in must be non-negative, got -1"),
         ],
         ids=["seed", "grid", "limit_reps", "n_reps", "alpha", "sigma0", "sigma0-variance",
-             "scale-product-variance", "burn_in"],
+             "scale-product-variance"],
     )
     def test_out_of_range_field_names_config(self, tmp_path, capsys, monkeypatch, field,
                                              value, message):
@@ -878,16 +887,25 @@ class TestPower:
         assert captured.out == ""
 
 
-    @pytest.mark.parametrize("burn_in, used", [(None, 100), (5, 5)])
-    def test_header_states_warm_up(self, tmp_path, burn_in, used):
+    def test_header_states_warm_up(self, tmp_path):
         out = tmp_path / "grid.csv"
-        config = _power_config(tmp_path, n_reps=100, limit_reps=200, grid=16, burn_in=burn_in)
+        config = _power_config(tmp_path, n_reps=100, limit_reps=200, grid=16)
         assert main(["power", str(config), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert json.loads(lines[1].removeprefix("# config: "))["burn_in"] == burn_in
+        assert "burn_in" not in json.loads(lines[1].removeprefix("# config: "))
         warm_up = json.loads(lines[3].removeprefix("# warm-up: "))
-        assert warm_up == {"burn_in": used, "root_radius": 0.5,
-                           "source": "derived" if burn_in is None else "given"}
+        assert warm_up == {"burn_in": 100, "root_radius": 0.5}
+
+    def test_burn_in_field_refused(self, tmp_path, capsys, monkeypatch):
+        # the warm-up is the model's own; an old burn_in field is unknown
+        calls = []
+        monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables",
+                            lambda *args, **kwargs: calls.append(args))
+        config = _power_config(tmp_path, burn_in=5)
+        assert main(["power", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"arnorm: {config}: unknown config field: burn_in\n"
+        assert captured.out == "" and calls == []
 
     def test_over_budget_radius_names_config(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -898,7 +916,7 @@ class TestPower:
         captured = capsys.readouterr()
         assert captured.err == (
             f"arnorm: {config}: the warm-up for characteristic root radius 0.9999999 "
-            "exceeds 1000000 steps; give the burn-in explicitly\n"
+            "exceeds 1000000 steps\n"
         )
         assert captured.out == "" and calls == []
 
@@ -1133,8 +1151,8 @@ def _message(check) -> str:
          {"beta": [0.01] * 21}, None),
         (lambda: limit_law._check_alpha(1.5), ["test", "missing.txt", "--alpha", "1.5"],
          {"alpha": 1.5}, None),
-        (lambda: ar_process._check_burn_in(-1), ["simulate", "--n", "30", "--burn-in", "-1"],
-         {"burn_in": -1}, None),
+        (lambda: ArModel((0.9999999,), 0.0, Gaussian(1.0)),
+         ["simulate", "--n", "30", "--beta", "0.9999999"], {"beta": [0.9999999]}, None),
         (lambda: ar_process._check_length(3, 3),
          ["simulate", "--beta", "0.1,0.1,0.1", "--n", "3"], None, None),
         (lambda: Mixture(1.0, LaplaceLaw(4.0), 1), ["simulate", "--h", "laplace:4", "--n", "1"],

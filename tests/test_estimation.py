@@ -219,13 +219,15 @@ class TestStackedFit:
         assert str(stacked.value) == str(single.value)
 
     def test_non_finite_row_rejected(self):
-        # at order 0 no solve sees the row: the residual check must
-        block = substream(42).normal(size=(3, 60))
-        block[1, 5] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match="^residuals must be finite$"
-        ):
-            _fit_rows(block, 0)
+        # a row enters the fit as a SeriesSample, which names the bad value
+        # before any arithmetic on it, and so before any numpy warning
+        row = substream(42).normal(size=60)
+        row[5], row[9] = np.inf, -np.inf
+        for p in (0, 1):
+            with pytest.raises(ValueError, match="^values must be finite, got inf at index 5$"):
+                fit_ar(SeriesSample.from_values(row, p))
+        with pytest.raises(ValueError, match="^values must be finite, got nan at index 1$"):
+            fit_ar(SeriesSample.from_values([1.0, np.nan, 2.0, 3.0], 1))
 
 
 class TestAutocovMatrix:

@@ -37,7 +37,7 @@ RUNS = [
         ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",
          "--seed", "4", "--out", "s.txt"],
         hashlib.sha256(b"").hexdigest(),
-        ("s.txt", "6f04e1169ae2666412c8c8bd3b3706df26821aec96fd0a4a46cb6f36ae87f5e1"),
+        ("s.txt", "d7d54d7768ad8526c02dfe520269b74306e1e84f81781c39dae82c79f3d8c862"),
     ),
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
@@ -47,7 +47,7 @@ RUNS = [
     ),
     (
         ["power", "c.json"],
-        "8face7a83caae661964ab3701bd29275eef15bab7ec5cd0d14411b91b7079d3f",
+        "a34e7130a79a29b7b51900803bbd3f718317db5a8005112dccdef50e32a66af8",
         None,
     ),
 ]

@@ -128,6 +128,17 @@ class TestLocalShift:
         with pytest.raises(ValueError):
             local_shift(mixture, 1.5)
 
+    @pytest.mark.parametrize("t, bad", [([0.2, 1.5, -1.0], 1.5), ([0.0, -0.25], -0.25),
+                                        ([0.5, np.nan], np.nan)])
+    def test_domain_message_shared_with_kernel(self, t, bad):
+        # one rule, one message, naming the first point outside [0, 1]
+        mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=2000)
+        with pytest.raises(ValueError) as shift:
+            local_shift(mixture, t)
+        with pytest.raises(ValueError) as kernel:
+            cov_matrix(t)
+        assert str(shift.value) == str(kernel.value) == f"t must lie in [0, 1], got {bad!r}"
+
     def test_first_order_shift_ignores_n(self):
         t = np.linspace(0.0, 1.0, 101)
         shifts = [local_shift(Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=n), t)

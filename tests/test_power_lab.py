@@ -346,19 +346,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             _size_spec(n_reps=50)
 
-    def test_negative_burn_in(self):
-        # checked when the spec is built, not after its null table is simulated
-        with pytest.raises(ValueError, match="burn_in must be non-negative, got -1"):
-            _size_spec(burn_in=-1)
-        assert _size_spec(burn_in=0).burn_in == 0
-
     def test_over_budget_warm_up_refused(self):
-        # refused when the spec is built, before any table is simulated
-        model = ArModel(coeffs=(0.9999999,), mean=0.0, innovation=Gaussian(1.0))
+        # the model itself is refused, so no spec of it, and no table, exists
         message = f"root radius 0.9999999 exceeds {MAX_BURN_IN} steps"
         with pytest.raises(ValueError, match=message):
-            _size_spec(model=model)
-        assert _size_spec(model=model, burn_in=10).burn_in == 10
+            ArModel(coeffs=(0.9999999,), mean=0.0, innovation=Gaussian(1.0))
+        with pytest.raises(TypeError, match="burn_in"):
+            _size_spec(burn_in=10)
 
     def test_grid_size_and_seed(self):
         with pytest.raises(ValueError, match="grid_size must be at least 2, got 1"):
