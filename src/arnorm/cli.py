@@ -14,7 +14,8 @@ instead); identical invocations produce byte-identical output.  The
 opened before any work, so a bad path fails at once, and it may not name an
 input file.  Exit codes:
 0 success, 2 invalid input or configuration, 3 degenerate data (the fit or
-the test statistic is undefined for the given series).
+the test statistic is undefined for the given series, or ``test`` finds its
+residuals to be rounding noise).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 
@@ -55,6 +57,10 @@ from .limit_law import (
 from .power_lab import ExperimentSpec, run_power_study, write_power_csv
 
 _REPORT_ALPHAS = (0.10, 0.05, 0.01)
+
+# A residual scale at most this share of the series' own spread is rounding
+# noise: noiseless fits leave 1e-17 to 5e-16 of it.
+_NOISE_FLOOR = 2.0**-40
 
 _POWER_DEFAULTS = {
     "beta": [],
@@ -237,6 +243,22 @@ def _read_series(path, p) -> SeriesSample:
         raise ValueError(f"{path}: {exc} (--p)") from None
 
 
+def _check_noise(sample, fit) -> None:
+    """Refuse a fit whose residuals are rounding noise, whatever their last
+    bits: the series is noiseless for its order.  ``s_hat`` and the root mean
+    square of the centered working sample are compared in the fit's units,
+    scaled by the power of two that brings the largest magnitude into
+    [0.5, 1), so the check is free of the series' scale."""
+    exponent = math.frexp(np.max(np.abs(sample.values)))[1]
+    working = np.ldexp(sample.values[sample.p:], -exponent)
+    spread = float(estimation._root_mean_square(working - np.mean(working)))
+    if math.ldexp(fit.s_hat, -exponent) <= _NOISE_FLOOR * spread:
+        raise DegenerateDataError(
+            "residuals are rounding noise: the residual scale estimate is at most "
+            "2**-40 of the series' spread; series is noiseless for this order"
+        )
+
+
 def _resolve_tables(args) -> tuple[dict, dict]:
     """Load tables given on the command line, then build the missing kinds.
 
@@ -264,6 +286,7 @@ def _cmd_test(args, out) -> int:
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
     _check_scale(fit.s_hat)
+    _check_noise(sample, fit)
     tables, sources = _resolve_tables(args)
     results = [
         kolmogorov_stat(fit, tables[StatKind.KOLMOGOROV], args.alpha),

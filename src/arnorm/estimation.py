@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .ar_process import SeriesSample
 from .errors import DegenerateDataError
@@ -123,7 +122,11 @@ def _ols_rows(centered: np.ndarray, p: int) -> np.ndarray:
         raise DegenerateDataError(
             "singular normal equations: the series is degenerate for this order"
         ) from None
-    return np.array([dpotrs(c, b, lower=1)[0] for c, b in zip(chol, rhs)])
+    # beta = L^-T (L^-1 rhs): numpy solves each matrix of a stack on its
+    # own, so a row has the bits of its fit alone, and LAPACK is reached
+    # without loading SciPy's linear-algebra package
+    half = np.linalg.solve(chol, rhs[:, :, None])
+    return np.linalg.solve(np.swapaxes(chol, 1, 2), half)[:, :, 0]
 
 
 def _residual_rows(centered: np.ndarray, beta: np.ndarray) -> np.ndarray:

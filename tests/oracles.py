@@ -6,9 +6,11 @@ factored Brownian-bridge kernel instead of the residual-process kernel,
 one ``float()`` per line instead of batched conversion), so agreement is
 informative.  Two oracles instead fix the arithmetic, for results that
 must agree bit for bit: :func:`fit_by_design_matrix` fits one series from
-its column-stacked lag design, and :func:`pipeline_statistics_by_replication`
-runs the simulate/fit/test pipeline one replication at a time through the
-public single-series functions.  :func:`write_v1_table` writes a table in
+its column-stacked lag design, whose normal equations
+:func:`normal_equations_by_design_matrix` forms, and
+:func:`pipeline_statistics_by_replication` runs the simulate/fit/test
+pipeline one replication at a time through the public single-series
+functions.  :func:`write_v1_table` writes a table in
 the text format of earlier releases, which the loader still reads.
 
 The residual EDF and the process evaluated from it (:func:`residual_edf`,
@@ -22,7 +24,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, toeplitz
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 from scipy.special import ndtri
 from scipy.stats import kstwobign
@@ -143,32 +145,48 @@ def corrected_bridge_sup_check(grid_size, n_reps, seed, alphas):
     return out
 
 
+def _lag_design(values, p):
+    """``y`` and the column-stacked lag design ``X`` (column ``k`` is lag
+    ``k + 1``) of a stretch of ``n + p`` values."""
+    n = values.size - p
+    return values[p:], np.column_stack([values[p - k : p - k + n] for k in range(1, p + 1)])
+
+
+def normal_equations_by_design_matrix(sample):
+    """The Gram matrix and right-hand side of one series' fit, ``p >= 1``.
+
+    The series is centered by its working-sample average and scaled by the
+    power of two that brings its largest magnitude into [0.5, 1); each entry
+    is the pairwise sum of a product of two columns of the lag design.
+    """
+    p, values = sample.p, sample.values
+    centered = values - float(np.mean(values[p:]))
+    exponent = int(np.frexp(np.max(np.abs(centered)))[1])
+    y, X = _lag_design(np.ldexp(centered, -exponent), p)
+    gram = np.array([[np.sum(X[:, i] * X[:, j]) for j in range(p)] for i in range(p)])
+    rhs = np.array([np.sum(X[:, i] * y) for i in range(p)])
+    return gram, rhs
+
+
 def fit_by_design_matrix(sample):
     """Coefficients and residuals of one series from its lag design matrix.
 
     The series is centered by its working-sample average and scaled by a
-    power of two into [0.5, 1); each entry of the Gram matrix and the
-    right-hand side of the column-stacked design ``X`` (column ``k`` is lag
-    ``k + 1``) is the pairwise sum of a product of two columns, and the
-    Cholesky system is solved by ``cho_solve``.  The residuals are ``y``
-    minus the fitted values summed column by column, on the unscaled
-    centered series, then less their average.
+    power of two into [0.5, 1); the normal equations are those of
+    :func:`normal_equations_by_design_matrix`.  They are solved with the
+    library's numpy calls, which fix the arithmetic: the Cholesky factor
+    ``L``, then ``L^-T (L^-1 rhs)`` by two ``np.linalg.solve`` calls.  The
+    residuals are ``y`` minus the fitted values summed column by column, on
+    the unscaled centered series, then less their average.
     """
     p, values = sample.p, sample.values
-    n = values.size - p
     centered = values - float(np.mean(values[p:]))
-
-    def design(v):
-        return v[p:], np.column_stack([v[p - k : p - k + n] for k in range(1, p + 1)])
-
     if p == 0:
         return np.empty(0), centered - np.mean(centered)
-    exponent = int(np.frexp(np.max(np.abs(centered)))[1])
-    y, X = design(np.ldexp(centered, -exponent))
-    gram = np.array([[np.sum(X[:, i] * X[:, j]) for j in range(p)] for i in range(p)])
-    rhs = np.array([np.sum(X[:, i] * y) for i in range(p)])
-    beta = cho_solve((np.linalg.cholesky(gram), True), rhs)
-    y, X = design(centered)
+    gram, rhs = normal_equations_by_design_matrix(sample)
+    chol = np.linalg.cholesky(gram)
+    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    y, X = _lag_design(centered, p)
     fitted = beta[0] * X[:, 0]
     for k in range(1, p):
         fitted += beta[k] * X[:, k]

@@ -304,26 +304,34 @@ class TestTest:
         assert "arnorm:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "p, message",
-        [(0, "residual scale estimate is zero"), (1, "singular normal equations")],
-        ids=["p0-zero-scale", "p1-singular"],
+        "values, p, message",
+        [(np.full(50, 3.0), 0, "residual scale estimate is zero"),
+         (np.full(50, 3.0), 1, "singular normal equations"),
+         # noiseless at order 2: the residuals are rounding noise, at RMS
+         # 5.1e-15 and 5.5e-17, and a verdict on them depends on last bits
+         (np.arange(41.0), 2, "residuals are rounding noise"),
+         (1e200 * np.arange(41.0), 2, "residuals are rounding noise"),
+         (1e-200 * np.arange(41.0), 2, "residuals are rounding noise"),
+         (np.append(np.tile([1.0, -1.0], 20), 1.0), 2, "residuals are rounding noise")],
+        ids=["p0-zero-scale", "p1-singular", "ramp-p2-noise", "ramp-1e200-p2-noise",
+             "ramp-1e-200-p2-noise", "alternating-p2-noise"],
     )
     def test_degenerate_series_exits_before_tables(self, tmp_path, capsys, monkeypatch,
-                                                   p, message):
+                                                   values, p, message):
         # the fit and its scale are checked before the default tables are
         # simulated, which would take seconds
         calls = []
         monkeypatch.setattr(arnorm.cli, "simulate_limit_tables",
                             lambda *args, **kwargs: calls.append(args))
-        series = tmp_path / "flat.txt"
-        _write_series(series, np.full(50, 3.0))
+        series = tmp_path / "degenerate.txt"
+        _write_series(series, values)
         assert main(["test", str(series), "--p", str(p)]) == 3
         assert message in capsys.readouterr().err
         assert calls == []
 
     def test_degenerate_residuals_exit_3(self, tmp_path, capsys):
         # alternating series: centers to itself exactly and the lag-1 fit is
-        # noiseless, so every residual vanishes
+        # noiseless, so every residual is zero or rounding noise
         series = tmp_path / "exact.txt"
         _write_series(series, np.append(np.tile([1.0, -1.0], 20), 1.0))
         assert main(["test", str(series), "--p", "1", "--reps", "100"]) == 3
@@ -1061,8 +1069,9 @@ class TestEntryPoint:
 
     def test_test_command_leaves_scipy_stats_and_signal_unloaded(self, tmp_path,
                                                                   small_tables):
-        # scipy.stats and scipy.signal cost most of the start-up of a fresh
-        # process; only simulation needs scipy.signal, and it loads it itself
+        # scipy.stats, scipy.signal and scipy.linalg cost most of the start-up
+        # of a fresh process; the fit reaches LAPACK through numpy, and only
+        # simulation needs scipy.signal, which it loads itself
         series = tmp_path / "series.txt"
         _write_series(series, substream(135).normal(size=300))
         argv = ["test", str(series), "--p", "1",
@@ -1072,7 +1081,8 @@ class TestEntryPoint:
             "import arnorm, arnorm.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert arnorm.cli.main({argv!r}) == 0\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.signal', 'scipy.stats')\n"
+            "             if m in sys.modules))\n"
             "model = arnorm.ArModel((0.5,), 0.0, arnorm.Gaussian(1.0))\n"
             "sample = arnorm.simulate_ar(model, 50, seed=1)\n"
             "print(sample.values.size, 'scipy.signal' in sys.modules)\n"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_solve, toeplitz
 
 from arnorm import ArModel, Gaussian, SeriesSample, fit_ar, simulate_ar
 from arnorm.errors import DegenerateDataError
@@ -17,7 +17,7 @@ from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
 
 from conftest import AR_COEFFS
-from oracles import autocov_matrix, fit_by_design_matrix
+from oracles import autocov_matrix, fit_by_design_matrix, normal_equations_by_design_matrix
 
 
 def _residuals(values, beta):
@@ -208,6 +208,17 @@ class TestStackedFit:
         np.testing.assert_array_equal(fit.beta_hat, beta)
         np.testing.assert_array_equal(fit.residuals, resid)
 
+    @pytest.mark.parametrize("n, rows", [(30, 9), (2000, 5)])
+    def test_rows_equal_single_series_fits_at_max_order(self, n, rows):
+        # numpy solves each matrix of the stack on its own, at every order
+        model = ArModel(coeffs=np.full(MAX_ORDER, 0.04), mean=-2.5, innovation=LaplaceLaw(2.0))
+        samples = [simulate_ar(model, n, seed=substream(43, r)) for r in range(rows)]
+        beta, resid, _, exponent = _fit_rows(np.array([s.values for s in samples]), MAX_ORDER)
+        for r, sample in enumerate(samples):
+            fit = fit_ar(sample)
+            np.testing.assert_array_equal(beta[r], fit.beta_hat)
+            np.testing.assert_array_equal(np.ldexp(resid[r], exponent[r]), fit.residuals)
+
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_constant_row_raises_as_its_single_fit(self, p):
         block = substream(41).normal(size=(4, 60))
@@ -228,6 +239,38 @@ class TestStackedFit:
                 fit_ar(SeriesSample.from_values(row, p))
         with pytest.raises(ValueError, match="^values must be finite, got nan at index 1$"):
             fit_ar(SeriesSample.from_values([1.0, np.nan, 2.0, 3.0], 1))
+
+
+class TestNormalEquationsSolve:
+    """The coefficients solve the normal equations stably: on the same Gram
+    matrix they agree with ``scipy.linalg.cho_solve`` as far as backward
+    stability allows."""
+
+    # normwise backward error of a Cholesky solve: a small multiple of p * u
+    BACKWARD_BOUND = 8 * np.finfo(float).eps / 2
+
+    @pytest.mark.parametrize("root", [0.5, 0.99])
+    @pytest.mark.parametrize("p", [1, 2, 5, MAX_ORDER])
+    def test_backward_error_against_cho_solve(self, p, root):
+        model = ArModel(coeffs=(root,), mean=3.0, innovation=LaplaceLaw(2.0))
+        values = simulate_ar(model, 2000, seed=substream(46, p)).values
+        sample = SeriesSample.from_values(values, p)
+        gram, rhs = normal_equations_by_design_matrix(sample)
+        beta = fit_ar(sample).beta_hat
+        reference = cho_solve((np.linalg.cholesky(gram), True), rhs)
+
+        def backward_error(x):
+            scale = np.linalg.norm(gram, np.inf) * np.linalg.norm(x, np.inf)
+            return np.linalg.norm(rhs - gram @ x, np.inf) / (scale + np.linalg.norm(rhs, np.inf))
+
+        bound = p * self.BACKWARD_BOUND
+        assert backward_error(reference) <= bound
+        assert backward_error(beta) <= bound
+        # two solutions within the backward bound differ by at most twice
+        # the bound times the condition number, to first order
+        kappa = np.linalg.cond(gram, np.inf)
+        np.testing.assert_allclose(beta, reference, rtol=0,
+                                   atol=2 * bound * kappa * np.linalg.norm(reference, np.inf))
 
 
 class TestAutocovMatrix:

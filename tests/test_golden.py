@@ -42,7 +42,7 @@ RUNS = [
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
          "--seed", "5"],
-        "845bc8d3b38073989ea270647d02fba5cadb15360baf2b14f4eef1bf3a092784",
+        "8f5e4eb0ce1cbb8930658cfb550b25a741590cf8f1fa9993c9ba70d60ececa06",
         None,
     ),
     (
