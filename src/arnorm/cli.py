@@ -42,7 +42,7 @@ from .ar_process import (
 )
 from .errors import DegenerateDataError
 from .estimation import fit_ar
-from .gof_tests import _check_scale, kolmogorov_stat, omega2_stat
+from .gof_tests import _gof_result, probability_transforms
 from .limit_law import (
     DEFAULT_GRID,
     DEFAULT_REPS,
@@ -285,13 +285,9 @@ def _cmd_test(args, out) -> int:
     sample = _read_series(args.series, args.p)
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
-    _check_scale(fit.s_hat)
+    transforms = probability_transforms(fit)
     _check_noise(sample, fit)
     tables, sources = _resolve_tables(args)
-    results = [
-        kolmogorov_stat(fit, tables[StatKind.KOLMOGOROV], args.alpha),
-        omega2_stat(fit, tables[StatKind.OMEGA2], args.alpha),
-    ]
     config = {
         "command": "test",
         "series": args.series,
@@ -299,6 +295,7 @@ def _cmd_test(args, out) -> int:
         "alpha": args.alpha,
     }
     header = _header_lines("test", config, None)
+    body = [f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"]
     for kind in StatKind:
         table = tables[kind]
         provenance = {
@@ -309,8 +306,7 @@ def _cmd_test(args, out) -> int:
             "seed": table.seed,
         }
         header.append("table: " + json.dumps(provenance, sort_keys=True))
-    body = [f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"]
-    for res in results:
+        res = _gof_result(transforms, table, args.alpha)
         verdict = "rejected" if res.rejected else "not-rejected"
         body.append(
             f"statistic={res.kind.value} value={res.value!r} "

@@ -117,31 +117,32 @@ def omega2_from_transforms(z: np.ndarray):
     return _value(np.sum(np.square(z - centers), axis=-1) + 1.0 / (12.0 * n))
 
 
-def _finish(kind, value, table, alpha):
+def _statistic(kind: StatKind, z: np.ndarray):
+    """The ``kind`` statistic from sorted probability transforms ``z``; each
+    functional is looked up by its module name at the call."""
+    if kind is StatKind.KOLMOGOROV:
+        return kolmogorov_from_transforms(z)
+    return omega2_from_transforms(z)
+
+
+def _gof_result(z: np.ndarray, table: LimitLawTable, alpha: float, kind=None) -> GofResult:
+    """The test of the statistic of ``table.kind`` on sorted probability
+    transforms ``z``; ``kind``, when given, is the law the table must hold."""
     if not isinstance(table, LimitLawTable):
         raise TypeError("table must be a LimitLawTable")
-    if table.kind is not kind:
-        raise ValueError(
-            f"table holds the {table.kind.value} law, not {kind.value}"
-        )
-    return GofResult(
-        kind=kind,
-        value=value,
-        p_value=mc_p_value(table, value),
-        critical_value=quantile(table, alpha),
-        alpha=alpha,
-    )
+    if kind is not None and table.kind is not kind:
+        raise ValueError(f"table holds the {table.kind.value} law, not {kind.value}")
+    value = _statistic(table.kind, z)
+    return GofResult(table.kind, value, mc_p_value(table, value), quantile(table, alpha), alpha)
 
 
 def kolmogorov_stat(fit: ResidualFit, table: LimitLawTable, alpha: float) -> GofResult:
     """Scaled supremum distance between residual EDF and the normal fit,
     with its Monte Carlo p-value from the null ``table`` and the table's
     level-``alpha`` critical value and verdict."""
-    value = kolmogorov_from_transforms(probability_transforms(fit))
-    return _finish(StatKind.KOLMOGOROV, value, table, alpha)
+    return _gof_result(probability_transforms(fit), table, alpha, StatKind.KOLMOGOROV)
 
 
 def omega2_stat(fit: ResidualFit, table: LimitLawTable, alpha: float) -> GofResult:
     """Integrated squared distance statistic; see :func:`kolmogorov_stat`."""
-    value = omega2_from_transforms(probability_transforms(fit))
-    return _finish(StatKind.OMEGA2, value, table, alpha)
+    return _gof_result(probability_transforms(fit), table, alpha, StatKind.OMEGA2)

@@ -416,15 +416,15 @@ def _read_numbers(path) -> np.ndarray:
     ``#`` comments; the first line that is not a finite number is named by
     its line number in the file.
 
-    Bytes that are not UTF-8 decode to U+FFFD, so such a line is named as
-    not a number.  After the leading ``#`` lines (a table header or
-    comments), the lines are read about 64 KB at a time and each batch is
-    converted by one ``np.array(batch, dtype=float)`` call, which applies
-    ``float``'s grammar and rounding.  A batch that does not convert, or holds
-    a value that is not finite, sends the file through
-    :func:`_read_numbers_by_line` instead.
+    A leading UTF-8 byte-order mark is skipped.  Bytes that are not UTF-8
+    decode to U+FFFD, so such a line is named as not a number.  After the
+    leading ``#`` lines (a table header or comments), the lines are read
+    about 64 KB at a time and each batch is converted by one
+    ``np.array(batch, dtype=float)`` call, which applies ``float``'s grammar
+    and rounding.  A batch that does not convert, or holds a value that is
+    not finite, sends the file through :func:`_read_numbers_by_line` instead.
     """
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         start = 0
         while fh.readline().startswith("#"):
             start = fh.tell()

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
 from .estimation import _check_max_order, _fit_rows, _root_mean_square
-from .gof_tests import _sorted_transforms, kolmogorov_from_transforms, omega2_from_transforms
+from .gof_tests import _sorted_transforms, _statistic
 from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _check_alpha, _check_grid_size,
                         _stat_kinds, quantile, simulate_limit_tables)
 from .rng import _check_count, _checked_seed, derive_seed, map_replications
@@ -120,12 +120,7 @@ def _pipeline_block(model, n, kinds, stream, count):
     values = np.array([simulate_ar(model, n, seed=stream).values for _ in range(count)])
     _, resid, _, _ = _fit_rows(values, model.order)
     transforms = _sorted_transforms(resid, _root_mean_square(resid))
-    return {
-        kind: kolmogorov_from_transforms(transforms)
-        if kind is StatKind.KOLMOGOROV
-        else omega2_from_transforms(transforms)
-        for kind in kinds
-    }
+    return {kind: _statistic(kind, transforms) for kind in kinds}
 
 
 def pipeline_statistics(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import arnorm
-from arnorm import ar_process, estimation, limit_law, load_table, quantile, rng
+from arnorm import ar_process, estimation, gof_tests, limit_law, load_table, quantile, rng
 from arnorm.ar_process import ArModel, Gaussian, LaplaceLaw, Mixture
 from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
@@ -534,6 +534,54 @@ class TestTest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"arnorm: {bad}: line {lineno} is not a number: ")
+
+    def test_residuals_transformed_and_scale_checked_once(self, tmp_path, capsys, monkeypatch,
+                                                           small_tables):
+        # both statistics come from one set of sorted transforms
+        calls = []
+
+        def counted(name):
+            original = getattr(gof_tests, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(gof_tests, name, wrapper)
+
+        counted("_sorted_transforms")
+        counted("_check_scale")
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(134).normal(size=300))
+        code, _, err = self._report(capsys, series, 1, small_tables)
+        assert code == 0, err
+        assert sorted(calls) == ["_check_scale", "_sorted_transforms"]
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys, small_tables):
+        # "UTF-8 with BOM" files, as some editors and spreadsheets save them
+        series = tmp_path / "series.txt"
+        text = "".join(f"{float(v)!r}\n" for v in substream(135).normal(size=300))
+        series.write_text(text)
+        plain = self._report(capsys, series, 1, small_tables)
+        series.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert self._report(capsys, series, 1, small_tables) == plain
+        assert plain[0] == 0
+
+    def test_byte_order_mark_before_header_lines(self, tmp_path, capsys, small_tables):
+        series = tmp_path / "series.txt"
+        text = "".join(f"{float(v)!r}\n" for v in substream(136).normal(size=300))
+        series.write_bytes(b"\xef\xbb\xbf# exported\n# x\n" + text.encode())
+        assert main(["test", str(series), "--table", small_tables["kolmogorov"],
+                     "--table", small_tables["omega2"]]) == 0
+        assert "n=300 " in capsys.readouterr().out
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, capsys):
+        series = tmp_path / "bad.txt"
+        series.write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\nnot-a-number\n5.0\n")
+        assert main(["test", str(series), "--reps", "100"]) == 2
+        assert capsys.readouterr().err == (
+            f"arnorm: {series}: line 4 is not a number: 'not-a-number'\n"
+        )
 
     @pytest.mark.parametrize("first_line", [
         b"# limit-table v2 kind=kolmogorov\xff grid_size=16 n_reps=1 seed=7\n",

@@ -245,10 +245,20 @@ class TestTableIntegration:
             elif result.p_value > 0.105:
                 assert not result.rejected
 
-    def test_kind_mismatch_rejected(self, null_tables):
+    @pytest.mark.parametrize("stat, other", [(kolmogorov_stat, StatKind.OMEGA2),
+                                             (omega2_stat, StatKind.KOLMOGOROV)],
+                             ids=["kolmogorov_stat", "omega2_stat"])
+    def test_kind_mismatch_rejected(self, null_tables, stat, other):
         fit = _random_fit(3)
-        with pytest.raises(ValueError):
-            kolmogorov_stat(fit, table=null_tables[StatKind.OMEGA2], alpha=0.05)
+        with pytest.raises(ValueError, match=f"table holds the {other.value} law"):
+            stat(fit, table=null_tables[other], alpha=0.05)
+
+    @pytest.mark.parametrize("stat", [kolmogorov_stat, omega2_stat],
+                             ids=["kolmogorov_stat", "omega2_stat"])
+    def test_table_must_be_a_limit_law_table(self, null_tables, stat):
+        fit = _random_fit(3)
+        with pytest.raises(TypeError, match="table must be a LimitLawTable"):
+            stat(fit, table=null_tables[StatKind.KOLMOGOROV].samples, alpha=0.05)
 
     def test_alpha_requires_table(self):
         fit = _random_fit(4)
