@@ -13,9 +13,9 @@ instead); identical invocations produce byte-identical output.  The
 ``--workers`` flag changes wall time only, never output bytes.  ``--out`` is
 opened before any work, so a bad path fails at once, and it may not name an
 input file.  Exit codes:
-0 success, 2 invalid input or configuration, 3 degenerate data (the fit or
-the test statistic is undefined for the given series, or ``test`` finds its
-residuals to be rounding noise).
+0 success, 2 invalid input or configuration, 3 degenerate data (the fit
+refuses the series: its normal equations are singular, or its residuals
+are zero or rounding noise).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 
@@ -57,10 +56,6 @@ from .limit_law import (
 from .power_lab import ExperimentSpec, run_power_study, write_power_csv
 
 _REPORT_ALPHAS = (0.10, 0.05, 0.01)
-
-# A residual scale at most this share of the series' own spread is rounding
-# noise: noiseless fits leave 1e-17 to 5e-16 of it.
-_NOISE_FLOOR = 2.0**-40
 
 _POWER_DEFAULTS = {
     "beta": [],
@@ -243,22 +238,6 @@ def _read_series(path, p) -> SeriesSample:
         raise ValueError(f"{path}: {exc} (--p)") from None
 
 
-def _check_noise(sample, fit) -> None:
-    """Refuse a fit whose residuals are rounding noise, whatever their last
-    bits: the series is noiseless for its order.  ``s_hat`` and the root mean
-    square of the centered working sample are compared in the fit's units,
-    scaled by the power of two that brings the largest magnitude into
-    [0.5, 1), so the check is free of the series' scale."""
-    exponent = math.frexp(np.max(np.abs(sample.values)))[1]
-    working = np.ldexp(sample.values[sample.p:], -exponent)
-    spread = float(estimation._root_mean_square(working - np.mean(working)))
-    if math.ldexp(fit.s_hat, -exponent) <= _NOISE_FLOOR * spread:
-        raise DegenerateDataError(
-            "residuals are rounding noise: the residual scale estimate is at most "
-            "2**-40 of the series' spread; series is noiseless for this order"
-        )
-
-
 def _resolve_tables(args) -> tuple[dict, dict]:
     """Load tables given on the command line, then build the missing kinds.
 
@@ -286,7 +265,6 @@ def _cmd_test(args, out) -> int:
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
     transforms = probability_transforms(fit)
-    _check_noise(sample, fit)
     tables, sources = _resolve_tables(args)
     config = {
         "command": "test",

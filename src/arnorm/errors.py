@@ -2,4 +2,5 @@
 
 
 class DegenerateDataError(RuntimeError):
-    """The series is degenerate: singular normal equations, or a zero or overflowing scale."""
+    """The series is degenerate: singular normal equations, a zero scale
+    estimate, or residuals that are rounding noise."""

@@ -10,7 +10,10 @@ The fitting pipeline for a stretch ``v_{1-p}, ..., v_n`` is:
    ``s_hat = sqrt((1/n) * sum residuals**2)``.  The regression has no
    intercept, and near a unit root the residual average grows to
    O(n**-1/2), which shifts the residual empirical process (Ling 1998,
-   Ann. Statist. 26:741) and makes the tests over-reject.
+   Ann. Statist. 26:741) and makes the tests over-reject;
+4. refuse a degenerate fit: a zero ``s_hat``, or one at most ``2**-40`` of
+   the centered working sample's root mean square, where the residuals are
+   rounding noise and a test would turn on their last bits.
 
 Because every time point is centered by the same constant, the coefficient
 estimate and the residuals are invariant under shifts of the series mean,
@@ -35,6 +38,10 @@ __all__ = ["MAX_ORDER", "ResidualFit", "fit_ar"]
 # Guard against runaway designs; the asymptotics here are fixed-order.
 MAX_ORDER = 20
 
+# A residual scale at most this share of the series' own spread is rounding
+# noise: noiseless fits leave 1e-17 to 5e-16 of it.
+_NOISE_FLOOR = 2.0**-40
+
 
 @dataclass(frozen=True)
 class ResidualFit:
@@ -44,8 +51,8 @@ class ResidualFit:
     once at construction from the residuals scaled by the power of two that
     brings their largest magnitude into [0.5, 1), then scaled back.  That
     is exact, so the squares neither overflow nor underflow, and ``s_hat``
-    has the bits of the unscaled formula wherever that is finite and
-    nonzero.
+    has the bits of the unscaled formula wherever that is finite.  Zero
+    residuals raise :class:`~arnorm.errors.DegenerateDataError`.
     """
 
     beta_hat: np.ndarray
@@ -66,6 +73,7 @@ class ResidualFit:
         object.__setattr__(self, "residuals", resid)
         exponent = math.frexp(np.max(np.abs(resid)))[1]
         s_hat = math.ldexp(float(_root_mean_square(np.ldexp(resid, -exponent))), exponent)
+        _check_scale(s_hat)
         object.__setattr__(self, "s_hat", s_hat)
 
     @property
@@ -85,6 +93,19 @@ def _check_max_order(p: int) -> None:
 def _root_mean_square(residuals: np.ndarray):
     """Root mean square residual along the last axis: the scale estimate ``s_hat``."""
     return np.sqrt(np.mean(np.square(residuals), axis=-1))
+
+
+def _check_scale(s_hat, working=None) -> None:
+    """Refuse a zero scale estimate and, given the centered working sample
+    ``working`` in the same units, one at most ``_NOISE_FLOOR`` of its root
+    mean square; ``s_hat`` holds one estimate per row of ``working``."""
+    if not np.all(s_hat > 0.0):
+        raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
+    if working is not None and np.any(s_hat <= _NOISE_FLOOR * _root_mean_square(working)):
+        raise DegenerateDataError(
+            "residuals are rounding noise: the residual scale estimate is at most "
+            "2**-40 of the series' spread; series is noiseless for this order"
+        )
 
 
 def _centered_rows(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,23 +172,28 @@ def _fit_rows(values: np.ndarray, p: int):
     the Gram matrix of a series at 1e200 scale then cannot overflow.
     Returns the coefficients ``(rows, p)``, the recentred residuals
     ``(rows, n)`` and the working-sample averages ``(rows,)``, both in
-    scaled units, and the exponents ``e`` ``(rows,)``; row ``r`` unscaled
-    by ``ldexp`` equals :func:`fit_ar` of row ``r`` alone, bit for bit.
+    scaled units, the exponents ``e`` ``(rows,)``, and the scale estimates
+    ``(rows,)``, scaled too; row ``r`` unscaled by ``ldexp`` equals
+    :func:`fit_ar` of row ``r`` alone, bit for bit, and a degenerate row
+    raises as its fit alone would.
     """
     exponent = np.frexp(np.max(np.abs(values), axis=1))[1]
     centered, mean = _centered_rows(np.ldexp(values, -exponent[:, None]), p)
     beta = _ols_rows(centered, p)
     resid = _residual_rows(centered, beta)
     resid -= np.mean(resid, axis=1, keepdims=True)
-    return beta, resid, mean, exponent
+    scale = _root_mean_square(resid)
+    _check_scale(scale, centered[:, p:])
+    return beta, resid, mean, exponent, scale
 
 
 def fit_ar(sample: SeriesSample) -> ResidualFit:
     """Full pipeline: center, estimate coefficients, extract residuals.
 
     Raises :class:`~arnorm.errors.DegenerateDataError` when the normal
-    equations are singular (a degenerate series).
+    equations are singular, the scale estimate is zero, or the residuals
+    are rounding noise (a degenerate series).
     """
-    beta, resid, mean, exponent = _fit_rows(sample.values[None], sample.p)
+    beta, resid, mean, exponent, _ = _fit_rows(sample.values[None], sample.p)
     return ResidualFit(beta_hat=beta[0], residuals=np.ldexp(resid[0], exponent[0]),
                        mean_hat=float(np.ldexp(mean[0], exponent[0])))

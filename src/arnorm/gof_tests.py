@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DegenerateDataError
 from .estimation import ResidualFit
 from .limit_law import LimitLawTable, StatKind, mc_p_value, quantile
 
@@ -68,25 +67,18 @@ class GofResult:
         return self.value > self.critical_value
 
 
-def _check_scale(s_hat) -> None:
-    """Reject zero scale estimates: the standardized residuals are undefined."""
-    if not np.all(s_hat > 0.0):
-        raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
-
-
 def _sorted_transforms(residuals: np.ndarray, s_hat) -> np.ndarray:
     """Sorted ``Phi(residual / s_hat)`` along the last axis of ``residuals``,
-    one scale estimate per row; see :func:`probability_transforms`."""
-    _check_scale(s_hat)
+    one positive scale estimate per row; see :func:`probability_transforms`."""
     return ndtr(np.sort(residuals, axis=-1) / np.asarray(s_hat)[..., None])
 
 
 def probability_transforms(fit: ResidualFit) -> np.ndarray:
     """Sorted values ``Phi(residual / s_hat)``, the shared core of both tests.
 
-    Raises :class:`~arnorm.errors.DegenerateDataError` when the scale
-    estimate vanishes (all residuals zero), since the transform is then
-    undefined.
+    ``s_hat`` is never zero: :class:`~arnorm.estimation.ResidualFit`
+    refuses zero residuals, and :func:`~arnorm.estimation.fit_ar` also
+    refuses residuals that are rounding noise.
     """
     return _sorted_transforms(fit.residuals, fit.s_hat)
 

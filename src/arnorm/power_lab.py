@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_process import ArModel, Gaussian, Mixture, simulate_ar
-from .estimation import _check_max_order, _fit_rows, _root_mean_square
+from .estimation import _check_max_order, _fit_rows
 from .gof_tests import _sorted_transforms, _statistic
 from .limit_law import (DEFAULT_GRID, DEFAULT_REPS, StatKind, _check_alpha, _check_grid_size,
                         _stat_kinds, quantile, simulate_limit_tables)
@@ -113,13 +113,14 @@ def _pipeline_block(model, n, kinds, stream, count):
     Each replication draws its series by one :func:`simulate_ar` call into
     a row of the block.  The fit, the transforms and both statistics then
     run once per block, and every row comes out as the fit and test of its
-    series alone would give it.  The statistics are scale-free, so they take
-    the fit's residuals in its units, already scaled by a power of two, and
-    form the scale estimate from them directly.
+    series alone would give it; a degenerate row raises in the fit, as its
+    fit alone would.  The statistics are scale-free, so they take the fit's
+    residuals and scale estimates in its units, already scaled by a power
+    of two.
     """
     values = np.array([simulate_ar(model, n, seed=stream).values for _ in range(count)])
-    _, resid, _, _ = _fit_rows(values, model.order)
-    transforms = _sorted_transforms(resid, _root_mean_square(resid))
+    _, resid, _, _, scale = _fit_rows(values, model.order)
+    transforms = _sorted_transforms(resid, scale)
     return {kind: _statistic(kind, transforms) for kind in kinds}
 
 

@@ -32,7 +32,6 @@ from scipy.stats import kstwobign
 from arnorm.ar_process import char_root_radius, simulate_ar
 from arnorm.estimation import fit_ar
 from arnorm.gof_tests import (
-    _check_scale,
     kolmogorov_from_transforms,
     omega2_from_transforms,
     probability_transforms,
@@ -242,7 +241,6 @@ def eval_process(fit, t_grid):
         raise ValueError("grid points must lie strictly inside (0, 1)")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("grid points must be strictly increasing")
-    _check_scale(fit.s_hat)
     x = fit.s_hat * ndtri(t_grid)
     return np.sqrt(fit.n) * (residual_edf(fit, x) - t_grid)
 

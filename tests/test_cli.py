@@ -537,25 +537,26 @@ class TestTest:
 
     def test_residuals_transformed_and_scale_checked_once(self, tmp_path, capsys, monkeypatch,
                                                            small_tables):
-        # both statistics come from one set of sorted transforms
+        # both statistics come from one set of sorted transforms, and the
+        # fit checks the scale once
         calls = []
 
-        def counted(name):
-            original = getattr(gof_tests, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(gof_tests, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("_sorted_transforms")
-        counted("_check_scale")
+        counted(gof_tests, "_sorted_transforms")
+        counted(estimation, "_fit_rows")
         series = tmp_path / "series.txt"
         _write_series(series, substream(134).normal(size=300))
         code, _, err = self._report(capsys, series, 1, small_tables)
         assert code == 0, err
-        assert sorted(calls) == ["_check_scale", "_sorted_transforms"]
+        assert sorted(calls) == ["_fit_rows", "_sorted_transforms"]
 
     def test_byte_order_mark_skipped(self, tmp_path, capsys, small_tables):
         # "UTF-8 with BOM" files, as some editors and spreadsheets save them

@@ -38,9 +38,13 @@ class TestCenterSeries:
         np.testing.assert_array_equal(fit.residuals, [-2.0, 1.0, 1.0])
 
     def test_constant_series_centers_to_zero(self):
-        fit = _residuals(np.full(7, 5.25), [0.3, -0.2])
-        assert fit.mean_hat == 5.25
-        np.testing.assert_array_equal(fit.residuals, np.zeros(5))
+        # its zero residuals are refused by ResidualFit, so the steps are
+        # checked directly
+        centered, mean = _centered_rows(np.full((1, 7), 5.25), 2)
+        np.testing.assert_array_equal(mean, [5.25])
+        np.testing.assert_array_equal(centered, np.zeros((1, 7)))
+        eps = _residual_rows(centered, np.array([[0.3, -0.2]]))
+        np.testing.assert_array_equal(eps, np.zeros((1, 5)))
 
     def test_presample_values_share_the_same_mean(self):
         # the pre-sample value is centered by the working-sample mean 2,
@@ -53,11 +57,13 @@ class TestCenterSeries:
 class TestOlsEstimate:
     def test_noiseless_geometric_series_recovers_coefficient(self):
         # v_t = -v_{t-1} (ratio -1) with n = 16 working values: the working
-        # mean is exactly 0 and the Gram matrix 16 * 0.5**2 = 4 after scaling
-        # to [0.5, 1), so the solve is exact
+        # mean is exactly 0 and the Gram matrix 16, so the solve is exact
         values = (-1.0) ** np.arange(17.0)
-        beta_hat = fit_ar(SeriesSample.from_values(values, p=1)).beta_hat
-        np.testing.assert_array_equal(beta_hat, [-1.0])
+        beta_hat = _ols_rows(_centered_rows(values[None], 1)[0], 1)
+        np.testing.assert_array_equal(beta_hat, [[-1.0]])
+        # its residuals are exactly zero, so the fit refuses the series
+        with pytest.raises(DegenerateDataError, match="^residual scale estimate is zero"):
+            fit_ar(SeriesSample.from_values(values, p=1))
 
     def test_order_zero_has_no_parameters(self):
         assert fit_ar(SeriesSample.from_values([1.0, -1.0], p=0)).beta_hat.shape == (0,)
@@ -84,6 +90,18 @@ class TestOlsEstimate:
         sample = SeriesSample.from_values(np.full(30, 2.0), p=1)
         with pytest.raises(DegenerateDataError, match="^singular normal equations"):
             fit_ar(sample)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.arange(41.0), 1e200 * np.arange(41.0), 1e-200 * np.arange(41.0),
+         np.append(np.tile([1.0, -1.0], 20), 1.0)],
+        ids=["ramp", "ramp-1e200", "ramp-1e-200", "alternating"],
+    )
+    def test_noiseless_series_is_refused(self, values):
+        # exact at order 2: the residuals are rounding noise, and a test on
+        # them would turn on their last bits
+        with pytest.raises(DegenerateDataError, match="^residuals are rounding noise: "):
+            fit_ar(SeriesSample.from_values(values, p=2))
 
     def test_order_above_limit_rejected(self):
         values = substream(4).normal(size=MAX_ORDER + 40)
@@ -190,13 +208,14 @@ class TestStackedFit:
     def test_rows_equal_single_series_fits(self, p, innovation, n, rows):
         model = ArModel(coeffs=AR_COEFFS[p], mean=-2.5, innovation=innovation)
         samples = [simulate_ar(model, n, seed=substream(40, r)) for r in range(rows)]
-        beta, resid, mean, exponent = _fit_rows(np.array([s.values for s in samples]), p)
+        beta, resid, mean, exponent, scale = _fit_rows(np.array([s.values for s in samples]), p)
         assert beta.shape == (rows, p) and resid.shape == (rows, n)
         for r, sample in enumerate(samples):
             fit = fit_ar(sample)
             np.testing.assert_array_equal(beta[r], fit.beta_hat)
             np.testing.assert_array_equal(np.ldexp(resid[r], exponent[r]), fit.residuals)
             assert np.ldexp(mean[r], exponent[r]) == fit.mean_hat
+            assert np.ldexp(scale[r], exponent[r]) == fit.s_hat
 
     @pytest.mark.parametrize("p", sorted(AR_COEFFS))
     @pytest.mark.parametrize("n", [30, 2000, 9000])
@@ -213,17 +232,27 @@ class TestStackedFit:
         # numpy solves each matrix of the stack on its own, at every order
         model = ArModel(coeffs=np.full(MAX_ORDER, 0.04), mean=-2.5, innovation=LaplaceLaw(2.0))
         samples = [simulate_ar(model, n, seed=substream(43, r)) for r in range(rows)]
-        beta, resid, _, exponent = _fit_rows(np.array([s.values for s in samples]), MAX_ORDER)
+        block = np.array([s.values for s in samples])
+        beta, resid, _, exponent, _ = _fit_rows(block, MAX_ORDER)
         for r, sample in enumerate(samples):
             fit = fit_ar(sample)
             np.testing.assert_array_equal(beta[r], fit.beta_hat)
             np.testing.assert_array_equal(np.ldexp(resid[r], exponent[r]), fit.residuals)
 
-    @pytest.mark.parametrize("p", [1, 2, 5])
-    def test_constant_row_raises_as_its_single_fit(self, p):
+    @pytest.mark.parametrize(
+        "row, p, message",
+        [(np.ones(60), 1, "singular normal equations"),
+         (np.ones(60), 2, "singular normal equations"),
+         (np.ones(60), 5, "singular normal equations"),
+         (np.ones(60), 0, "residual scale estimate is zero"),
+         (np.arange(60.0), 2, "residuals are rounding noise")],
+        ids=["1", "2", "5", "p0-zero-scale", "ramp-p2-noise"],
+    )
+    def test_constant_row_raises_as_its_single_fit(self, row, p, message):
+        # also a ramp, whose order-2 residuals are rounding noise
         block = substream(41).normal(size=(4, 60))
-        block[2] = 1.0
-        with pytest.raises(DegenerateDataError) as single:
+        block[2] = row
+        with pytest.raises(DegenerateDataError, match=f"^{message}") as single:
             fit_ar(SeriesSample.from_values(block[2], p))
         with pytest.raises(DegenerateDataError) as stacked:
             _fit_rows(block, p)

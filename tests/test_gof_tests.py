@@ -17,7 +17,7 @@ from arnorm import (
     simulate_ar,
 )
 from arnorm.errors import DegenerateDataError
-from arnorm.estimation import ResidualFit
+from arnorm.estimation import ResidualFit, _fit_rows
 from arnorm.gof_tests import (
     GofResult,
     kolmogorov_from_transforms,
@@ -80,9 +80,10 @@ class TestProbabilityTransforms:
         np.testing.assert_allclose(z, [ndtr(-1.0), ndtr(1.0)], rtol=1e-15)
 
     def test_degenerate_scale_raises(self):
-        fit = _fit_from_residuals(np.zeros(4))
-        with pytest.raises(DegenerateDataError):
-            probability_transforms(fit)
+        # a fit with zero residuals cannot be built, so no transform sees a
+        # zero scale
+        with pytest.raises(DegenerateDataError, match="^residual scale estimate is zero"):
+            _fit_from_residuals(np.zeros(4))
 
 
 class TestStackedTransforms:
@@ -104,10 +105,11 @@ class TestStackedTransforms:
             assert omega2[r] == omega2_from_transforms(single)
 
     def test_degenerate_row_raises(self):
-        resid = substream(43).normal(size=(3, 20))
-        resid[1] = 0.0
+        # the block fit refuses a row with zero residuals before any transform
+        values = substream(43).normal(size=(3, 20))
+        values[1] = 0.0
         with pytest.raises(DegenerateDataError, match="scale estimate is zero"):
-            _sorted_transforms(resid, np.sqrt(np.mean(np.square(resid), axis=-1)))
+            _fit_rows(values, 0)
 
 
 class TestKolmogorovStat:

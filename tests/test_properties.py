@@ -7,6 +7,9 @@
   observed value;
 * both statistics are invariant under ``a + 2**k * x``: bit for bit in the
   power-of-two scale, to rounding in the shift;
+* the fit refuses a noiseless series (a ramp or an alternating series at
+  order 2) at every scale, and a shifted one ``a + 2**k * x`` exactly when
+  it refuses it at ``k = 0``, with the same message;
 * tables and pipeline statistics do not change with the number of workers,
   and a table's samples recur in a longer run with the same seed.
 
@@ -29,6 +32,7 @@ from arnorm import (
     simulate_ar,
     simulate_limit_tables,
 )
+from arnorm.errors import DegenerateDataError
 from arnorm.gof_tests import (
     kolmogorov_from_transforms,
     omega2_from_transforms,
@@ -151,6 +155,34 @@ def test_statistics_invariant_under_shift_and_power_of_two_scale(coeffs, n, seed
     base, moved, scaled = _statistics(x, p), _statistics(shifted, p), _statistics(transformed, p)
     assert scaled == moved
     assert moved == pytest.approx(base, rel=1e-9, abs=0.0)
+
+
+def _refusal(values, p):
+    """The message with which the fit refuses ``values``, or None."""
+    try:
+        fit_ar(SeriesSample.from_values(values, p))
+    except DegenerateDataError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(
+    alternating=st.booleans(),
+    n=st.integers(3, 400),
+    slope=st.floats(min_value=1e-3, max_value=1e3),
+    c=st.floats(min_value=-1e3, max_value=1e3),
+    k=st.integers(-300, 300),
+)
+def test_noise_floor_free_of_power_of_two_scale(alternating, n, slope, c, k):
+    # exact at order 2: v_t = 2 v_{t-1} - v_{t-2}, or v_t = v_{t-2}
+    t = np.arange(n + 2.0)
+    x = slope * ((-1.0) ** t if alternating else t)
+    assert _refusal(2.0**k * x, 2) is not None
+    # the shift rounds the series, which may then be noisy; the scale is exact
+    transformed = c * 2.0**k + 2.0**k * x
+    np.testing.assert_array_equal(transformed, 2.0**k * (c + x))
+    assert _refusal(transformed, 2) == _refusal(c + x, 2)
 
 
 @WORKER_SETTINGS
