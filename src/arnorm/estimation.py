@@ -12,8 +12,8 @@ The fitting pipeline for a stretch ``v_{1-p}, ..., v_n`` is:
    O(n**-1/2), which shifts the residual empirical process (Ling 1998,
    Ann. Statist. 26:741) and makes the tests over-reject;
 4. refuse a degenerate fit: a zero ``s_hat``, or one at most ``2**-40`` of
-   the centered working sample's root mean square, where the residuals are
-   rounding noise and a test would turn on their last bits.
+   the series' largest magnitude, where the residuals are rounding noise
+   and a test would turn on their last bits.
 
 Because every time point is centered by the same constant, the coefficient
 estimate and the residuals are invariant under shifts of the series mean,
@@ -38,8 +38,9 @@ __all__ = ["MAX_ORDER", "ResidualFit", "fit_ar"]
 # Guard against runaway designs; the asymptotics here are fixed-order.
 MAX_ORDER = 20
 
-# A residual scale at most this share of the series' own spread is rounding
-# noise: noiseless fits leave 1e-17 to 5e-16 of it.
+# The fit scales each series by the power of two that brings its largest
+# magnitude into [0.5, 1); a residual scale at most this there is rounding
+# noise.  Noiseless property-test draws leave at most 7e-16 of the magnitude.
 _NOISE_FLOOR = 2.0**-40
 
 
@@ -95,16 +96,14 @@ def _root_mean_square(residuals: np.ndarray):
     return np.sqrt(np.mean(np.square(residuals), axis=-1))
 
 
-def _check_scale(s_hat, working=None) -> None:
-    """Refuse a zero scale estimate and, given the centered working sample
-    ``working`` in the same units, one at most ``_NOISE_FLOOR`` of its root
-    mean square; ``s_hat`` holds one estimate per row of ``working``."""
+def _check_scale(s_hat, floor=0.0) -> None:
+    """Refuse a zero scale estimate, then one at most ``floor``, row by row."""
     if not np.all(s_hat > 0.0):
         raise DegenerateDataError("residual scale estimate is zero; series is degenerate")
-    if working is not None and np.any(s_hat <= _NOISE_FLOOR * _root_mean_square(working)):
+    if np.any(s_hat <= floor):
         raise DegenerateDataError(
             "residuals are rounding noise: the residual scale estimate is at most "
-            "2**-40 of the series' spread; series is noiseless for this order"
+            "2**-40 of the series' largest magnitude; series is noiseless for this order"
         )
 
 
@@ -167,9 +166,9 @@ def _fit_rows(values: np.ndarray, p: int):
 
     ``values`` holds one stretch of ``n + p`` values per row, each finite
     as :class:`SeriesSample` makes it.  Each row is first scaled exactly
-    by the power of two ``2**-e`` that brings its
-    largest magnitude into [0.5, 1): the coefficients are scale-free, and
-    the Gram matrix of a series at 1e200 scale then cannot overflow.
+    by the power of two ``2**-e`` that brings its largest magnitude into
+    [0.5, 1): the coefficients are scale-free, the Gram matrix of a series
+    at 1e200 scale cannot overflow, and the noise floor is a fixed number.
     Returns the coefficients ``(rows, p)``, the recentred residuals
     ``(rows, n)`` and the working-sample averages ``(rows,)``, both in
     scaled units, the exponents ``e`` ``(rows,)``, and the scale estimates
@@ -183,7 +182,7 @@ def _fit_rows(values: np.ndarray, p: int):
     resid = _residual_rows(centered, beta)
     resid -= np.mean(resid, axis=1, keepdims=True)
     scale = _root_mean_square(resid)
-    _check_scale(scale, centered[:, p:])
+    _check_scale(scale, _NOISE_FLOOR)
     return beta, resid, mean, exponent, scale
 
 

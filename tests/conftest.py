@@ -27,6 +27,13 @@ ALL_KINDS = (StatKind.KOLMOGOROV, StatKind.OMEGA2)
 # blocked fit and pipeline against one series at a time.
 AR_COEFFS = {0: (), 1: (0.5,), 2: (0.5, -0.3), 5: (0.3, 0.1, -0.1, 0.05, 0.02)}
 
+# Noiseless series whose spread is small against their level, so the fit
+# refuses them by their largest magnitude: 200 values that differ only in
+# their last bits (0.1 + k * ulp(0.1), k = 0, 1, 2), exact at every order,
+# and a ramp at level 1000, exact at order 2.
+LAST_BITS = 0.1 + np.spacing(0.1) * (np.arange(200) % 3)
+OFFSET_RAMP = 1000.0 + 1e-6 * np.arange(402.0)
+
 
 @pytest.fixture(scope="session")
 def null_tables():

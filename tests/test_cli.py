@@ -14,6 +14,7 @@ from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
 from arnorm.rng import substream
 
+from conftest import LAST_BITS, OFFSET_RAMP
 from oracles import write_v1_table
 
 
@@ -312,9 +313,14 @@ class TestTest:
          (np.arange(41.0), 2, "residuals are rounding noise"),
          (1e200 * np.arange(41.0), 2, "residuals are rounding noise"),
          (1e-200 * np.arange(41.0), 2, "residuals are rounding noise"),
-         (np.append(np.tile([1.0, -1.0], 20), 1.0), 2, "residuals are rounding noise")],
+         (np.append(np.tile([1.0, -1.0], 20), 1.0), 2, "residuals are rounding noise"),
+         # noiseless against the series' level, not its spread
+         (OFFSET_RAMP, 2, "residuals are rounding noise"),
+         (LAST_BITS, 0, "residuals are rounding noise"),
+         (LAST_BITS, 1, "residuals are rounding noise")],
         ids=["p0-zero-scale", "p1-singular", "ramp-p2-noise", "ramp-1e200-p2-noise",
-             "ramp-1e-200-p2-noise", "alternating-p2-noise"],
+             "ramp-1e-200-p2-noise", "alternating-p2-noise", "offset-ramp-p2-noise",
+             "last-bits-p0-noise", "last-bits-p1-noise"],
     )
     def test_degenerate_series_exits_before_tables(self, tmp_path, capsys, monkeypatch,
                                                    values, p, message):

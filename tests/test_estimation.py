@@ -16,7 +16,7 @@ from arnorm.estimation import (
 from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
 
-from conftest import AR_COEFFS
+from conftest import AR_COEFFS, LAST_BITS, OFFSET_RAMP
 from oracles import autocov_matrix, fit_by_design_matrix, normal_equations_by_design_matrix
 
 
@@ -92,16 +92,29 @@ class TestOlsEstimate:
             fit_ar(sample)
 
     @pytest.mark.parametrize(
-        "values",
-        [np.arange(41.0), 1e200 * np.arange(41.0), 1e-200 * np.arange(41.0),
-         np.append(np.tile([1.0, -1.0], 20), 1.0)],
-        ids=["ramp", "ramp-1e200", "ramp-1e-200", "alternating"],
+        "values, p",
+        [(np.arange(41.0), 2), (1e200 * np.arange(41.0), 2), (1e-200 * np.arange(41.0), 2),
+         (np.append(np.tile([1.0, -1.0], 20), 1.0), 2),
+         # noiseless against the level: at order 0 the residuals are the centred series
+         (OFFSET_RAMP, 2), (LAST_BITS, 0), (LAST_BITS, 1)],
+        ids=["ramp", "ramp-1e200", "ramp-1e-200", "alternating", "offset-ramp",
+             "last-bits-p0", "last-bits-p1"],
     )
-    def test_noiseless_series_is_refused(self, values):
-        # exact at order 2: the residuals are rounding noise, and a test on
+    def test_noiseless_series_is_refused(self, values, p):
+        # exact at the order: the residuals are rounding noise, and a test on
         # them would turn on their last bits
         with pytest.raises(DegenerateDataError, match="^residuals are rounding noise: "):
-            fit_ar(SeriesSample.from_values(values, p=2))
+            fit_ar(SeriesSample.from_values(values, p))
+
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_noise_floor_is_relative_to_largest_magnitude(self, k):
+        # 2**k * (0.75 +- d) scales to 0.75 +- d, whose residual scale at
+        # order 0 is d exactly: the floor 2**-40 lies between the two cases
+        signs = (-1.0) ** np.arange(50)
+        fit = fit_ar(SeriesSample.from_values(2.0**k * (0.75 + 2.0**-39 * signs), 0))
+        assert fit.s_hat == 2.0 ** (k - 39)
+        with pytest.raises(DegenerateDataError, match="^residuals are rounding noise: "):
+            fit_ar(SeriesSample.from_values(2.0**k * (0.75 + 2.0**-41 * signs), 0))
 
     def test_order_above_limit_rejected(self):
         values = substream(4).normal(size=MAX_ORDER + 40)

@@ -7,9 +7,10 @@
   observed value;
 * both statistics are invariant under ``a + 2**k * x``: bit for bit in the
   power-of-two scale, to rounding in the shift;
-* the fit refuses a noiseless series (a ramp or an alternating series at
-  order 2) at every scale, and a shifted one ``a + 2**k * x`` exactly when
-  it refuses it at ``k = 0``, with the same message;
+* the fit refuses a noiseless series at every scale and shift: a ramp or
+  an alternating series at order 2, ``a + 2**k * x`` with the message it
+  gives at ``k = 0``, and values that differ only in their last bits at
+  orders 0 and 1;
 * tables and pipeline statistics do not change with the number of workers,
   and a table's samples recur in a longer run with the same seed.
 
@@ -179,10 +180,26 @@ def test_noise_floor_free_of_power_of_two_scale(alternating, n, slope, c, k):
     t = np.arange(n + 2.0)
     x = slope * ((-1.0) ** t if alternating else t)
     assert _refusal(2.0**k * x, 2) is not None
-    # the shift rounds the series, which may then be noisy; the scale is exact
+    # the shift rounds the series, but its noise stays rounding noise
+    # against the series' largest magnitude; the scale is exact
     transformed = c * 2.0**k + 2.0**k * x
     np.testing.assert_array_equal(transformed, 2.0**k * (c + x))
     assert _refusal(transformed, 2) == _refusal(c + x, 2)
+    assert _refusal(c + x, 2) is not None
+
+
+@PROPERTY_SETTINGS
+@given(
+    steps=st.lists(st.integers(0, 3), min_size=3, max_size=400),
+    c=st.floats(min_value=1e-3, max_value=1e3),
+    sign=st.sampled_from([-1.0, 1.0]),
+    p=st.integers(0, 1),
+    k=st.integers(-300, 300),
+)
+def test_last_bit_series_refused_at_every_scale(steps, c, sign, p, k):
+    # a few units in the last place of c: the spread is rounding noise too
+    x = sign * (c + np.spacing(c) * np.array(steps, dtype=float))
+    assert _refusal(2.0**k * x, p) is not None
 
 
 @WORKER_SETTINGS
