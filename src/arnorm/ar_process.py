@@ -90,18 +90,15 @@ def _check_length(n: int, p: int) -> None:
 class ZeroMeanLaw(abc.ABC):
     """A zero-mean probability law with known variance, CDF and sampler.
 
-    ``lipschitz_density`` declares (it is not verified) that the law has a
-    density whose derivative exists and is Lipschitz; the local-power limit
-    theory is only guaranteed for contaminating laws where this holds.
-    Implementations must accept scalar or ndarray ``x`` in :meth:`cdf`.
+    Each law gives its ``variance`` as a field or a property (the mean is
+    zero by construction).  ``lipschitz_density`` declares (it is not
+    verified) that the law has a density whose derivative exists and is
+    Lipschitz; the local-power limit theory is only guaranteed for
+    contaminating laws where this holds.  Implementations must accept
+    scalar or ndarray ``x`` in :meth:`cdf`.
     """
 
     lipschitz_density: bool = False
-
-    @property
-    @abc.abstractmethod
-    def variance(self) -> float:
-        """Variance of the law (the mean is zero by construction)."""
 
     @abc.abstractmethod
     def cdf(self, x):
@@ -141,19 +138,15 @@ class Gaussian(ZeroMeanLaw):
 class LaplaceLaw(ZeroMeanLaw):
     """Centered Laplace law with the given variance (scale = sqrt(var/2))."""
 
-    variance_: float
+    variance: float
     lipschitz_density = True
 
     def __post_init__(self) -> None:
-        _require_positive("variance", self.variance_)
-
-    @property
-    def variance(self) -> float:
-        return self.variance_
+        _require_positive("variance", self.variance)
 
     @property
     def scale(self) -> float:
-        return math.sqrt(self.variance_ / 2.0)
+        return math.sqrt(self.variance / 2.0)
 
     def cdf(self, x):
         z = np.asarray(x, dtype=float) / self.scale
@@ -171,20 +164,16 @@ class LaplaceLaw(ZeroMeanLaw):
 class UniformLaw(ZeroMeanLaw):
     """Uniform law on ``[-h, h]`` with ``h`` chosen to match the variance."""
 
-    variance_: float
+    variance: float
     lipschitz_density = False  # density is discontinuous at the endpoints
 
     def __post_init__(self) -> None:
-        _require_positive("variance", self.variance_)
+        _require_positive("variance", self.variance)
         _require_positive("half width", self.half_width)
 
     @property
-    def variance(self) -> float:
-        return self.variance_
-
-    @property
     def half_width(self) -> float:
-        return math.sqrt(3.0 * self.variance_)
+        return math.sqrt(3.0 * self.variance)
 
     def cdf(self, x):
         h = self.half_width
@@ -200,22 +189,20 @@ class StudentTLaw(ZeroMeanLaw):
     """Scaled Student-t law; ``df > 2`` so the requested variance is finite."""
 
     df: float
-    variance_: float
+    variance: float
     lipschitz_density = True
 
     def __post_init__(self) -> None:
         if not 2.0 < self.df < math.inf:
-            raise ValueError("df must be finite and exceed 2 for a finite variance")
-        _require_positive("variance", self.variance_)
-
-    @property
-    def variance(self) -> float:
-        return self.variance_
+            raise ValueError(
+                f"df must be finite and exceed 2 for a finite variance, got {self.df!r}"
+            )
+        _require_positive("variance", self.variance)
 
     @property
     def scale(self) -> float:
         # Var(scale * T_df) = scale^2 * df / (df - 2)
-        return math.sqrt(self.variance_ * (self.df - 2.0) / self.df)
+        return math.sqrt(self.variance * (self.df - 2.0) / self.df)
 
     def cdf(self, x):
         return stdtr(self.df, np.asarray(x, dtype=float) / self.scale)
@@ -363,8 +350,7 @@ def char_root_radius(coeffs: np.ndarray) -> float:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size == 0:
         return 0.0
-    roots = np.roots(np.r_[1.0, -coeffs])
-    return float(np.max(np.abs(roots))) if roots.size else 0.0
+    return float(np.max(np.abs(np.roots(np.r_[1.0, -coeffs]))))
 
 
 def _derived_burn_in(coeffs: np.ndarray, radius: float) -> int | None:
@@ -404,25 +390,27 @@ class ArModel:
     Construction fails unless every characteristic root has modulus below
     ``1 - 1e-8``; nothing downstream needs to re-check stationarity.
 
-    ``burn_in`` is not an argument: it is the warm-up :func:`simulate_ar`
-    runs, derived here once.  The recursion starts from zeros, so ``b``
-    steps later the value still carries a transient of the zero start.
-    That transient is the free response of the filter to the stationary
-    state ``b`` steps back: at most ``C * r**b`` times the stationary
-    scale, where ``r`` is the root radius (:func:`char_root_radius`) and
-    ``C`` bounds ``|ma[j]| / r**j`` over the moving-average weights.
-    ``burn_in`` is the smallest ``b`` of at least 100 steps with
-    ``C * r**b < 2**-53``, so the first simulated value is stationary to
-    double precision: 100 steps for ``beta = (0.5, -0.3)``, 36,719 for
-    AR(1) at ``beta = 0.999`` and 367,350 at ``beta = 0.9999``.  A model
-    whose warm-up would exceed ``MAX_BURN_IN`` (10**6) steps (radius above
-    about 0.99996 for AR(1)) is refused, with a message naming the radius.
+    ``root_radius`` and ``burn_in`` are not arguments but derived here
+    once: the largest modulus ``r`` of a characteristic root
+    (:func:`char_root_radius`), and the warm-up :func:`simulate_ar` runs.
+    The recursion starts from zeros, so ``b`` steps later the value still
+    carries a transient of the zero start.  That transient is the free
+    response of the filter to the stationary state ``b`` steps back: at
+    most ``C * r**b`` times the stationary scale, where ``C`` bounds
+    ``|ma[j]| / r**j`` over the moving-average weights.  ``burn_in`` is
+    the smallest ``b`` of at least 100 steps with ``C * r**b < 2**-53``, so
+    the first simulated value is stationary to double precision: 100 steps
+    for ``beta = (0.5, -0.3)``, 36,719 for AR(1) at ``beta = 0.999`` and
+    367,350 at ``beta = 0.9999``.  A model whose warm-up would exceed
+    ``MAX_BURN_IN`` (10**6) steps (radius above about 0.99996 for AR(1))
+    is refused, with a message naming the radius.
     """
 
     coeffs: np.ndarray
     mean: float
     innovation: ZeroMeanLaw
     burn_in: int = field(init=False)
+    root_radius: float = field(init=False)
 
     def __post_init__(self) -> None:
         coeffs = np.atleast_1d(np.array(self.coeffs, dtype=float, copy=True))
@@ -448,6 +436,7 @@ class ArModel:
                 f"exceeds {MAX_BURN_IN} steps"
             )
         object.__setattr__(self, "burn_in", burn_in)
+        object.__setattr__(self, "root_radius", radius)
 
     @property
     def order(self) -> int:

@@ -35,7 +35,6 @@ from .ar_process import (
     Gaussian,
     Mixture,
     SeriesSample,
-    char_root_radius,
     parse_alternative_law,
     simulate_ar,
 )
@@ -191,12 +190,12 @@ def main(argv=None) -> int:
         return 2
 
 
-def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
-    """Deterministic provenance header; excludes fields (out, workers) that
-    must not affect output bytes.  ``seed=None`` omits the seed line, for
-    commands whose seeds belong to their tables."""
+def _header_lines(config: dict, seed: int | None) -> list[str]:
+    """Deterministic provenance header of ``config["command"]``; excludes
+    fields (out, workers) that must not affect output bytes.  ``seed=None``
+    omits the seed line, for commands whose seeds belong to their tables."""
     lines = [
-        f"arnorm {__version__} {command}",
+        f"arnorm {__version__} {config['command']}",
         "config: " + json.dumps(config, sort_keys=True),
     ]
     if seed is not None:
@@ -206,7 +205,7 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
 
 def _warm_up_line(model) -> str:
     """The header line of the warm-up the model's simulations run."""
-    used = {"burn_in": model.burn_in, "root_radius": char_root_radius(model.coeffs)}
+    used = {"burn_in": model.burn_in, "root_radius": model.root_radius}
     return "warm-up: " + json.dumps(used, sort_keys=True)
 
 
@@ -272,7 +271,7 @@ def _cmd_test(args, out) -> int:
         "p": args.p,
         "alpha": args.alpha,
     }
-    header = _header_lines("test", config, None)
+    header = _header_lines(config, None)
     body = [f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"]
     for kind in StatKind:
         table = tables[kind]
@@ -309,7 +308,7 @@ def _cmd_quantiles(args, out) -> int:
         "grid": args.grid,
         "reps": args.reps,
     }
-    header = _header_lines("quantiles", config, args.seed)
+    header = _header_lines(config, args.seed)
     body = [
         f"alpha={alpha!r} critical_value={quantile(table, alpha)!r}"
         for alpha in _REPORT_ALPHAS
@@ -417,11 +416,13 @@ def _cmd_power(args, out) -> int:
         except (ValueError, DegenerateDataError) as exc:
             raise type(exc)(f"{args.config}: {h_text}: {exc}") from None
         results.append((h_text, spec, reports))
-    header = _header_lines("power", {"command": "power", **config}, config["seed"])
+    header = _header_lines({"command": "power", **config}, config["seed"])
     # every cell shares the coefficients, and so the warm-up
     header.append(_warm_up_line(cells[0][1].model))
     header.extend(notes)
-    write_power_csv(results, out or sys.stdout, header_comments=header)
+    file = out or sys.stdout
+    file.write(_text(header, []))
+    write_power_csv(results, file)
     return 0
 
 
@@ -448,7 +449,7 @@ def _cmd_simulate(args, out) -> int:
         "h": args.h,
         "p": sample.p,
     }
-    header = _header_lines("simulate", config, args.seed) + [_warm_up_line(model)]
+    header = _header_lines(config, args.seed) + [_warm_up_line(model)]
     body = [repr(float(v)) for v in sample.values]
     (out or sys.stdout).write(_text(header, body))
     return 0

@@ -12,8 +12,9 @@ The fitting pipeline for a stretch ``v_{1-p}, ..., v_n`` is:
    O(n**-1/2), which shifts the residual empirical process (Ling 1998,
    Ann. Statist. 26:741) and makes the tests over-reject;
 4. refuse a degenerate fit: a zero ``s_hat``, or one at most ``2**-40`` of
-   the series' largest magnitude, where the residuals are rounding noise
-   and a test would turn on their last bits.
+   the smallest power of two above the series' largest magnitude, where
+   the residuals are rounding noise and a test would turn on their last
+   bits.
 
 Because every time point is centered by the same constant, the coefficient
 estimate and the residuals are invariant under shifts of the series mean,
@@ -103,7 +104,8 @@ def _check_scale(s_hat, floor=0.0) -> None:
     if np.any(s_hat <= floor):
         raise DegenerateDataError(
             "residuals are rounding noise: the residual scale estimate is at most "
-            "2**-40 of the series' largest magnitude; series is noiseless for this order"
+            "2**-40 of the power of two above the series' largest magnitude; "
+            "series is noiseless for this order"
         )
 
 

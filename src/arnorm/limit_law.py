@@ -189,9 +189,9 @@ class LimitLawTable:
     seed: int
 
     def __post_init__(self) -> None:
-        samples = self.samples
-        if not _is_frozen_vector(samples):
-            samples = np.array(samples, dtype=float, copy=True)
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.flags.writeable or not samples.flags.owndata:
+            samples = samples.copy()
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a nonempty vector")
         if self.n_reps != samples.size:
@@ -203,18 +203,6 @@ class LimitLawTable:
             raise ValueError("samples must be sorted in ascending order")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-
-def _is_frozen_vector(samples) -> bool:
-    """Whether ``samples`` is a read-only float64 vector that owns its memory:
-    as immutable as the copy :class:`LimitLawTable` would otherwise make."""
-    return (
-        type(samples) is np.ndarray
-        and samples.dtype == np.float64
-        and samples.ndim == 1
-        and samples.flags.owndata
-        and not samples.flags.writeable
-    )
 
 
 def _frozen(samples: np.ndarray) -> np.ndarray:

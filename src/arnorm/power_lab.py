@@ -210,15 +210,13 @@ def run_power_study(
 # ---------------------------------------------------------------------------
 
 
-def write_power_csv(cells, file, header_comments=()) -> None:
+def write_power_csv(cells, file) -> None:
     """Write one CSV row per report of each ``(alternative, spec, reports)`` cell.
 
     ``reports`` maps each statistic kind to its :class:`PowerReport`, in the
     order the rows appear; ``n``, ``alpha``, ``n_reps`` and ``seed`` come
     from the spec.  Floats use ``repr``, so they round-trip exactly.
     """
-    for line in header_comments:
-        file.write(f"# {line}\n")
     file.write(
         "n,alternative,statistic,alpha,empirical_power,stderr,asymptotic_power,"
         "asymptotic_stderr,critical_value,n_reps,seed\n"

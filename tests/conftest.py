@@ -34,6 +34,11 @@ AR_COEFFS = {0: (), 1: (0.5,), 2: (0.5, -0.3), 5: (0.3, 0.1, -0.1, 0.05, 0.02)}
 LAST_BITS = 0.1 + np.spacing(0.1) * (np.arange(200) % 3)
 OFFSET_RAMP = 1000.0 + 1e-6 * np.arange(402.0)
 
+# 50 values 0.5 + 1.5 * 2**-41 * (-1)**t: at order 0 their residual scale,
+# 1.5 * 2**-41, is above 2**-40 of their largest value but not of the power
+# of two above it, 1, so the fit refuses them.
+POWER_OF_TWO_GAP = 0.5 + 1.5 * 2.0**-41 * (-1.0) ** np.arange(50)
+
 
 @pytest.fixture(scope="session")
 def null_tables():

@@ -90,9 +90,38 @@ class TestArModel:
         with pytest.raises(ValueError, match=message):
             ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
 
+    def test_warm_up_refused_by_its_moving_average_bound(self):
+        # a double root at r: 53 ln 2 / -ln r is below MAX_BURN_IN, so only the
+        # bound on the moving-average weights, which grow like j * r**j, refuses it
+        r = 0.99995
+        assert 53 * math.log(2.0) / -math.log(r) < MAX_BURN_IN
+        coeffs = (2.0 * r, -r * r)
+        radius = f"{char_root_radius(np.asarray(coeffs)):.10g}"
+        message = f"^the warm-up for characteristic root radius {radius} exceeds {MAX_BURN_IN} steps$"
+        with pytest.raises(ValueError, match=message):
+            ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+        r = 0.99993
+        model = ArModel(coeffs=(2.0 * r, -r * r), mean=0.0, innovation=Gaussian(1.0))
+        assert model.burn_in == 724_617
+
     def test_burn_in_is_derived_not_given(self):
         with pytest.raises(TypeError, match="burn_in"):
             ArModel(coeffs=(0.5,), mean=0.0, innovation=Gaussian(1.0), burn_in=5)
+
+    @pytest.mark.parametrize("coeffs", [(), (0.5,), (1.2, -0.4), (0.5, 0.0, 0.0)])
+    def test_root_radius_is_derived_not_given(self, coeffs):
+        model = ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0))
+        assert model.root_radius == char_root_radius(model.coeffs)
+        with pytest.raises(TypeError, match="root_radius"):
+            ArModel(coeffs=coeffs, mean=0.0, innovation=Gaussian(1.0), root_radius=0.5)
+
+    def test_matrix_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="^coeffs must be a one-dimensional vector$"):
+            ArModel(coeffs=[[0.5], [0.1]], mean=0.0, innovation=Gaussian(1.0))
+
+    def test_innovation_must_be_a_law(self):
+        with pytest.raises(TypeError, match="^innovation must be a ZeroMeanLaw$"):
+            ArModel(coeffs=(0.5,), mean=0.0, innovation=1.0)
 
 
 class TestSeriesSample:
@@ -120,6 +149,10 @@ class TestSeriesSample:
         sample = SeriesSample.from_values(np.arange(6.0), p=1)
         with pytest.raises(ValueError):
             sample.values[0] = -1.0
+
+    def test_matrix_values_rejected(self):
+        with pytest.raises(ValueError, match="^values must be a one-dimensional vector$"):
+            SeriesSample(np.arange(12.0).reshape(4, 3), 0)
 
 
 class TestSimulateAr:
@@ -297,6 +330,11 @@ class TestZeroMeanLaws:
     def test_student_needs_finite_variance(self):
         with pytest.raises(ValueError):
             StudentTLaw(2, 1.0)
+        message = "^df must be finite and exceed 2 for a finite variance, got 2.0$"
+        with pytest.raises(ValueError, match=message):
+            StudentTLaw(2.0, 1.0)
+        with pytest.raises(ValueError, match=f"^invalid law descriptor 'student:2,1': {message[1:]}"):
+            parse_alternative_law("student:2,1", 1.0)
         with pytest.raises(ValueError):
             StudentTLaw(5, -1.0)
         with pytest.raises(ValueError):
@@ -419,6 +457,8 @@ class TestMixture:
         for sigma0 in (np.nan, np.inf):
             with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
                 Mixture(sigma0=sigma0, h=LaplaceLaw(1.0), n=100)
+        with pytest.raises(TypeError, match="^h must be a ZeroMeanLaw$"):
+            Mixture(sigma0=1.0, h=2.0, n=100)
 
     def test_user_law_passthrough(self):
         # any zero-mean law drives the model directly, with no wrapper

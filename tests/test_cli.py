@@ -14,7 +14,7 @@ from arnorm.cli import main
 from arnorm.errors import DegenerateDataError
 from arnorm.rng import substream
 
-from conftest import LAST_BITS, OFFSET_RAMP
+from conftest import LAST_BITS, OFFSET_RAMP, POWER_OF_TWO_GAP
 from oracles import write_v1_table
 
 
@@ -156,9 +156,12 @@ class TestSimulate:
           "sigma0 must have a finite variance sigma0**2, got 1e+200 (--sigma0)"),
          (["--sigma0", "1e154", "--h", "gauss-scale:2"],
           "invalid law descriptor 'gauss-scale:2': c * sigma0 must be positive with a "
-          "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154")],
+          "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154"),
+         (["--h", "student:2,1"],
+          "invalid law descriptor 'student:2,1': df must be finite and exceed 2 for a "
+          "finite variance, got 2.0")],
         ids=["n-mixture", "n-below-order", "beta-nan", "sigma0-overflow",
-             "scale-product-overflow"],
+             "scale-product-overflow", "student-df"],
     )
     def test_bad_flag_named_before_simulating(self, capsys, monkeypatch, flags, message):
         def must_not_run(*args, **kwargs):
@@ -317,10 +320,11 @@ class TestTest:
          # noiseless against the series' level, not its spread
          (OFFSET_RAMP, 2, "residuals are rounding noise"),
          (LAST_BITS, 0, "residuals are rounding noise"),
-         (LAST_BITS, 1, "residuals are rounding noise")],
+         (LAST_BITS, 1, "residuals are rounding noise"),
+         (POWER_OF_TWO_GAP, 0, "of the power of two above the series' largest magnitude")],
         ids=["p0-zero-scale", "p1-singular", "ramp-p2-noise", "ramp-1e200-p2-noise",
              "ramp-1e-200-p2-noise", "alternating-p2-noise", "offset-ramp-p2-noise",
-             "last-bits-p0-noise", "last-bits-p1-noise"],
+             "last-bits-p0-noise", "last-bits-p1-noise", "power-of-two-gap-p0-noise"],
     )
     def test_degenerate_series_exits_before_tables(self, tmp_path, capsys, monkeypatch,
                                                    values, p, message):
@@ -822,6 +826,16 @@ class TestPower:
         config = tmp_path / "config.json"
         config.write_text("{not json")
         assert main(["power", str(config)]) == 2
+
+    def test_non_object_json_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arnorm.cli, "run_power_study",
+                            lambda *args, **kwargs: calls.append(args))
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert main(["power", str(config)]) == 2
+        assert f"{config}: config must be a JSON object" in capsys.readouterr().err
+        assert calls == []
 
     def test_bad_alternative_descriptor_exits_2(self, tmp_path, capsys):
         config = _power_config(tmp_path, h=["dirichlet:1"])

@@ -16,7 +16,7 @@ from arnorm.estimation import (
 from arnorm.gof_tests import probability_transforms
 from arnorm.rng import substream
 
-from conftest import AR_COEFFS, LAST_BITS, OFFSET_RAMP
+from conftest import AR_COEFFS, LAST_BITS, OFFSET_RAMP, POWER_OF_TWO_GAP
 from oracles import autocov_matrix, fit_by_design_matrix, normal_equations_by_design_matrix
 
 
@@ -96,9 +96,9 @@ class TestOlsEstimate:
         [(np.arange(41.0), 2), (1e200 * np.arange(41.0), 2), (1e-200 * np.arange(41.0), 2),
          (np.append(np.tile([1.0, -1.0], 20), 1.0), 2),
          # noiseless against the level: at order 0 the residuals are the centred series
-         (OFFSET_RAMP, 2), (LAST_BITS, 0), (LAST_BITS, 1)],
+         (OFFSET_RAMP, 2), (LAST_BITS, 0), (LAST_BITS, 1), (POWER_OF_TWO_GAP, 0)],
         ids=["ramp", "ramp-1e200", "ramp-1e-200", "alternating", "offset-ramp",
-             "last-bits-p0", "last-bits-p1"],
+             "last-bits-p0", "last-bits-p1", "power-of-two-gap"],
     )
     def test_noiseless_series_is_refused(self, values, p):
         # exact at the order: the residuals are rounding noise, and a test on
@@ -115,6 +115,15 @@ class TestOlsEstimate:
         assert fit.s_hat == 2.0 ** (k - 39)
         with pytest.raises(DegenerateDataError, match="^residuals are rounding noise: "):
             fit_ar(SeriesSample.from_values(2.0**k * (0.75 + 2.0**-41 * signs), 0))
+
+    def test_noise_message_names_the_power_of_two(self):
+        # the refused scale exceeds 2**-40 of the largest value, so the
+        # message must name the power of two above it
+        scale = 1.5 * 2.0**-41
+        assert scale > 2.0**-40 * np.max(np.abs(POWER_OF_TWO_GAP))
+        message = r"at most 2\*\*-40 of the power of two above the series' largest magnitude"
+        with pytest.raises(DegenerateDataError, match=message):
+            fit_ar(SeriesSample.from_values(POWER_OF_TWO_GAP, 0))
 
     def test_order_above_limit_rejected(self):
         values = substream(4).normal(size=MAX_ORDER + 40)
@@ -139,6 +148,17 @@ class TestResiduals:
         values = substream(6).normal(size=50)
         fit = _residuals(values, [0.3, -0.2])
         assert fit.s_hat == float(np.sqrt(np.mean(np.square(fit.residuals))))
+
+    @pytest.mark.parametrize(
+        "residuals, message",
+        [(np.empty(0), "^residuals must be nonempty$"),
+         (np.array([1.0, np.inf, -1.0]), "^residuals must be finite$"),
+         (np.array([1.0, np.nan, -1.0]), "^residuals must be finite$")],
+        ids=["empty", "inf", "nan"],
+    )
+    def test_bad_residuals_rejected(self, residuals, message):
+        with pytest.raises(ValueError, match=message):
+            ResidualFit(beta_hat=np.empty(0), residuals=residuals, mean_hat=0.0)
 
     def test_scale_estimate_is_not_an_argument(self):
         with pytest.raises(TypeError):

@@ -606,6 +606,17 @@ class TestSampleOwnership:
         np.testing.assert_array_equal(again.samples.view(np.uint64),
                                       table.samples.view(np.uint64))
         assert not again.samples.flags.writeable
+        # a read-only float64 vector that owns its data is kept, not copied
+        assert again.samples is table.samples
+
+    def test_read_only_big_endian_vector_comes_out_native(self):
+        samples = np.array([0.1, 0.2, 0.3], dtype=">f8")
+        samples.setflags(write=False)
+        table = LimitLawTable(kind=SUP, shift=None, samples=samples, grid_size=16,
+                              n_reps=3, seed=0)
+        assert table.samples.dtype == np.float64 and table.samples.dtype.isnative
+        assert table.samples.flags.owndata and not table.samples.flags.writeable
+        assert table.samples.tolist() == [0.1, 0.2, 0.3]
 
     def test_read_only_view_is_copied(self):
         # a view shares memory with an array that its owner may still write

@@ -396,14 +396,13 @@ class TestCsvOutput:
 
     def test_csv_shape_and_values(self):
         buf = io.StringIO()
-        write_power_csv(self._example_cells(), file=buf, header_comments=("test",))
+        write_power_csv(self._example_cells(), file=buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "# test"
-        assert lines[1] == (
+        assert lines[0] == (
             "n,alternative,statistic,alpha,empirical_power,stderr,asymptotic_power,"
             "asymptotic_stderr,critical_value,n_reps,seed"
         )
-        reader = csv.DictReader(line for line in lines if not line.startswith("#"))
+        reader = csv.DictReader(lines)
         records = list(reader)
         assert len(records) == 1
         rec = records[0]
