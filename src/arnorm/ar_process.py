@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +74,42 @@ def _require_scale(name: str, value) -> None:
 
 
 def _check_order(p: int) -> None:
-    if p < 0:
+    if operator.index(p) < 0:
         raise ValueError(f"p must be non-negative, got {p}")
 
 
 def _check_length(n: int, p: int) -> None:
     if n < p + 1:
         raise ValueError(f"series too short: requires n >= p + 1, got n = {n} and p = {p}")
+
+
+def _frozen(vector: np.ndarray) -> np.ndarray:
+    """``vector``, held by no one else, made read-only for :func:`_frozen_vector` to keep."""
+    vector.setflags(write=False)
+    return vector
+
+
+def _frozen_vector(name: str, value) -> np.ndarray:
+    """``value`` as the read-only, native float64 vector that ArModel,
+    SeriesSample, ResidualFit and LimitLawTable hold.
+
+    A read-only float64 vector owning its data, as :func:`_frozen` makes
+    one, is kept; anything else is copied, so no caller's array or view
+    aliases the object.  A value that is not one-dimensional or has a
+    non-finite entry is refused, naming the first bad entry by its index.
+    numpy lets an owner make its array writable again, so a kept array
+    stays unchanged only while its owner never writes it.
+    """
+    vector = np.asarray(value, dtype=float)
+    if vector.ndim != 1:
+        raise ValueError(f"{name} must be a one-dimensional vector")
+    if vector.flags.writeable or not vector.flags.owndata:
+        vector = vector.copy()
+    finite = np.isfinite(vector)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name} must be finite, got {float(vector[i])!r} at index {i}")
+    return _frozen(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +418,8 @@ class ArModel:
     """Stationary AR(p) model: coefficients, series mean, innovation law.
 
     Construction fails unless every characteristic root has modulus below
-    ``1 - 1e-8``; nothing downstream needs to re-check stationarity.
+    ``1 - 1e-8``; nothing downstream needs to re-check stationarity, and
+    ``coeffs``, a scalar or vector, is held by :func:`_frozen_vector`.
 
     ``root_radius`` and ``burn_in`` are not arguments but derived here
     once: the largest modulus ``r`` of a characteristic root
@@ -413,11 +444,7 @@ class ArModel:
     root_radius: float = field(init=False)
 
     def __post_init__(self) -> None:
-        coeffs = np.atleast_1d(np.array(self.coeffs, dtype=float, copy=True))
-        if coeffs.ndim != 1:
-            raise ValueError("coeffs must be a one-dimensional vector")
-        if coeffs.size and not np.all(np.isfinite(coeffs)):
-            raise ValueError("coeffs must be finite")
+        coeffs = _frozen_vector("coeffs", np.atleast_1d(self.coeffs))
         radius = char_root_radius(coeffs)
         if radius >= 1.0 - _STATIONARITY_MARGIN:
             raise ValueError(
@@ -425,7 +452,6 @@ class ArModel:
                 f"is not below {1.0 - _STATIONARITY_MARGIN}"
             )
         _require_finite("mean", self.mean)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if not isinstance(self.innovation, ZeroMeanLaw):
             raise TypeError("innovation must be a ZeroMeanLaw")
@@ -449,27 +475,21 @@ class SeriesSample:
 
     The first ``p`` entries are the pre-sample values used to condition the
     least-squares fit; the last ``n = values.size - p`` are the working
-    sample, so ``n >= p + 1`` needs at least ``2p + 1`` values.  Every
-    value must be finite; the first that is not is named by its index.
+    sample, so ``n >= p + 1`` needs at least ``2p + 1`` values.
+    ``values`` is held by :func:`_frozen_vector`.
     """
 
     values: np.ndarray
     p: int
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.ndim != 1:
-            raise ValueError("values must be a one-dimensional vector")
         _check_order(self.p)
+        values = _frozen_vector("values", self.values)
         if values.size < 2 * self.p + 1:
             raise ValueError(
                 f"series too short: requires at least 2p + 1 = {2 * self.p + 1} values, "
                 f"got {values.size} values and p = {self.p}"
             )
-        if not np.all(np.isfinite(values)):
-            i = int(np.argmin(np.isfinite(values)))
-            raise ValueError(f"values must be finite, got {float(values[i])!r} at index {i}")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -480,7 +500,7 @@ class SeriesSample:
     @classmethod
     def from_values(cls, values, p: int) -> "SeriesSample":
         """Build a sample from raw values, treating the first ``p`` as pre-sample."""
-        return cls(values=values, p=int(p))
+        return cls(values=values, p=operator.index(p))
 
 
 def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -506,5 +526,4 @@ def simulate_ar(model: ArModel, n: int, seed: int | np.random.Generator = 0) -> 
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     eps = model.innovation.sample(rng, model.burn_in + n + p)
     centered = _ar_filter(model.coeffs, eps)
-    values = model.mean + centered[model.burn_in:]
-    return SeriesSample(values=values, p=p)
+    return SeriesSample(values=_frozen(model.mean + centered[model.burn_in:]), p=p)

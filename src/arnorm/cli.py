@@ -385,7 +385,7 @@ def _power_grid(config) -> tuple[tuple, list, list]:
         for h_text, law in zip(config["h"], laws):
             innovation = Gaussian(sigma0) if law is None else Mixture(sigma0=sigma0, h=law, n=n)
             model = ArModel(
-                coeffs=np.asarray(config["beta"], dtype=float),
+                coeffs=config["beta"],
                 mean=float(config["mu"]),
                 innovation=innovation,
             )

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ar_process import SeriesSample
+from .ar_process import SeriesSample, _frozen, _frozen_vector, _require_finite
 from .errors import DegenerateDataError
 
 __all__ = ["MAX_ORDER", "ResidualFit", "fit_ar"]
@@ -54,7 +54,8 @@ class ResidualFit:
     brings their largest magnitude into [0.5, 1), then scaled back.  That
     is exact, so the squares neither overflow nor underflow, and ``s_hat``
     has the bits of the unscaled formula wherever that is finite.  Zero
-    residuals raise :class:`~arnorm.errors.DegenerateDataError`.
+    residuals raise :class:`~arnorm.errors.DegenerateDataError`.  The
+    vectors are held by :func:`~arnorm.ar_process._frozen_vector`.
     """
 
     beta_hat: np.ndarray
@@ -63,14 +64,11 @@ class ResidualFit:
     s_hat: float = field(init=False)
 
     def __post_init__(self) -> None:
-        beta = np.atleast_1d(np.array(self.beta_hat, dtype=float, copy=True))
-        resid = np.array(self.residuals, dtype=float, copy=True)
+        beta = _frozen_vector("beta_hat", np.atleast_1d(self.beta_hat))
+        resid = _frozen_vector("residuals", self.residuals)
         if resid.size == 0:
             raise ValueError("residuals must be nonempty")
-        if not np.all(np.isfinite(resid)):
-            raise ValueError("residuals must be finite")
-        beta.setflags(write=False)
-        resid.setflags(write=False)
+        _require_finite("mean_hat", self.mean_hat)
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "residuals", resid)
         exponent = math.frexp(np.max(np.abs(resid)))[1]
@@ -196,5 +194,5 @@ def fit_ar(sample: SeriesSample) -> ResidualFit:
     are rounding noise (a degenerate series).
     """
     beta, resid, mean, exponent, _ = _fit_rows(sample.values[None], sample.p)
-    return ResidualFit(beta_hat=beta[0], residuals=np.ldexp(resid[0], exponent[0]),
+    return ResidualFit(beta_hat=beta[0], residuals=_frozen(np.ldexp(resid[0], exponent[0])),
                        mean_hat=float(np.ldexp(mean[0], exponent[0])))

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .ar_process import Gaussian, Mixture
+from .ar_process import Gaussian, Mixture, _frozen, _frozen_vector
 from .rng import map_replications
 
 __all__ = [
@@ -91,7 +92,7 @@ def _stat_kinds(kinds) -> tuple[StatKind, ...]:
 
 
 def _check_grid_size(grid_size: int) -> None:
-    if grid_size < 2:
+    if operator.index(grid_size) < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
 
 
@@ -174,11 +175,8 @@ class LimitLawTable:
     ``seed`` is the root seed the samples were generated from; together with
     ``kind``, ``shift`` and ``grid_size`` it reproduces the table exactly.
 
-    ``samples`` ends up a read-only float64 vector that owns its memory.  An
-    array already in that state, as :func:`load_table` and
-    :func:`simulate_limit_tables` hand over, is kept as it is; any other
-    input, a caller's writable array above all, is copied, so changing the
-    caller's array later cannot change the table.
+    ``samples``, ``n_reps`` values in ascending order, is held by
+    :func:`~arnorm.ar_process._frozen_vector`, which keeps loaded and simulated samples uncopied.
     """
 
     kind: StatKind
@@ -189,26 +187,15 @@ class LimitLawTable:
     seed: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.flags.writeable or not samples.flags.owndata:
-            samples = samples.copy()
-        if samples.ndim != 1 or samples.size == 0:
+        samples = _frozen_vector("samples", self.samples)
+        if samples.size == 0:
             raise ValueError("samples must be a nonempty vector")
         if self.n_reps != samples.size:
             raise ValueError("n_reps must equal the number of samples")
         _check_grid_size(self.grid_size)
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
         if np.any(samples[1:] < samples[:-1]):
             raise ValueError("samples must be sorted in ascending order")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-
-def _frozen(samples: np.ndarray) -> np.ndarray:
-    """``samples``, which the caller owns alone, marked read-only."""
-    samples.setflags(write=False)
-    return samples
 
 
 def _path_weights(grid_size: int):
@@ -363,8 +350,6 @@ def save_table(table: LimitLawTable, path, comments=()) -> None:
     line, which would end the header early; either is refused before the
     file is opened.
     """
-    if table.shift is not None:
-        raise ValueError("only null tables can be saved; this one is shifted")
     header = _table_header(table, comments)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -373,13 +358,16 @@ def save_table(table: LimitLawTable, path, comments=()) -> None:
 
 def _write_table(table: LimitLawTable, fh, comments=()) -> None:
     """:func:`save_table` into a binary file that is already open for writing;
-    a refused comment writes nothing."""
+    a refused table or comment writes nothing."""
     fh.write(_table_header(table, comments))
     fh.write(table.samples.astype("<f8", copy=False))
 
 
 def _table_header(table: LimitLawTable, comments) -> bytes:
-    """The ``#`` lines of a table file up to and including its data line."""
+    """The ``#`` lines of a table file up to and including its data line; a
+    shifted table, which the format cannot hold, is refused."""
+    if table.shift is not None:
+        raise ValueError("only null tables can be saved; this one is shifted")
     data_line = _data_line(table.n_reps)
     lines = [
         f"# {_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
@@ -508,13 +496,7 @@ def load_table(path) -> LimitLawTable:
         else:
             samples = _read_samples(fh, path, n_reps)
     try:
-        return LimitLawTable(
-            kind=kind,
-            shift=None,
-            samples=samples,
-            grid_size=grid_size,
-            n_reps=n_reps,
-            seed=seed,
-        )
+        return LimitLawTable(kind=kind, shift=None, samples=samples, grid_size=grid_size,
+                             n_reps=n_reps, seed=seed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -27,6 +27,7 @@ weight is meaningful only on that scale.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +75,10 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if self.n_reps < 100:
+        if operator.index(self.n_reps) < 100:
             raise ValueError(f"n_reps must be at least 100, got {self.n_reps}")
         # n = 1 at order 0 leaves one residual, which is exactly zero
-        if self.n < max(2, self.model.order + 1):
+        if operator.index(self.n) < max(2, self.model.order + 1):
             raise ValueError(f"series too short: requires n >= max(2, p + 1), got {self.n}")
         _check_max_order(self.model.order)
         _checked_seed(self.seed)

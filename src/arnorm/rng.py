@@ -32,7 +32,7 @@ def _checked_seed(seed: int) -> int:
 
 
 def _check_count(name: str, value: int) -> None:
-    if value < 1:
+    if operator.index(value) < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 

@@ -17,6 +17,8 @@ from arnorm.ar_process import (
     char_root_radius,
     parse_alternative_law,
 )
+from arnorm.estimation import ResidualFit
+from arnorm.limit_law import LimitLawTable, StatKind
 from arnorm.rng import substream
 
 from oracles import autocov_matrix, ma_coefficients
@@ -153,6 +155,60 @@ class TestSeriesSample:
     def test_matrix_values_rejected(self):
         with pytest.raises(ValueError, match="^values must be a one-dimensional vector$"):
             SeriesSample(np.arange(12.0).reshape(4, 3), 0)
+
+    def test_order_must_be_an_integer(self):
+        # a float order is refused, not truncated or carried into the fit
+        values = np.arange(50.0)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            SeriesSample(values, p=1.5)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            SeriesSample.from_values(values, 1.5)
+        sample = SeriesSample.from_values(values, np.int64(2))
+        assert type(sample.p) is int and sample.n == 48
+
+
+# Each value object's vector, built from a three-entry array ``v``.
+_VECTOR_HOLDERS = {
+    "coeffs": lambda v: ArModel(coeffs=v, mean=0.0, innovation=Gaussian(1.0)).coeffs,
+    "values": lambda v: SeriesSample(values=v, p=0).values,
+    "beta_hat": lambda v: ResidualFit(beta_hat=v, residuals=[1.0, -1.0], mean_hat=0.0).beta_hat,
+    "residuals": lambda v: ResidualFit(beta_hat=[], residuals=v, mean_hat=0.0).residuals,
+    "samples": lambda v: LimitLawTable(StatKind.KOLMOGOROV, None, v, 16, 3, 0).samples,
+}
+
+
+@pytest.mark.parametrize("name, held", _VECTOR_HOLDERS.items(), ids=_VECTOR_HOLDERS)
+class TestFrozenVector:
+    """ArModel, SeriesSample, ResidualFit and LimitLawTable hold their
+    vectors by one rule, that of ``ar_process._frozen_vector``."""
+
+    def test_ownership(self, name, held):
+        # a caller's writable array, changed after construction, changes nothing
+        writable = np.array([0.1, 0.2, 0.3])
+        vector = held(writable)
+        writable[0] = -1.0
+        assert vector.tolist() == [0.1, 0.2, 0.3]
+        assert not vector.flags.writeable and vector.dtype == np.float64
+        # a read-only view shares memory that its base's owner may still write
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        view = base[:3]
+        view.setflags(write=False)
+        vector = held(view)
+        base[0] = -1.0
+        assert vector.tolist() == [0.1, 0.2, 0.3]
+        # a read-only vector that owns its data is kept, not copied
+        owned = np.array([0.1, 0.2, 0.3])
+        owned.setflags(write=False)
+        assert held(owned) is owned
+
+    def test_non_finite_entry_named_by_its_index(self, name, held):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r} at index 1$"):
+                held(np.array([0.1, bad, 0.3]))
+
+    def test_matrix_rejected(self, name, held):
+        with pytest.raises(ValueError, match=f"^{name} must be a one-dimensional vector$"):
+            held(np.array([[0.1, 0.2, 0.3]]))
 
 
 class TestSimulateAr:

@@ -151,7 +151,7 @@ class TestSimulate:
         [(["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2, got 1 (--n)"),
          (["--n", "3", "--beta", "0.1,0.1,0.1"],
           "series too short: requires n >= p + 1, got n = 3 and p = 3 (--n)"),
-         (["--beta", "0.5,nan"], "coeffs must be finite (--beta)"),
+         (["--beta", "0.5,nan"], "coeffs must be finite, got nan at index 1 (--beta)"),
          (["--sigma0", "1e200"],
           "sigma0 must have a finite variance sigma0**2, got 1e+200 (--sigma0)"),
          (["--sigma0", "1e154", "--h", "gauss-scale:2"],
@@ -474,7 +474,8 @@ class TestTest:
         ("truncated", "the data section holds 159992 bytes, but n_reps=20000 needs 160000"),
         ("trailing", "the data section holds 160001 bytes, but n_reps=20000 needs 160000"),
         ("no-data-line", "no '# data: 20000 float64 little-endian' line ends the header"),
-        ("nan", "samples must be finite"),
+        pytest.param("nan", "samples must be finite, got nan at index 10000",
+                     id="nan-samples must be finite"),
         ("unsorted", "samples must be sorted in ascending order"),
     ])
     def test_v2_table_defect_exits_2_naming_the_file(self, tmp_path, capsys, small_tables,

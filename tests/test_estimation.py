@@ -152,13 +152,27 @@ class TestResiduals:
     @pytest.mark.parametrize(
         "residuals, message",
         [(np.empty(0), "^residuals must be nonempty$"),
-         (np.array([1.0, np.inf, -1.0]), "^residuals must be finite$"),
-         (np.array([1.0, np.nan, -1.0]), "^residuals must be finite$")],
+         (np.array([1.0, np.inf, -1.0]), "^residuals must be finite, got inf at index 1$"),
+         (np.array([1.0, np.nan, -1.0]), "^residuals must be finite, got nan at index 1$")],
         ids=["empty", "inf", "nan"],
     )
     def test_bad_residuals_rejected(self, residuals, message):
         with pytest.raises(ValueError, match=message):
             ResidualFit(beta_hat=np.empty(0), residuals=residuals, mean_hat=0.0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(dict(beta_hat=[np.nan]), "^beta_hat must be finite, got nan at index 0$"),
+         (dict(beta_hat=[[0.5, 0.1]]), "^beta_hat must be a one-dimensional vector$"),
+         (dict(mean_hat=float("nan")), "^mean_hat must be finite, got nan$"),
+         (dict(residuals=[[1.0, 2.0], [3.0, 4.0]]),
+          "^residuals must be a one-dimensional vector$")],
+        ids=["nan-beta", "matrix-beta", "nan-mean", "matrix-residuals"],
+    )
+    def test_bad_fields_rejected(self, bad, message):
+        fields = dict(beta_hat=[0.5], residuals=[1.0, 2.0, 3.0], mean_hat=0.0)
+        with pytest.raises(ValueError, match=message):
+            ResidualFit(**(fields | bad))
 
     def test_scale_estimate_is_not_an_argument(self):
         with pytest.raises(TypeError):

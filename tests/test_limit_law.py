@@ -207,6 +207,16 @@ class TestSimulation:
         assert table.samples[0] > 0.0
         assert table.n_reps == 500 and table.grid_size == 64
 
+    def test_counts_must_be_integers(self):
+        # a float grid would run and be stored as the table's grid_size
+        float_count = "'float' object cannot be interpreted as an integer"
+        with pytest.raises(TypeError, match=float_count):
+            simulate_limit_tables((SUP,), None, 16.0, 50, seed=0)
+        with pytest.raises(TypeError, match=float_count):
+            simulate_limit_tables((SUP,), None, 16, 50, seed=0, workers=1.0)
+        with pytest.raises(TypeError, match=float_count):
+            LimitLawTable(SUP, None, [0.1, 0.2], 16.0, 2, 0)
+
     @staticmethod
     def _assert_workers_agree(n_reps):
         kwargs = dict(grid_size=64, n_reps=n_reps, seed=11)
@@ -419,6 +429,15 @@ class TestTableSerialization:
             save_table(table, path)
         assert not path.exists()
 
+    def test_writer_refuses_shifted_table(self):
+        # the writer of `arnorm quantiles --out` keeps the same contract
+        mixture = Mixture(sigma0=1.5, h=StudentTLaw(5, 4.0), n=2000)
+        table = simulate_limit_tables((OMEGA2,), mixture, 16, 50, seed=29)[OMEGA2]
+        out = io.BytesIO()
+        with pytest.raises(ValueError, match="^only null tables can be saved; this one is shifted$"):
+            limit_law._write_table(table, out)
+        assert out.getvalue() == b""
+
     def test_loads_v1_null_file_from_earlier_release(self, tmp_path):
         # written by arnorm 0.1.0 before the format became null-only
         path = tmp_path / "old.table"
@@ -575,15 +594,9 @@ class TestTableV2:
 
 
 class TestSampleOwnership:
-    """A table's samples are a read-only array that no caller can change."""
-
-    def test_caller_array_is_copied(self):
-        samples = np.array([0.1, 0.2, 0.3])
-        table = LimitLawTable(kind=SUP, shift=None, samples=samples, grid_size=16,
-                              n_reps=3, seed=0)
-        samples[0] = -1.0
-        assert table.samples.tolist() == [0.1, 0.2, 0.3]
-        assert not table.samples.flags.writeable
+    """A table's samples are a read-only array, held by the rule every value
+    object holds its vectors by (``tests/test_ar_process.py::TestFrozenVector``);
+    loaded and simulated tables hand over arrays that the table keeps."""
 
     def test_loaded_samples_are_read_only(self, tmp_path):
         path = tmp_path / "t.table"
@@ -616,16 +629,6 @@ class TestSampleOwnership:
                               n_reps=3, seed=0)
         assert table.samples.dtype == np.float64 and table.samples.dtype.isnative
         assert table.samples.flags.owndata and not table.samples.flags.writeable
-        assert table.samples.tolist() == [0.1, 0.2, 0.3]
-
-    def test_read_only_view_is_copied(self):
-        # a view shares memory with an array that its owner may still write
-        base = np.array([0.1, 0.2, 0.3, 0.4])
-        view = base[:3]
-        view.setflags(write=False)
-        table = LimitLawTable(kind=SUP, shift=None, samples=view, grid_size=16,
-                              n_reps=3, seed=0)
-        base[0] = -1.0
         assert table.samples.tolist() == [0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize(

@@ -369,6 +369,17 @@ class TestValidation:
             _size_spec(model=iid, n=1)
         assert _size_spec(model=iid, n=2).n == 2
 
+    @pytest.mark.parametrize("field, value", [("n", 400.0), ("n_reps", 400.0),
+                                              ("grid_size", 128.0), ("limit_reps", 20_000.0)])
+    def test_counts_must_be_integers(self, monkeypatch, field, value):
+        # refused before a study simulates its null table
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated a table for a spec with a float count")
+
+        monkeypatch.setattr(arnorm.power_lab, "simulate_limit_tables", must_not_run)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            run_power_study(_size_spec(**{field: value}), (SUP,))
+
     def test_order_above_limit_rejected(self):
         model = ArModel(coeffs=[0.01] * (MAX_ORDER + 1), mean=0.0, innovation=Gaussian(1.0))
         message = f"^p must not exceed {MAX_ORDER}, got {MAX_ORDER + 1}$"
