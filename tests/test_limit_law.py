@@ -598,6 +598,14 @@ class TestSampleOwnership:
     object holds its vectors by (``tests/test_ar_process.py::TestFrozenVector``);
     loaded and simulated tables hand over arrays that the table keeps."""
 
+    def test_caller_array_is_copied(self):
+        samples = np.array([0.1, 0.2, 0.3])
+        table = LimitLawTable(kind=SUP, shift=None, samples=samples, grid_size=16,
+                              n_reps=3, seed=0)
+        samples[0] = -1.0
+        assert table.samples.tolist() == [0.1, 0.2, 0.3]
+        assert not table.samples.flags.writeable
+
     def test_loaded_samples_are_read_only(self, tmp_path):
         path = tmp_path / "t.table"
         save_table(_sorted_table(100, seed=49), path)
@@ -629,6 +637,16 @@ class TestSampleOwnership:
                               n_reps=3, seed=0)
         assert table.samples.dtype == np.float64 and table.samples.dtype.isnative
         assert table.samples.flags.owndata and not table.samples.flags.writeable
+        assert table.samples.tolist() == [0.1, 0.2, 0.3]
+
+    def test_read_only_view_is_copied(self):
+        # a view shares memory with an array that its owner may still write
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        view = base[:3]
+        view.setflags(write=False)
+        table = LimitLawTable(kind=SUP, shift=None, samples=view, grid_size=16,
+                              n_reps=3, seed=0)
+        base[0] = -1.0
         assert table.samples.tolist() == [0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize(
