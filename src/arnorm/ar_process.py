@@ -79,7 +79,7 @@ def _check_order(p: int) -> None:
 
 
 def _check_length(n: int, p: int) -> None:
-    if n < p + 1:
+    if operator.index(n) < p + 1:
         raise ValueError(f"series too short: requires n >= p + 1, got n = {n} and p = {p}")
 
 

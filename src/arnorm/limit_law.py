@@ -23,9 +23,11 @@ process, with ``Z1 = int q dW`` and ``Z2 = int (q**2 - 1) dW`` on the Brownian
 motion ``W`` of the bridge ``B``: O(grid_size) per path, each replication on
 its own, drawn from the stream of its block of 64 (see
 :func:`~arnorm.rng.map_replications`), so tables are reproducible,
-worker-count independent, and extended by longer runs.  Paths are assembled
-a few at a time, at most 64 and about 2**15 normals per call, so that they
-stay in cache; a path longer than numpy's buffer is assembled alone.
+worker-count independent, and extended by longer runs.  A path, in units
+of ``1 / sqrt(grid_size)``, is the walk of its increments plus one rank-k
+``einsum`` update, never BLAS, whose sums can move with its thread count.
+Paths are assembled at most 64 and about 2**15 normals per call, so that
+they stay in cache; a path longer than numpy's buffer is assembled alone.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .ar_process import Gaussian, Mixture, _frozen, _frozen_vector
-from .rng import map_replications
+from .rng import _checked_seed, map_replications
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -190,16 +192,17 @@ class LimitLawTable:
         samples = _frozen_vector("samples", self.samples)
         if samples.size == 0:
             raise ValueError("samples must be a nonempty vector")
-        if self.n_reps != samples.size:
+        if operator.index(self.n_reps) != samples.size:
             raise ValueError("n_reps must equal the number of samples")
         _check_grid_size(self.grid_size)
+        _checked_seed(self.seed)
         if np.any(samples[1:] < samples[:-1]):
             raise ValueError("samples must be sorted in ascending order")
         object.__setattr__(self, "samples", samples)
 
 
-def _path_weights(grid_size: int):
-    """Grid, ``a``, ``b / 2``, cell weights and top-up factor for the paths.
+def _path_weights(grid_size: int, shift: Mixture | None = None):
+    """Cell weights, top-up factor and rank-k terms of the paths.
 
     With ``m`` cells of width ``1 / m``, the projection of ``int_cell q dW``
     on the cell's increment of ``W``, in units of ``1 / sqrt(m)``, has weight
@@ -207,6 +210,7 @@ def _path_weights(grid_size: int):
     likewise from ``b' = 1 - q**2``.  The rest of ``(Z1, Z2)`` is independent
     of the increments, with covariance ``[[1 - sum wa**2, -sum wa wb],
     [., 2 - sum wb**2]]`` and lower Cholesky factor ``(l11, l21, l22)``.
+    ``terms`` holds ``-t``, ``a``, ``b / 2`` and any ``shift`` on the grid.
     """
     m = grid_size
     t = np.arange(m + 1) / m
@@ -217,47 +221,46 @@ def _path_weights(grid_size: int):
     l11 = math.sqrt(1.0 - math.fsum(wa * wa))
     l21 = -math.fsum(wa * wb) / l11
     l22 = math.sqrt(2.0 - math.fsum(wb * wb) - l21 * l21)
-    return t[1:-1], a[1:-1], 0.5 * b[1:-1], wa, wb, (l11, l21, l22)
+    terms = [-t[1:-1], a[1:-1], 0.5 * b[1:-1]]
+    if shift is not None:
+        terms.append(local_shift(shift, t[1:-1]))
+    return wa, wb, (l11, l21, l22), np.array(terms)
 
 
 def _assemble_paths(normals, weights):
-    """Grid values of the limit process, one path per row of ``normals``.
-
-    A row holds the ``m`` cell increments of ``W`` (in units of
-    ``1 / sqrt(m)``) and the two top-up normals; it is overwritten, and the
-    paths are a view into it.  No step mixes rows or calls BLAS, so a path
-    no longer than numpy's buffer does not depend on the block it is
-    computed in.
+    """Paths in units of ``1 / sqrt(m)``, one per row of ``normals``, which
+    holds the ``m`` cell increments of ``W`` (in those units) and the two
+    top-up normals and is overwritten.  A path is the walk of its increments
+    plus ``einsum`` of ``coef`` (columns: the walk's end, ``sqrt(m) Z1``,
+    ``sqrt(m) Z2``, under a shift ``sqrt(m)``) with ``terms``; no step calls
+    BLAS or mixes rows, so a path within numpy's buffer is free of its block.
     """
-    t_grid, a, half_b, wa, wb, (l11, l21, l22) = weights
+    wa, wb, (l11, l21, l22), terms = weights
     m = wa.size
+    root_m = math.sqrt(m)
     increments, top_up = normals[:, :m], normals[:, m:]
+    coef = np.empty((len(normals), len(terms)))
     z1 = np.einsum("ij,j->i", increments, wa) + l11 * top_up[:, 0]
     z2 = np.einsum("ij,j->i", increments, wb) + l21 * top_up[:, 0] + l22 * top_up[:, 1]
+    coef[:, 1] = root_m * z1
+    coef[:, 2] = root_m * z2
+    coef[:, 3:] = root_m
     walk = np.cumsum(increments, axis=1, out=increments)
-    walk /= math.sqrt(m)
-    paths = walk[:, :-1]
-    term = np.multiply.outer(walk[:, -1], t_grid)
-    paths -= term
-    paths += np.multiply.outer(z1, a, out=term)
-    paths += np.multiply.outer(z2, half_b, out=term)
+    coef[:, 0] = walk[:, -1]
+    paths = np.einsum("ik,kj->ij", coef, terms)
+    paths += walk[:, :-1]
     return paths
 
 
-def _path_block(kinds, weights, shift_values, stream, count):
-    """Functional samples of the next ``count`` replications of ``stream``.
-
-    One row-major draw of ``count`` rows of ``grid_size + 2`` normals gives
-    the values that drawing the rows one by one would give.
-    """
-    m = weights[3].size
+def _path_block(kinds, weights, stream, count):
+    """Functional samples of the next ``count`` replications of ``stream``; one
+    row-major draw of their rows of normals gives the values of row-wise draws."""
+    m = weights[0].size
     paths = _assemble_paths(stream.standard_normal((count, m + 2)), weights)
-    if shift_values is not None:
-        paths += shift_values
     return {
-        kind: np.max(np.abs(paths), axis=1) + SUP_CONTINUITY_BETA / math.sqrt(m)
+        kind: (np.max(np.abs(paths), axis=1) + SUP_CONTINUITY_BETA) / math.sqrt(m)
         if kind is StatKind.KOLMOGOROV
-        else np.einsum("ij,ij->i", paths, paths) / m
+        else np.einsum("ij,ij->i", paths, paths) / (m * m)
         for kind in kinds
     }
 
@@ -282,15 +285,13 @@ def simulate_limit_tables(
     """
     kinds = _stat_kinds(kinds)
     _check_grid_size(grid_size)
-    weights = _path_weights(grid_size)
-    shift_values = local_shift(shift, weights[0]) if shift is not None else None
+    weights = _path_weights(grid_size, shift)
     # about 256 KB of normals per call, which stay in cache through
     # assembly and both functionals; a stacked einsum sums a row longer
     # than numpy's buffer piece by piece, in pieces that depend on the rows
     # beside it, so above the buffer a call holds one path
     rows = 1 if grid_size > np.getbufsize() else 2**15 // grid_size
-    samples = map_replications(_path_block, (kinds, weights, shift_values), seed, n_reps,
-                               rows, workers)
+    samples = map_replications(_path_block, (kinds, weights), seed, n_reps, rows, workers)
     for kind in kinds:
         # null paths are bounded; only a huge shift can overflow a functional
         if not np.all(np.isfinite(samples[kind])):
@@ -350,10 +351,9 @@ def save_table(table: LimitLawTable, path, comments=()) -> None:
     line, which would end the header early; either is refused before the
     file is opened.
     """
-    header = _table_header(table, comments)
+    _table_header(table, comments)  # a refusal leaves the file untouched
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table.samples.astype("<f8", copy=False))
+        _write_table(table, fh, comments)
 
 
 def _write_table(table: LimitLawTable, fh, comments=()) -> None:

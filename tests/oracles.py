@@ -12,6 +12,9 @@ its column-stacked lag design, whose normal equations
 pipeline one replication at a time through the public single-series
 functions.  :func:`write_v1_table` writes a table in
 the text format of earlier releases, which the loader still reads.
+:func:`limit_functionals_by_outer_products` samples the limit process in
+its own units, ``X = B + a Z1 + 0.5 b Z2`` built by three outer products,
+the reference for the library's rank-k update in units of ``1 / sqrt(m)``.
 
 The residual EDF and the process evaluated from it (:func:`residual_edf`,
 :func:`eval_process`), the residual-vs-innovation EDF gap
@@ -36,7 +39,7 @@ from arnorm.gof_tests import (
     omega2_from_transforms,
     probability_transforms,
 )
-from arnorm.limit_law import SUP_CONTINUITY_BETA, StatKind
+from arnorm.limit_law import SUP_CONTINUITY_BETA, StatKind, local_shift
 from arnorm.rng import substream
 
 # Tail cutoff for the moving-average series in autocov_matrix.
@@ -142,6 +145,47 @@ def corrected_bridge_sup_check(grid_size, n_reps, seed, alphas):
         stderr = math.sqrt(alpha * (1.0 - alpha) / n_reps) / float(kstwobign.pdf(exact))
         out[alpha] = (simulated[alpha] + correction, exact, stderr)
     return out
+
+
+def limit_functionals_by_outer_products(grid_size, shift, n_reps, seed):
+    """Sup and omega-square samples of the limit process, in replication order.
+
+    Replication ``r`` takes its ``grid_size + 2`` normals from the stream
+    ``substream(seed, r // 64)``, after those of the earlier replications of
+    its block: ``m = grid_size`` cell increments of ``W`` in units of
+    ``1 / sqrt(m)``, then two top-up normals.  The grid values are
+    ``X = W(t) - t W(1) + a Z1 + 0.5 b Z2 (+ local_shift(shift, t))`` on
+    the interior grid ``t = i / m``, with ``Z1`` and ``Z2`` the increments'
+    projections, by the exact cell weights ``sqrt(m) (a(t_{i-1}) - a(t_i))``
+    and ``sqrt(m) (b(t_{i-1}) - b(t_i))``, plus a Cholesky top-up; each term
+    is added as one outer product.  The sup carries the continuity
+    correction ``SUP_CONTINUITY_BETA / sqrt(m)``.
+    """
+    m = grid_size
+    t = np.arange(m + 1) / m
+    a = np.zeros(m + 1)
+    a[1:-1] = np.exp(-0.5 * ndtri(t[1:-1]) ** 2) / math.sqrt(2.0 * math.pi)
+    b = np.zeros(m + 1)
+    b[1:-1] = ndtri(t[1:-1]) * a[1:-1]
+    wa = math.sqrt(m) * (a[:-1] - a[1:])
+    wb = math.sqrt(m) * (b[:-1] - b[1:])
+    top_up = np.linalg.cholesky(np.array([[1.0 - math.fsum(wa * wa), -math.fsum(wa * wb)],
+                                          [-math.fsum(wa * wb), 2.0 - math.fsum(wb * wb)]]))
+    sups, omega2s = [], []
+    for lo in range(0, n_reps, 64):
+        normals = substream(seed, lo // 64).standard_normal((min(64, n_reps - lo), m + 2))
+        increments = normals[:, :m]
+        z1 = increments @ wa + top_up[0, 0] * normals[:, m]
+        z2 = increments @ wb + top_up[1, 0] * normals[:, m] + top_up[1, 1] * normals[:, m + 1]
+        walk = np.cumsum(increments, axis=1) / math.sqrt(m)
+        paths = walk[:, :-1] - np.multiply.outer(walk[:, -1], t[1:-1])
+        paths += np.multiply.outer(z1, a[1:-1])
+        paths += np.multiply.outer(z2, 0.5 * b[1:-1])
+        if shift is not None:
+            paths += local_shift(shift, t[1:-1])
+        sups.append(np.max(np.abs(paths), axis=1) + SUP_CONTINUITY_BETA / math.sqrt(m))
+        omega2s.append(np.sum(paths * paths, axis=1) / m)
+    return {StatKind.KOLMOGOROV: np.concatenate(sups), StatKind.OMEGA2: np.concatenate(omega2s)}
 
 
 def _lag_design(values, p):

@@ -275,6 +275,11 @@ class TestSimulateAr:
         with pytest.raises(ValueError):
             simulate_ar(ar1_model, n=1)  # needs n >= p + 1
 
+    def test_float_length_refused_before_drawing(self, ar1_model):
+        # a float n would reach numpy as a draw count with the warm-up in it
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            simulate_ar(ar1_model, n=50.0)
+
 
 def _ar_with_roots(*roots):
     """Coefficients of the AR model whose characteristic roots are ``roots``

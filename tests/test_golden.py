@@ -30,8 +30,8 @@ RUNS = [
     (
         ["quantiles", "--kind", "omega2", "--grid", "32", "--reps", "2000", "--seed", "3",
          "--out", "o.txt"],
-        "170f61519197c05ad46cd6ffa4979bdc05d95991e516c18f09630ccbd02f22a8",
-        ("o.txt", "16d2de14e651db9a13f1c3bc5032d6021470223f94e1ea3999388d9a8ab012fb"),
+        "8813713faab74df5aa3528ae11dc8b9680549b577000639b01e4193b2c7dc7f4",
+        ("o.txt", "a11c904572e9aca3683f50bacc9e6c3a6b256d1c67a47d2a93e4cf50b6364bac"),
     ),
     (
         ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",
@@ -42,12 +42,12 @@ RUNS = [
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
          "--seed", "5"],
-        "8f5e4eb0ce1cbb8930658cfb550b25a741590cf8f1fa9993c9ba70d60ececa06",
+        "08356b0f5c3e1f4954cd766a2c17aff6f13ec646309c6888db8b89579ac11864",
         None,
     ),
     (
         ["power", "c.json"],
-        "a34e7130a79a29b7b51900803bbd3f718317db5a8005112dccdef50e32a66af8",
+        "7ddfdfff462c04d1ffef58dd466d2bba66c03dd21b999a85245e154bfeb91457",
         None,
     ),
 ]

@@ -1,7 +1,7 @@
 import io
 import math
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -20,7 +20,11 @@ from arnorm.limit_law import (
 from arnorm.rng import derive_seed, map_replications, substream
 
 from conftest import upper_quantile
-from oracles import corrected_bridge_sup_check, write_v1_table
+from oracles import (
+    corrected_bridge_sup_check,
+    limit_functionals_by_outer_products,
+    write_v1_table,
+)
 
 SUP, OMEGA2 = StatKind.KOLMOGOROV, StatKind.OMEGA2
 BOTH = (SUP, OMEGA2)
@@ -217,6 +221,22 @@ class TestSimulation:
         with pytest.raises(TypeError, match=float_count):
             LimitLawTable(SUP, None, [0.1, 0.2], 16.0, 2, 0)
 
+    @pytest.mark.parametrize(
+        "n_reps, seed, error, message",
+        [(3.0, 0, TypeError, "'float' object cannot be interpreted as an integer"),
+         (3, 1.5, TypeError, "'float' object cannot be interpreted as an integer"),
+         (3, -1, ValueError, "^seed must be a non-negative integer, got -1$")],
+        ids=["float-reps", "float-seed", "negative-seed"],
+    )
+    def test_header_fields_checked_as_the_loader_reads_them(self, tmp_path, n_reps, seed,
+                                                            error, message):
+        # such a table would save a header that load_table refuses
+        with pytest.raises(error, match=message):
+            LimitLawTable(SUP, None, [0.1, 0.2, 0.3], 16, n_reps, seed)
+        table = LimitLawTable(SUP, None, [0.1, 0.2, 0.3], 16, np.int64(3), np.int64(7))
+        save_table(table, tmp_path / "t.table")
+        assert load_table(tmp_path / "t.table").seed == 7
+
     @staticmethod
     def _assert_workers_agree(n_reps):
         kwargs = dict(grid_size=64, n_reps=n_reps, seed=11)
@@ -260,23 +280,37 @@ class TestSimulation:
         # and the table's row count shrinks as the grid grows; any width
         # must give the values of one draw of each stream's rows, also at
         # grid 4096, where a block holds 8 rows and a stream's 64 are drawn
-        # in 8 parts
-        for grid_size in (64, 512, 4096):
-            weights = limit_law._path_weights(grid_size)
-            args = (BOTH, weights, None)
+        # in 8 parts, and also under a shift, which rides the rank-k update
+        shifts = (None, Mixture(sigma0=1.0, h=Gaussian(3.0), n=2000))
+        for grid_size, shift in product((64, 512, 4096), shifts):
+            weights = limit_law._path_weights(grid_size, shift)
+            args = (BOTH, weights)
             whole = map_replications(limit_law._path_block, args, 13, 100, 2**15 // grid_size)
             for start, stop in ((0, 64), (64, 100)):
                 normals = substream(13, start // 64).standard_normal((stop - start, grid_size + 2))
-                paths = limit_law._assemble_paths(normals, weights)
-                correction = limit_law.SUP_CONTINUITY_BETA / math.sqrt(grid_size)
-                sup = np.max(np.abs(paths), axis=1) + correction
-                omega2 = np.einsum("ij,ij->i", paths, paths) / grid_size
+                paths = limit_law._assemble_paths(normals, weights)  # in units of 1 / sqrt(m)
+                sup = ((np.max(np.abs(paths), axis=1) + limit_law.SUP_CONTINUITY_BETA)
+                       / math.sqrt(grid_size))
+                omega2 = np.einsum("ij,ij->i", paths, paths) / grid_size**2
                 np.testing.assert_array_equal(whole[SUP][start:stop], sup)
                 np.testing.assert_array_equal(whole[OMEGA2][start:stop], omega2)
             for rows in (1, 7):
                 part = map_replications(limit_law._path_block, args, 13, 100, rows)
                 for kind in BOTH:
                     np.testing.assert_array_equal(part[kind], whole[kind])
+
+    @pytest.mark.parametrize("grid_size", [16, 64, 512, 4096])
+    @pytest.mark.parametrize("shift", [None, Mixture(sigma0=1.0, h=Gaussian(3.0), n=2000)],
+                             ids=["null", "gauss-scale-3"])
+    def test_samples_match_outer_product_oracle(self, grid_size, shift):
+        # the rank-k update in units of 1 / sqrt(m) reorders the sums of the
+        # oracle's outer products in the process's own units, so samples
+        # agree to rounding; a wrong term, sign or scale moves them by far more
+        tables = simulate_limit_tables(BOTH, shift, grid_size, 100, seed=31)
+        oracle = limit_functionals_by_outer_products(grid_size, shift, 100, seed=31)
+        for kind in BOTH:
+            np.testing.assert_allclose(tables[kind].samples, np.sort(oracle[kind]),
+                                       rtol=1e-14, atol=0)
 
     def test_null_mixture_shift_reproduces_null_table(self):
         mixture = Mixture(sigma0=1.0, h=Gaussian(1.0), n=2000)
@@ -317,10 +351,12 @@ class TestSimulation:
         # fed the identity rows, the sampler returns the matrix M of that
         # map, so M.T @ M is the covariance of the sampled grid values and
         # must be the kernel matrix on the interior grid
+        # in units of 1 / sqrt(m), hence the division by m
         weights = limit_law._path_weights(grid_size)
         paths = limit_law._assemble_paths(np.eye(grid_size + 2), weights)
         t = np.arange(1, grid_size) / grid_size
-        np.testing.assert_allclose(paths.T @ paths, cov_matrix(t), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(paths.T @ paths / grid_size, cov_matrix(t),
+                                   rtol=0, atol=1e-14)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
