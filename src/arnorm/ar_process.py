@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .rng import substream
 
@@ -112,6 +111,15 @@ def _frozen_vector(name: str, value) -> np.ndarray:
     return _frozen(vector)
 
 
+def _ndtr(x):
+    """Standard normal CDF, ``scipy.special.ndtr``, imported on first use:
+    ``scipy.special`` is most of a fresh process's start-up, and building
+    null tables never needs it."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 # ---------------------------------------------------------------------------
 # zero-mean laws
 # ---------------------------------------------------------------------------
@@ -158,7 +166,7 @@ class Gaussian(ZeroMeanLaw):
         return self.sigma**2
 
     def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float) / self.sigma)
+        return _ndtr(np.asarray(x, dtype=float) / self.sigma)
 
     def sample(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
@@ -235,6 +243,8 @@ class StudentTLaw(ZeroMeanLaw):
         return math.sqrt(self.variance * (self.df - 2.0) / self.df)
 
     def cdf(self, x):
+        from scipy.special import stdtr  # on first use, as in _ndtr
+
         return stdtr(self.df, np.asarray(x, dtype=float) / self.scale)
 
     def sample(self, rng, size):
@@ -358,7 +368,7 @@ class Mixture(ZeroMeanLaw):
     def cdf(self, x):
         w = self.weight
         x = np.asarray(x, dtype=float)
-        return (1.0 - w) * ndtr(x / self.sigma0) + w * self.h.cdf(x)
+        return (1.0 - w) * _ndtr(x / self.sigma0) + w * self.h.cdf(x)
 
     def sample(self, rng, size):
         contaminated = rng.random(size) < self.weight

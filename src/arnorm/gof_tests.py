@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from .ar_process import _ndtr
 from .estimation import ResidualFit
 from .limit_law import LimitLawTable, StatKind, mc_p_value, quantile
 
@@ -70,7 +70,7 @@ class GofResult:
 def _sorted_transforms(residuals: np.ndarray, s_hat) -> np.ndarray:
     """Sorted ``Phi(residual / s_hat)`` along the last axis of ``residuals``,
     one positive scale estimate per row; see :func:`probability_transforms`."""
-    return ndtr(np.sort(residuals, axis=-1) / np.asarray(s_hat)[..., None])
+    return _ndtr(np.sort(residuals, axis=-1) / np.asarray(s_hat)[..., None])
 
 
 def probability_transforms(fit: ResidualFit) -> np.ndarray:

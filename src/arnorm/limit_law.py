@@ -27,7 +27,10 @@ worker-count independent, and extended by longer runs.  A path, in units
 of ``1 / sqrt(grid_size)``, is the walk of its increments plus one rank-k
 ``einsum`` update, never BLAS, whose sums can move with its thread count.
 Paths are assembled at most 64 and about 2**15 normals per call, so that
-they stay in cache; a path longer than numpy's buffer is assembled alone.
+they stay in cache, in buffers allocated once per table call; a path
+longer than numpy's buffer is assembled alone.  The normal quantiles of the
+grid come from the standard library's ``statistics.NormalDist``, so
+building a null table loads no scipy module.
 
 The supremum over the grid points falls short of the supremum over all of
 [0, 1], so every sup sample carries the first-order continuity correction
@@ -41,13 +44,13 @@ import enum
 import math
 import operator
 import os
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .ar_process import Gaussian, Mixture, _frozen, _frozen_vector
-from .rng import _checked_seed, map_replications
+from .rng import REPLICATION_BLOCK, _checked_seed, map_replications
 
 __all__ = [
     "SUP_CONTINUITY_BETA",
@@ -63,6 +66,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 # Discrete-monitoring correction for the maximum of a process that moves
 # locally like Brownian motion with unit diffusion: the maximum over a grid
@@ -107,6 +111,14 @@ def _normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
+def _ndtri(t):
+    """Standard normal quantiles of a vector of points in (0, 1), by Wichura's
+    AS 241 (1988, Appl. Statist. 37:477) as the standard library computes it:
+    within a few ulp of the exact value, exactly 0 at one half, and
+    antisymmetric about it wherever ``1 - t`` is exact."""
+    return np.fromiter(map(_STANDARD_NORMAL.inv_cdf, t.tolist()), dtype=float, count=t.size)
+
+
 def _pdf_terms(t):
     """``pdf(q_t)`` and ``q_t * pdf(q_t)`` with ``q_t`` the normal quantile of ``t``.
 
@@ -116,7 +128,7 @@ def _pdf_terms(t):
     interior = (t > 0.0) & (t < 1.0)
     a = np.zeros_like(t)
     b = np.zeros_like(t)
-    q = ndtri(t[interior])
+    q = _ndtri(t[interior])
     a[interior] = _normal_pdf(q)
     b[interior] = q * a[interior]
     return a, b
@@ -157,7 +169,7 @@ def local_shift(mixture: Mixture, t):
     # against the unshifted ones.
     if not (isinstance(mixture.h, Gaussian) and mixture.h.sigma == mixture.sigma0):
         interior = (t_arr > 0.0) & (t_arr < 1.0)
-        q = ndtri(t_arr[interior])
+        q = _ndtri(t_arr[interior])
         ratio = mixture.h.variance / mixture.sigma0**2
         out[interior] = (
             mixture.h.cdf(mixture.sigma0 * q)
@@ -227,13 +239,33 @@ def _path_weights(grid_size: int, shift: Mixture | None = None):
     return wa, wb, (l11, l21, l22), np.array(terms)
 
 
-def _assemble_paths(normals, weights):
+class _Workspace:
+    """The buffers of one table call's path blocks of at most ``rows`` rows:
+    normals, paths and their absolute values, cut from one allocation.
+    Every block fills them afresh, so no block allocates or frees an array
+    the size of its paths, which would let the C heap hand its top back to
+    the system and fault it in again block after block; a copy sent to a
+    worker process allocates its own."""
+
+    def __init__(self, grid_size: int, rows: int) -> None:
+        self.args = (grid_size, rows)
+        buffer = np.empty(3 * grid_size * rows)
+        cut = rows * (grid_size + 2)
+        self.normals = buffer[:cut].reshape(rows, grid_size + 2)
+        self.paths, self.abs_paths = buffer[cut:].reshape(2, rows, grid_size - 1)
+
+    def __reduce__(self):
+        return _Workspace, self.args
+
+
+def _assemble_paths(normals, weights, paths):
     """Paths in units of ``1 / sqrt(m)``, one per row of ``normals``, which
     holds the ``m`` cell increments of ``W`` (in those units) and the two
-    top-up normals and is overwritten.  A path is the walk of its increments
-    plus ``einsum`` of ``coef`` (columns: the walk's end, ``sqrt(m) Z1``,
-    ``sqrt(m) Z2``, under a shift ``sqrt(m)``) with ``terms``; no step calls
-    BLAS or mixes rows, so a path within numpy's buffer is free of its block.
+    top-up normals and is overwritten; they are written into ``paths`` and
+    returned.  A path is the walk of its increments plus ``einsum`` of
+    ``coef`` (columns: the walk's end, ``sqrt(m) Z1``, ``sqrt(m) Z2``, under
+    a shift ``sqrt(m)``) with ``terms``; no step calls BLAS or mixes rows, so
+    a path within numpy's buffer is free of its block.
     """
     wa, wb, (l11, l21, l22), terms = weights
     m = wa.size
@@ -247,18 +279,22 @@ def _assemble_paths(normals, weights):
     coef[:, 3:] = root_m
     walk = np.cumsum(increments, axis=1, out=increments)
     coef[:, 0] = walk[:, -1]
-    paths = np.einsum("ik,kj->ij", coef, terms)
+    np.einsum("ik,kj->ij", coef, terms, out=paths)
     paths += walk[:, :-1]
     return paths
 
 
-def _path_block(kinds, weights, stream, count):
-    """Functional samples of the next ``count`` replications of ``stream``; one
-    row-major draw of their rows of normals gives the values of row-wise draws."""
+def _path_block(kinds, weights, work, stream, count):
+    """Functional samples of the next ``count`` replications of ``stream``,
+    assembled in the first ``count`` rows of the :class:`_Workspace`
+    ``work``; one row-major draw of their rows of normals gives the values
+    of row-wise draws."""
     m = weights[0].size
-    paths = _assemble_paths(stream.standard_normal((count, m + 2)), weights)
+    normals = stream.standard_normal(out=work.normals[:count])
+    paths = _assemble_paths(normals, weights, work.paths[:count])
     return {
-        kind: (np.max(np.abs(paths), axis=1) + SUP_CONTINUITY_BETA) / math.sqrt(m)
+        kind: (np.max(np.abs(paths, out=work.abs_paths[:count]), axis=1)
+               + SUP_CONTINUITY_BETA) / math.sqrt(m)
         if kind is StatKind.KOLMOGOROV
         else np.einsum("ij,ij->i", paths, paths) / (m * m)
         for kind in kinds
@@ -291,7 +327,9 @@ def simulate_limit_tables(
     # than numpy's buffer piece by piece, in pieces that depend on the rows
     # beside it, so above the buffer a call holds one path
     rows = 1 if grid_size > np.getbufsize() else 2**15 // grid_size
-    samples = map_replications(_path_block, (kinds, weights), seed, n_reps, rows, workers)
+    work = _Workspace(grid_size, min(rows, REPLICATION_BLOCK))
+    samples = map_replications(_path_block, (kinds, weights, work), seed, n_reps, rows,
+                               workers)
     for kind in kinds:
         # null paths are bounded; only a huge shift can overflow a functional
         if not np.all(np.isfinite(samples[kind])):

@@ -1140,8 +1140,9 @@ class TestEntryPoint:
     def test_test_command_leaves_scipy_stats_and_signal_unloaded(self, tmp_path,
                                                                   small_tables):
         # scipy.stats, scipy.signal and scipy.linalg cost most of the start-up
-        # of a fresh process; the fit reaches LAPACK through numpy, and only
-        # simulation needs scipy.signal, which it loads itself
+        # of a fresh process; the fit reaches LAPACK through numpy, the
+        # statistics load scipy.special alone, and only simulation needs
+        # scipy.signal, which it loads itself
         series = tmp_path / "series.txt"
         _write_series(series, substream(135).normal(size=300))
         argv = ["test", str(series), "--p", "1",
@@ -1162,6 +1163,50 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "51 True"]
+
+    def test_import_and_quantiles_load_no_scipy(self, tmp_path):
+        # scipy.special is most of a fresh process's start-up; the limit
+        # law takes its normal quantiles from the standard library, so a
+        # null table is built and written without any scipy module
+        script = (
+            "import contextlib, io, sys\n"
+            "import arnorm, arnorm.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "for kind in ('kolmogorov', 'omega2'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert arnorm.cli.main(['quantiles', '--kind', kind, '--grid', '64',\n"
+            "                                '--reps', '300', '--out', kind]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    @pytest.mark.parametrize("kind", ["kolmogorov", "omega2"])
+    def test_table_bytes_free_of_loaded_scipy(self, tmp_path, kind):
+        # the quantiles never come from scipy, so a process that has
+        # imported scipy.special writes the same table as one that has not
+        env = dict(os.environ, PYTHONPATH=str(Path(arnorm.__file__).parents[1]))
+        tables = []
+        for preload in ("", "import scipy.special\n"):
+            out = tmp_path / f"{kind}-{len(preload)}.table"
+            argv = ["quantiles", "--kind", kind, "--grid", "64", "--reps", "300",
+                    "--seed", "5", "--out", str(out)]
+            script = (
+                f"{preload}import contextlib, io, sys\n"
+                "import arnorm.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert arnorm.cli.main({argv!r}) == 0\n"
+                "print('scipy.special' in sys.modules)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == [str(bool(preload))]
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("kind", ["kolmogorov", "omega2"])
     def test_table_bytes_free_of_blas_threads(self, tmp_path, kind):

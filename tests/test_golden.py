@@ -30,8 +30,8 @@ RUNS = [
     (
         ["quantiles", "--kind", "omega2", "--grid", "32", "--reps", "2000", "--seed", "3",
          "--out", "o.txt"],
-        "8813713faab74df5aa3528ae11dc8b9680549b577000639b01e4193b2c7dc7f4",
-        ("o.txt", "a11c904572e9aca3683f50bacc9e6c3a6b256d1c67a47d2a93e4cf50b6364bac"),
+        "4463d29b25a117d575f96f2eda5631cce35ba9e001754e66531c01ec0c12ca7e",
+        ("o.txt", "78940b83a57e23b6e8a25812e5e0094dd5c28c6d3edf779173e0cd3c365569de"),
     ),
     (
         ["simulate", "--n", "200", "--beta", "0.5,-0.2", "--mu", "1.0", "--h", "laplace:4.0",
@@ -42,12 +42,12 @@ RUNS = [
     (
         ["test", "s.txt", "--p", "2", "--table", "o.txt", "--grid", "32", "--reps", "2000",
          "--seed", "5"],
-        "08356b0f5c3e1f4954cd766a2c17aff6f13ec646309c6888db8b89579ac11864",
+        "42f8cd3734b8bb83f793080c999226ea21f634a3c8b993a407baed1a57fbaf89",
         None,
     ),
     (
         ["power", "c.json"],
-        "7ddfdfff462c04d1ffef58dd466d2bba66c03dd21b999a85245e154bfeb91457",
+        "254050068858631f65d1a4efd7aff7dd58c246b121cade466f979e32b5e706e1",
         None,
     ),
 ]

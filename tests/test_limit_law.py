@@ -1,12 +1,13 @@
 import io
 import math
+import pickle
 import tracemalloc
 from itertools import accumulate, product
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import arnorm.limit_law as limit_law
 from arnorm import Gaussian, StatKind, load_table, quantile, save_table, simulate_limit_tables
@@ -35,6 +36,18 @@ def _kernel(s, t):
     qs, qt = stats.norm.ppf(s), stats.norm.ppf(t)
     a_s, a_t = stats.norm.pdf(qs), stats.norm.pdf(qt)
     return min(s, t) - s * t - a_s * a_t - 0.5 * qs * a_s * qt * a_t
+
+
+@pytest.mark.parametrize("m", [2**k for k in range(2, 17)] + [1000, 3000])
+def test_normal_quantile_within_ulps_of_scipy(m):
+    # the kernel's quantiles come from the standard library, scipy's from
+    # Cephes; on the grid points i / m they differ by a few ulp at most
+    t = np.arange(1, m) / m
+    q, reference = limit_law._ndtri(t), ndtri(t)
+    assert np.max(np.abs(q - reference) / np.spacing(np.abs(reference))) <= 8
+    assert q[m // 2 - 1] == 0.0  # t = 1/2
+    if m & (m - 1) == 0:  # 1 - t is exact on a power-of-two grid
+        np.testing.assert_array_equal(q, -q[::-1])
 
 
 class TestCovKernel:
@@ -281,14 +294,16 @@ class TestSimulation:
         # must give the values of one draw of each stream's rows, also at
         # grid 4096, where a block holds 8 rows and a stream's 64 are drawn
         # in 8 parts, and also under a shift, which rides the rank-k update
+        # a block fills the first rows of one 64-row workspace, whatever its width
         shifts = (None, Mixture(sigma0=1.0, h=Gaussian(3.0), n=2000))
-        for grid_size, shift in product((64, 512, 4096), shifts):
+        for grid_size, shift in product((16, 64, 512, 4096), shifts):
             weights = limit_law._path_weights(grid_size, shift)
-            args = (BOTH, weights)
+            args = (BOTH, weights, limit_law._Workspace(grid_size, 64))
             whole = map_replications(limit_law._path_block, args, 13, 100, 2**15 // grid_size)
             for start, stop in ((0, 64), (64, 100)):
                 normals = substream(13, start // 64).standard_normal((stop - start, grid_size + 2))
-                paths = limit_law._assemble_paths(normals, weights)  # in units of 1 / sqrt(m)
+                paths = limit_law._assemble_paths(  # in units of 1 / sqrt(m)
+                    normals, weights, np.empty((stop - start, grid_size - 1)))
                 sup = ((np.max(np.abs(paths), axis=1) + limit_law.SUP_CONTINUITY_BETA)
                        / math.sqrt(grid_size))
                 omega2 = np.einsum("ij,ij->i", paths, paths) / grid_size**2
@@ -298,6 +313,15 @@ class TestSimulation:
                 part = map_replications(limit_law._path_block, args, 13, 100, rows)
                 for kind in BOTH:
                     np.testing.assert_array_equal(part[kind], whole[kind])
+
+    def test_workspace_copy_allocates_its_own(self):
+        # a worker process gets the workspace's shape, not its 0.8 MB of buffers
+        work = limit_law._Workspace(512, 64)
+        sent = pickle.dumps(work)
+        copy = pickle.loads(sent)
+        assert len(sent) < 1000
+        for name in ("normals", "paths", "abs_paths"):
+            assert getattr(copy, name).shape == getattr(work, name).shape
 
     @pytest.mark.parametrize("grid_size", [16, 64, 512, 4096])
     @pytest.mark.parametrize("shift", [None, Mixture(sigma0=1.0, h=Gaussian(3.0), n=2000)],
@@ -353,7 +377,8 @@ class TestSimulation:
         # must be the kernel matrix on the interior grid
         # in units of 1 / sqrt(m), hence the division by m
         weights = limit_law._path_weights(grid_size)
-        paths = limit_law._assemble_paths(np.eye(grid_size + 2), weights)
+        paths = limit_law._assemble_paths(np.eye(grid_size + 2), weights,
+                                          np.empty((grid_size + 2, grid_size - 1)))
         t = np.arange(1, grid_size) / grid_size
         np.testing.assert_allclose(paths.T @ paths / grid_size, cov_matrix(t),
                                    rtol=0, atol=1e-14)
