@@ -294,9 +294,6 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
     family, _, tail = text.partition(":")
     try:
         params = [float(tok) for tok in tail.split(",")] if tail else []
-    except ValueError as exc:
-        raise ValueError(f"invalid law descriptor {text!r}: {exc}") from None
-    try:
         if family == "gauss-scale" and len(params) == 1:
             _require_positive("scale", params[0])
             # name the product the user wrote, not Gaussian's sigma field
@@ -350,7 +347,7 @@ class Mixture(ZeroMeanLaw):
 
     def __post_init__(self) -> None:
         _require_scale("sigma0", self.sigma0)
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if operator.index(self.n) < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.h, ZeroMeanLaw):
             raise TypeError("h must be a ZeroMeanLaw")
@@ -486,13 +483,14 @@ class SeriesSample:
     The first ``p`` entries are the pre-sample values used to condition the
     least-squares fit; the last ``n = values.size - p`` are the working
     sample, so ``n >= p + 1`` needs at least ``2p + 1`` values.
-    ``values`` is held by :func:`_frozen_vector`.
+    ``values`` is held by :func:`_frozen_vector`, and ``p`` as an ``int``.
     """
 
     values: np.ndarray
     p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", operator.index(self.p))
         _check_order(self.p)
         values = _frozen_vector("values", self.values)
         if values.size < 2 * self.p + 1:
@@ -510,7 +508,7 @@ class SeriesSample:
     @classmethod
     def from_values(cls, values, p: int) -> "SeriesSample":
         """Build a sample from raw values, treating the first ``p`` as pre-sample."""
-        return cls(values=values, p=operator.index(p))
+        return cls(values=values, p=p)
 
 
 def _ar_filter(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -38,8 +38,7 @@ from .ar_process import (
     parse_alternative_law,
     simulate_ar,
 )
-from .errors import DegenerateDataError
-from .estimation import fit_ar
+from .estimation import DegenerateDataError, fit_ar
 from .gof_tests import _gof_result, probability_transforms
 from .limit_law import (
     DEFAULT_GRID,
@@ -65,7 +64,7 @@ _POWER_DEFAULTS = {
     "seed": 0,
     "grid": DEFAULT_GRID,
     "limit_reps": DEFAULT_REPS,
-    "statistics": ["kolmogorov", "omega2"],
+    "statistics": [kind.value for kind in StatKind],
 }
 
 # The library check that owns each numeric flag's rule, by the flag's
@@ -298,13 +297,12 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_quantiles(args, out) -> int:
-    kind = StatKind(args.kind)
-    table = simulate_limit_tables(
-        (kind,), None, args.grid, args.reps, args.seed, args.workers
-    )[kind]
+    (table,) = simulate_limit_tables(
+        (args.kind,), None, args.grid, args.reps, args.seed, args.workers
+    ).values()
     config = {
         "command": "quantiles",
-        "kind": kind.value,
+        "kind": args.kind,
         "grid": args.grid,
         "reps": args.reps,
     }
@@ -351,7 +349,7 @@ def _load_power_config(path) -> dict:
     config["n"] = listed("n", int, "an integer or a list of integers")
     config["h"] = listed("h", str, "a string or a list of strings")
     config["statistics"] = listed("statistics", str, "a string or a list of strings")
-    for name in ("n", "h", "statistics"):
+    for name in ("n", "h"):
         if not config[name]:
             raise ValueError(f"{path}: {name} must not be empty")
     beta = listed("beta", (int, float), "a list of numbers", scalar_ok=False)

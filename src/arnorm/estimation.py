@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ar_process import SeriesSample, _frozen, _frozen_vector, _require_finite
-from .errors import DegenerateDataError
 
-__all__ = ["MAX_ORDER", "ResidualFit", "fit_ar"]
+__all__ = ["MAX_ORDER", "DegenerateDataError", "ResidualFit", "fit_ar"]
 
 # Guard against runaway designs; the asymptotics here are fixed-order.
 MAX_ORDER = 20
@@ -43,6 +42,11 @@ MAX_ORDER = 20
 # magnitude into [0.5, 1); a residual scale at most this there is rounding
 # noise.  Noiseless property-test draws leave at most 7e-16 of the magnitude.
 _NOISE_FLOOR = 2.0**-40
+
+
+class DegenerateDataError(RuntimeError):
+    """The series is degenerate: singular normal equations, a zero scale
+    estimate, or residuals that are rounding noise."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ class ResidualFit:
     brings their largest magnitude into [0.5, 1), then scaled back.  That
     is exact, so the squares neither overflow nor underflow, and ``s_hat``
     has the bits of the unscaled formula wherever that is finite.  Zero
-    residuals raise :class:`~arnorm.errors.DegenerateDataError`.  The
+    residuals raise :class:`DegenerateDataError`.  The
     vectors are held by :func:`~arnorm.ar_process._frozen_vector`.
     """
 
@@ -189,7 +193,7 @@ def _fit_rows(values: np.ndarray, p: int):
 def fit_ar(sample: SeriesSample) -> ResidualFit:
     """Full pipeline: center, estimate coefficients, extract residuals.
 
-    Raises :class:`~arnorm.errors.DegenerateDataError` when the normal
+    Raises :class:`DegenerateDataError` when the normal
     equations are singular, the scale estimate is zero, or the residuals
     are rounding noise (a degenerate series).
     """

@@ -90,8 +90,13 @@ class StatKind(str, enum.Enum):
 
 
 def _stat_kinds(kinds) -> tuple[StatKind, ...]:
-    """``kinds`` as a tuple of :class:`StatKind`; a kind named twice is refused."""
+    """``kinds`` as a tuple of :class:`StatKind`; a bare name, an empty
+    selection and a kind named twice are refused."""
+    if isinstance(kinds, str):
+        raise ValueError(f"statistics must be a collection of names, not the string {kinds!r}")
     kinds = tuple(StatKind(k) for k in kinds)
+    if not kinds:
+        raise ValueError("statistics must not be empty")
     if len(set(kinds)) != len(kinds):
         raise ValueError(f"statistics must not repeat a name, got {[k.value for k in kinds]}")
     return kinds
@@ -145,6 +150,8 @@ def cov_matrix(t_grid) -> np.ndarray:
     """Covariance kernel ``c(t_i, t_j)`` of the limiting process on a grid
     of points in [0, 1]."""
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t_grid must be a one-dimensional vector, got shape {t.shape}")
     _check_unit_interval(t)
     s, u = t[:, None], t[None, :]
     a, b = _pdf_terms(t)
@@ -161,6 +168,8 @@ def local_shift(mixture: Mixture, t):
     not used.  The value is 0 at both endpoints by continuity (enforced
     exactly).  Identically zero when ``h`` is the null law ``N(0, sigma0**2)``.
     """
+    if not isinstance(mixture, Mixture):
+        raise TypeError(f"shift must be a Mixture, got {type(mixture).__name__}")
     t_arr = np.asarray(t, dtype=float)
     _check_unit_interval(t_arr)
     out = np.zeros_like(t_arr)
@@ -183,6 +192,8 @@ def local_shift(mixture: Mixture, t):
 class LimitLawTable:
     """Sorted Monte Carlo sample of one functional's limiting law.
 
+    ``kind`` is held as a :class:`StatKind`: a kind's name is converted, and
+    an unknown name is refused.
     ``shift`` is None for the null law, else the mixture whose
     :func:`local_shift` the samples carry; :func:`save_table` saves null
     tables only.
@@ -201,6 +212,7 @@ class LimitLawTable:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", StatKind(self.kind))
         samples = _frozen_vector("samples", self.samples)
         if samples.size == 0:
             raise ValueError("samples must be a nonempty vector")
@@ -520,7 +532,7 @@ def load_table(path) -> LimitLawTable:
     with open(path, "rb") as fh:
         magic, fields = _header_fields(fh.readline(), path)
         try:
-            kind = StatKind(fields["kind"])
+            kind = fields["kind"]
             grid_size = int(fields["grid_size"])
             n_reps = int(fields["n_reps"])
             seed = int(fields["seed"])

@@ -166,6 +166,10 @@ class TestSeriesSample:
         sample = SeriesSample.from_values(values, np.int64(2))
         assert type(sample.p) is int and sample.n == 48
 
+    def test_order_is_held_as_an_int(self):
+        sample = SeriesSample(np.arange(5.0), np.int64(1))
+        assert type(sample.p) is int and sample.p == 1
+
 
 # Each value object's vector, built from a three-entry array ``v``.
 _VECTOR_HOLDERS = {
@@ -464,6 +468,17 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             parse_alternative_law(text, sigma0=1.0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("laplace:zero", "invalid law descriptor 'laplace:zero': could not convert string to "
+                         "float: 'zero'"),
+        ("laplace:-1", "invalid law descriptor 'laplace:-1': variance must be positive and "
+                       "finite, got -1.0"),
+        ("student:5", "invalid law descriptor 'student:5'"),
+    ])
+    def test_descriptor_messages(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_alternative_law(text, sigma0=1.0)
+
 
 class TestMixture:
     def test_weight_is_inverse_root_n(self):
@@ -520,6 +535,14 @@ class TestMixture:
                 Mixture(sigma0=sigma0, h=LaplaceLaw(1.0), n=100)
         with pytest.raises(TypeError, match="^h must be a ZeroMeanLaw$"):
             Mixture(sigma0=1.0, h=2.0, n=100)
+
+    def test_n_must_be_an_integer(self):
+        # refused as simulate_ar refuses a float n, not as a small one
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            Mixture(1.0, LaplaceLaw(1.0), 50.0)
+        with pytest.raises(ValueError, match="^n must be an integer >= 2, got 1$"):
+            Mixture(1.0, LaplaceLaw(1.0), 1)
+        assert Mixture(1.0, LaplaceLaw(1.0), np.int64(50)).weight == 50**-0.5
 
     def test_user_law_passthrough(self):
         # any zero-mean law drives the model directly, with no wrapper

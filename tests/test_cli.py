@@ -11,7 +11,7 @@ import arnorm
 from arnorm import ar_process, estimation, gof_tests, limit_law, load_table, quantile, rng
 from arnorm.ar_process import ArModel, Gaussian, LaplaceLaw, Mixture
 from arnorm.cli import main
-from arnorm.errors import DegenerateDataError
+from arnorm.estimation import DegenerateDataError
 from arnorm.rng import substream
 
 from conftest import LAST_BITS, OFFSET_RAMP, POWER_OF_TWO_GAP

@@ -3,10 +3,10 @@ import pytest
 from scipy.linalg import cho_solve, toeplitz
 
 from arnorm import ArModel, Gaussian, SeriesSample, fit_ar, simulate_ar
-from arnorm.errors import DegenerateDataError
 from arnorm.ar_process import LaplaceLaw, Mixture
 from arnorm.estimation import (
     MAX_ORDER,
+    DegenerateDataError,
     ResidualFit,
     _centered_rows,
     _fit_rows,

@@ -16,15 +16,16 @@ from arnorm import (
     quantile,
     simulate_ar,
 )
-from arnorm.errors import DegenerateDataError
-from arnorm.estimation import ResidualFit, _fit_rows
+from arnorm.estimation import DegenerateDataError, ResidualFit, _fit_rows
 from arnorm.gof_tests import (
     GofResult,
+    _gof_result,
     kolmogorov_from_transforms,
     _sorted_transforms,
     omega2_from_transforms,
     probability_transforms,
 )
+from arnorm.limit_law import LimitLawTable
 from arnorm.rng import substream
 
 from conftest import upper_quantile
@@ -254,6 +255,22 @@ class TestTableIntegration:
         fit = _random_fit(3)
         with pytest.raises(ValueError, match=f"table holds the {other.value} law"):
             stat(fit, table=null_tables[other], alpha=0.05)
+
+    @pytest.mark.parametrize("kind, stat, functional", [
+        (StatKind.KOLMOGOROV, kolmogorov_stat, kolmogorov_from_transforms),
+        (StatKind.OMEGA2, omega2_stat, omega2_from_transforms),
+    ], ids=["kolmogorov", "omega2"])
+    def test_table_built_from_a_kind_name_tests_that_kind(self, null_tables, kind, stat,
+                                                          functional):
+        table = null_tables[kind]
+        named = LimitLawTable(kind.value, None, table.samples, table.grid_size, table.n_reps,
+                              table.seed)
+        assert named.kind is kind
+        fit = _random_fit(5, n=300)
+        z = probability_transforms(fit)
+        result = _gof_result(z, named, 0.05)
+        assert result.kind is kind and result.value == functional(z)
+        assert result == _gof_result(z, table, 0.05) == stat(fit, named, 0.05)
 
     @pytest.mark.parametrize("stat", [kolmogorov_stat, omega2_stat],
                              ids=["kolmogorov_stat", "omega2_stat"])

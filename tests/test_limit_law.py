@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import re
 import tracemalloc
 from itertools import accumulate, product
 
@@ -82,6 +83,12 @@ class TestCovKernel:
         with pytest.raises(ValueError):
             cov_matrix([0.5, 1.1])
 
+    @pytest.mark.parametrize("t_grid", [0.5, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "matrix"])
+    def test_grid_must_be_a_vector(self, t_grid):
+        message = f"t_grid must be a one-dimensional vector, got shape {np.shape(t_grid)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cov_matrix(t_grid)
+
     @pytest.mark.parametrize("grid_size", [16, 64, 256])
     def test_matrix_positive_semidefinite(self, grid_size):
         t = np.arange(1, grid_size) / grid_size
@@ -156,6 +163,13 @@ class TestLocalShift:
             cov_matrix(t)
         assert str(shift.value) == str(kernel.value) == f"t must lie in [0, 1], got {bad!r}"
 
+    def test_shift_must_be_a_mixture(self):
+        with pytest.raises(TypeError, match="^shift must be a Mixture, got Gaussian$"):
+            local_shift(Gaussian(2.0), 0.5)
+        # refused before any path is drawn, by name
+        with pytest.raises(TypeError, match="^shift must be a Mixture, got Gaussian$"):
+            simulate_limit_tables(["omega2"], Gaussian(2.0), 16, 10, 0)
+
     def test_first_order_shift_ignores_n(self):
         t = np.linspace(0.0, 1.0, 101)
         shifts = [local_shift(Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=n), t)
@@ -208,6 +222,15 @@ class TestQuantileAndPValue:
             LimitLawTable(kind=StatKind.KOLMOGOROV, shift=None,
                           samples=np.array([1.0, np.nan, 2.0]), grid_size=2,
                           n_reps=3, seed=0)  # NaN passes the sortedness check
+
+    def test_kind_name_is_held_as_its_kind(self):
+        table = LimitLawTable("kolmogorov", None, [0.5, 1.0], 16, 2, 0)
+        assert table.kind is SUP
+
+    @pytest.mark.parametrize("kind", ["sup", "Kolmogorov", 0])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=f"^{kind!r} is not a valid StatKind$"):
+            LimitLawTable(kind, None, [0.5, 1.0], 16, 2, 0)
 
 
 class TestSimulation:
@@ -391,6 +414,20 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_limit_tables((SUP,), None, 64, 10, seed=0, workers=0)
 
+    @pytest.mark.parametrize("kinds, message", [
+        ([], "statistics must not be empty"),
+        ((), "statistics must not be empty"),
+        ("kolmogorov", "statistics must be a collection of names, not the string 'kolmogorov'"),
+        (SUP, "statistics must be a collection of names, not the string "),
+    ], ids=["empty-list", "empty-tuple", "name", "kind"])
+    def test_selection_refused_before_any_stream(self, monkeypatch, kinds, message):
+        def no_streams(*args, **kwargs):
+            raise AssertionError("a stream was opened")
+
+        monkeypatch.setattr(limit_law, "map_replications", no_streams)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            simulate_limit_tables(kinds, None, 16, 10, 0)
+
 
 def _quantile_stderr(table, alpha):
     """Monte Carlo standard error of a table quantile, read off the table.
@@ -565,6 +602,14 @@ class TestTableSerialization:
         lines[0] = lines[0].rsplit(" ", 2)[0]  # drop trailing header fields
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
+            load_table(path)
+
+    def test_unknown_kind_in_header_is_refused(self, tmp_path):
+        path = tmp_path / "t.table"
+        save_table(_tiny_table([0.5, 1.0]), path)
+        path.write_bytes(path.read_bytes().replace(b"kind=kolmogorov", b"kind=sup", 1))
+        message = f"{path}: 'sup' is not a valid StatKind"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_table(path)
 
     def test_rejects_sample_count_mismatch(self, tmp_path):

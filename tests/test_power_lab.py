@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import arnorm.ar_process
+import arnorm.limit_law
 import arnorm.power_lab
 from arnorm import ArModel, Gaussian, StatKind
 from arnorm.ar_process import MAX_BURN_IN, LaplaceLaw, Mixture, StudentTLaw
@@ -387,6 +388,21 @@ class TestValidation:
             _size_spec(model=model)
         model = ArModel(coeffs=[0.01] * MAX_ORDER, mean=0.0, innovation=Gaussian(1.0))
         assert _size_spec(model=model).model.order == MAX_ORDER
+
+    @pytest.mark.parametrize("kinds, message", [
+        ([], "statistics must not be empty"),
+        ("omega2", "statistics must be a collection of names, not the string 'omega2'"),
+    ], ids=["empty", "name"])
+    def test_selection_refused_before_any_stream(self, monkeypatch, ar1_model, kinds, message):
+        def no_streams(*args, **kwargs):
+            raise AssertionError("a stream was opened")
+
+        monkeypatch.setattr(arnorm.limit_law, "map_replications", no_streams)
+        monkeypatch.setattr(arnorm.power_lab, "map_replications", no_streams)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pipeline_statistics(ar1_model, 200, kinds, 100, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_power_study(_size_spec(), kinds)
 
     def test_kind_coerced_from_string(self):
         reports = run_power_study(_size_spec(n_reps=100, limit_reps=1000), ("omega2",))

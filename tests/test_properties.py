@@ -33,7 +33,7 @@ from arnorm import (
     simulate_ar,
     simulate_limit_tables,
 )
-from arnorm.errors import DegenerateDataError
+from arnorm.estimation import DegenerateDataError
 from arnorm.gof_tests import (
     kolmogorov_from_transforms,
     omega2_from_transforms,

@@ -1,12 +1,16 @@
-"""The README's ``python`` examples run as written."""
+"""The README's ``python`` examples run as written, and every ``arnorm.``
+path it names exists."""
 
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+PATHS = sorted(set(re.findall(r"\barnorm(?:\.[A-Za-z_]\w*)+", TEXT)))
 
 
 def test_readme_has_python_examples():
@@ -17,3 +21,17 @@ def test_readme_has_python_examples():
 def test_python_block_runs(index, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_names_package_paths():
+    assert "arnorm.limit_law" in PATHS
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_named_path_imports(path):
+    # the module is the path's first two parts; any further parts are
+    # attributes of it, as in ``arnorm.estimation.DegenerateDataError``
+    package, module, *attrs = path.split(".")
+    obj = importlib.import_module(f"{package}.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
