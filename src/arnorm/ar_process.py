@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -283,17 +283,27 @@ class TwoPointLaw(ZeroMeanLaw):
 # ---------------------------------------------------------------------------
 
 
+# The families with absolute parameters: a descriptor gives one number per
+# field of the family's law, in order.
+_LAW_FAMILIES = {"gauss": Gaussian, "laplace": LaplaceLaw, "uniform": UniformLaw,
+                 "student": StudentTLaw, "twopoint": TwoPointLaw}
+
+
 def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
     """Parse the CLI grammar for contaminating laws.
 
     ``gauss-scale:c`` means a centered normal with standard deviation
     ``c * sigma0`` (scale relative to the null); all other families take
     absolute parameters: ``gauss:sigma``, ``laplace:variance``,
-    ``uniform:variance``, ``student:df,variance``, ``twopoint:a``.
+    ``uniform:variance``, ``student:df,variance``, ``twopoint:a``.  A
+    descriptor holds no whitespace, which ``float`` would strip.
     """
     family, _, tail = text.partition(":")
+    law = _LAW_FAMILIES.get(family)
     try:
-        params = [float(tok) for tok in tail.split(",")] if tail else []
+        # no family takes zero parameters, so a spaced descriptor matches none
+        one_token = tail and [text] == text.split()
+        params = [float(tok) for tok in tail.split(",")] if one_token else []
         if family == "gauss-scale" and len(params) == 1:
             _require_positive("scale", params[0])
             # name the product the user wrote, not Gaussian's sigma field
@@ -304,16 +314,8 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
                     f"got {params[0]!r} * {sigma0!r} = {sigma!r}"
                 )
             return Gaussian(sigma)
-        if family == "gauss" and len(params) == 1:
-            return Gaussian(params[0])
-        if family == "laplace" and len(params) == 1:
-            return LaplaceLaw(params[0])
-        if family == "uniform" and len(params) == 1:
-            return UniformLaw(params[0])
-        if family == "student" and len(params) == 2:
-            return StudentTLaw(params[0], params[1])
-        if family == "twopoint" and len(params) == 1:
-            return TwoPointLaw(params[0])
+        if law is not None and len(params) == len(fields(law)):
+            return law(*params)
     except ValueError as exc:
         raise ValueError(f"invalid law descriptor {text!r}: {exc}") from None
     raise ValueError(f"invalid law descriptor {text!r}")

@@ -155,12 +155,15 @@ def _add_table_flags(parser) -> None:
 
 
 @contextlib.contextmanager
-def _named_flag(flag):
-    """Name ``flag`` after the message of a ``ValueError`` raised inside."""
+def _named(before="", after=""):
+    """Wrap the message of a ``ValueError`` or ``DegenerateDataError`` raised
+    inside in ``before`` and ``after``, keeping which of the two it is."""
     try:
         yield
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{before}{exc}{after}") from None
     except ValueError as exc:
-        raise ValueError(f"{exc} ({flag})") from None
+        raise ValueError(f"{before}{exc}{after}") from None
 
 
 def _check_flags(args) -> None:
@@ -168,7 +171,7 @@ def _check_flags(args) -> None:
     for dest, check in _FLAG_CHECKS:
         value = getattr(args, dest, None)
         if value is not None:
-            with _named_flag("--" + dest.replace("_", "-")):
+            with _named(after=" (--" + dest.replace("_", "-") + ")"):
                 check(value)
 
 
@@ -228,14 +231,6 @@ def _text(header, body) -> str:
     return "".join(f"# {line}\n" for line in header) + "".join(f"{line}\n" for line in body)
 
 
-def _read_series(path, p) -> SeriesSample:
-    values = _read_numbers(path)
-    try:
-        return SeriesSample.from_values(values, p)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc} (--p)") from None
-
-
 def _resolve_tables(args) -> tuple[dict, dict]:
     """Load tables given on the command line, then build the missing kinds.
 
@@ -259,7 +254,9 @@ def _resolve_tables(args) -> tuple[dict, dict]:
 
 
 def _cmd_test(args, out) -> int:
-    sample = _read_series(args.series, args.p)
+    values = _read_numbers(args.series)
+    with _named(f"{args.series}: ", " (--p)"):
+        sample = SeriesSample.from_values(values, args.p)
     # a degenerate series exits before any table is loaded or simulated
     fit = fit_ar(sample)
     transforms = probability_transforms(fit)
@@ -319,19 +316,20 @@ def _cmd_quantiles(args, out) -> int:
 
 
 def _load_power_config(path) -> dict:
+    """The config at ``path`` with its defaults; the caller names the file."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+            raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     for name in ("n", "h"):
         if name not in raw:
-            raise ValueError(f"{path}: missing required field: {name}")
+            raise ValueError(f"missing required field: {name}")
     unknown = set(raw) - set(_POWER_DEFAULTS) - {"n", "h"}
     if unknown:
-        raise ValueError(f"{path}: unknown config field: {sorted(unknown)[0]}")
+        raise ValueError(f"unknown config field: {sorted(unknown)[0]}")
     config = dict(_POWER_DEFAULTS)
     config.update(raw)
 
@@ -343,7 +341,7 @@ def _load_power_config(path) -> dict:
         if scalar_ok and not isinstance(value, list):
             value = [value]
         if not isinstance(value, list) or not all(typed(v, types) for v in value):
-            raise ValueError(f"{path}: {name} must be {what}")
+            raise ValueError(f"{name} must be {what}")
         return value
 
     config["n"] = listed("n", int, "an integer or a list of integers")
@@ -351,15 +349,15 @@ def _load_power_config(path) -> dict:
     config["statistics"] = listed("statistics", str, "a string or a list of strings")
     for name in ("n", "h"):
         if not config[name]:
-            raise ValueError(f"{path}: {name} must not be empty")
+            raise ValueError(f"{name} must not be empty")
     beta = listed("beta", (int, float), "a list of numbers", scalar_ok=False)
     config["beta"] = [float(v) for v in beta]
     for name in ("mu", "sigma0", "alpha"):
         if not typed(config[name], (int, float)):
-            raise ValueError(f"{path}: {name} must be a number")
+            raise ValueError(f"{name} must be a number")
     for name in ("n_reps", "seed", "grid", "limit_reps"):
         if not typed(config[name], int):
-            raise ValueError(f"{path}: {name} must be an integer")
+            raise ValueError(f"{name} must be an integer")
     # the ranges are checked by their owners, through _power_grid
     return config
 
@@ -401,19 +399,14 @@ def _power_grid(config) -> tuple[tuple, list, list]:
 
 
 def _cmd_power(args, out) -> int:
-    config = _load_power_config(args.config)
     # every cell is checked before the first study simulates anything
-    try:
+    with _named(f"{args.config}: "):
+        config = _load_power_config(args.config)
         kinds, cells, notes = _power_grid(config)
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
     results = []
     for h_text, spec in cells:
-        try:
-            reports = run_power_study(spec, kinds, workers=args.workers)
-        except (ValueError, DegenerateDataError) as exc:
-            raise type(exc)(f"{args.config}: {h_text}: {exc}") from None
-        results.append((h_text, spec, reports))
+        with _named(f"{args.config}: {h_text}: "):
+            results.append((h_text, spec, run_power_study(spec, kinds, workers=args.workers)))
     header = _header_lines({"command": "power", **config}, config["seed"])
     # every cell shares the coefficients, and so the warm-up
     header.append(_warm_up_line(cells[0][1].model))
@@ -432,10 +425,10 @@ def _cmd_simulate(args, out) -> int:
             f"--beta must be comma-separated numbers, got {args.beta!r}"
         ) from None
     law = None if args.h is None else parse_alternative_law(args.h, args.sigma0)
-    with _named_flag("--n"):
+    with _named(after=" (--n)"):
         ar_process._check_length(args.n, beta.size)
         innovation = Gaussian(args.sigma0) if law is None else Mixture(args.sigma0, law, args.n)
-    with _named_flag("--beta"):
+    with _named(after=" (--beta)"):
         model = ArModel(coeffs=beta, mean=args.mu, innovation=innovation)
     sample = simulate_ar(model, args.n, seed=args.seed)
     config = {

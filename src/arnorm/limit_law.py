@@ -158,6 +158,11 @@ def cov_matrix(t_grid) -> np.ndarray:
     return np.minimum(s, u) - s * u - a[:, None] * a[None, :] - 0.5 * b[:, None] * b[None, :]
 
 
+def _check_shift(shift) -> None:
+    if not isinstance(shift, Mixture):
+        raise TypeError(f"shift must be a Mixture, got {type(shift).__name__}")
+
+
 def local_shift(mixture: Mixture, t):
     """Deterministic mean shift of the limiting process at ``t`` in [0, 1].
 
@@ -168,8 +173,7 @@ def local_shift(mixture: Mixture, t):
     not used.  The value is 0 at both endpoints by continuity (enforced
     exactly).  Identically zero when ``h`` is the null law ``N(0, sigma0**2)``.
     """
-    if not isinstance(mixture, Mixture):
-        raise TypeError(f"shift must be a Mixture, got {type(mixture).__name__}")
+    _check_shift(mixture)
     t_arr = np.asarray(t, dtype=float)
     _check_unit_interval(t_arr)
     out = np.zeros_like(t_arr)
@@ -195,8 +199,8 @@ class LimitLawTable:
     ``kind`` is held as a :class:`StatKind`: a kind's name is converted, and
     an unknown name is refused.
     ``shift`` is None for the null law, else the mixture whose
-    :func:`local_shift` the samples carry; :func:`save_table` saves null
-    tables only.
+    :func:`local_shift` the samples carry (any other shift is a
+    ``TypeError``); :func:`save_table` saves null tables only.
     ``seed`` is the root seed the samples were generated from; together with
     ``kind``, ``shift`` and ``grid_size`` it reproduces the table exactly.
 
@@ -213,6 +217,8 @@ class LimitLawTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", StatKind(self.kind))
+        if self.shift is not None:
+            _check_shift(self.shift)
         samples = _frozen_vector("samples", self.samples)
         if samples.size == 0:
             raise ValueError("samples must be a nonempty vector")

@@ -27,8 +27,9 @@ weight is meaningful only on that scale.
 
 from __future__ import annotations
 
+import csv
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class ExperimentSpec:
     limit_reps: int = DEFAULT_REPS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, ArModel):
+            raise TypeError(f"model must be an ArModel, got {type(self.model).__name__}")
         _check_alpha(self.alpha)
         if operator.index(self.n_reps) < 100:
             raise ValueError(f"n_reps must be at least 100, got {self.n_reps}")
@@ -216,28 +219,17 @@ def write_power_csv(cells, file) -> None:
 
     ``reports`` maps each statistic kind to its :class:`PowerReport`, in the
     order the rows appear; ``n``, ``alpha``, ``n_reps`` and ``seed`` come
-    from the spec.  Floats use ``repr``, so they round-trip exactly.
+    from the spec, and the report's fields fill the columns between, in
+    their order.  :mod:`csv` writes floats with ``repr``, so they round-trip
+    exactly, and quotes a field that holds a comma.
     """
-    file.write(
+    writer = csv.writer(file, lineterminator="\n")
+    writer.writerow(
         "n,alternative,statistic,alpha,empirical_power,stderr,asymptotic_power,"
-        "asymptotic_stderr,critical_value,n_reps,seed\n"
+        "asymptotic_stderr,critical_value,n_reps,seed".split(",")
     )
-    for alternative, spec, reports in cells:
-        for kind, report in reports.items():
-            values = (
-                spec.n,
-                alternative,
-                kind.value,
-                spec.alpha,
-                report.empirical_rejection_rate,
-                report.mc_stderr,
-                report.asymptotic_power,
-                report.asymptotic_stderr,
-                report.critical_value,
-                spec.n_reps,
-                spec.seed,
-            )
-            file.write(
-                ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
-                + "\n"
-            )
+    writer.writerows(
+        (spec.n, alternative, kind.value, spec.alpha, *astuple(report), spec.n_reps, spec.seed)
+        for alternative, spec, reports in cells
+        for kind, report in reports.items()
+    )

@@ -474,6 +474,9 @@ class TestDescriptors:
         ("laplace:-1", "invalid law descriptor 'laplace:-1': variance must be positive and "
                        "finite, got -1.0"),
         ("student:5", "invalid law descriptor 'student:5'"),
+        # float() strips whitespace, which the CSV rows and header notes kept
+        ("laplace: 4", "invalid law descriptor 'laplace: 4'"),
+        ("twopoint:1\n", r"invalid law descriptor 'twopoint:1\\n'"),
     ])
     def test_descriptor_messages(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -913,6 +913,8 @@ class TestPower:
         [
             ({"beta": [1.5]}, "not stationary"),
             ({"h": "bogus:1"}, "invalid law descriptor 'bogus:1'"),
+            # float() strips whitespace: the run wrote a note and rows split across lines
+            ({"h": "twopoint:1\n"}, "invalid law descriptor 'twopoint:1\\n'\n"),
             ({"statistics": ["foo"]}, "'foo' is not a valid StatKind"),
             ({"statistics": ["omega2", "omega2"]}, "statistics must not repeat a name"),
             ({"n": [200, 1]}, "n must be an integer >= 2"),
@@ -920,7 +922,7 @@ class TestPower:
             ({"n": [1], "h": "none"}, "series too short"),
             ({"beta": [0.01] * 21}, "p must not exceed 20, got 21\n"),
         ],
-        ids=["non-stationary", "bad-law", "unknown-statistic", "repeated-statistic",
+        ids=["non-stationary", "bad-law", "spaced-law", "unknown-statistic", "repeated-statistic",
              "mixture-n-1", "n-below-order", "size-n-1", "order-above-limit"],
     )
     def test_bad_cell_fails_before_any_table(self, tmp_path, capsys, monkeypatch,

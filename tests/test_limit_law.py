@@ -232,6 +232,16 @@ class TestQuantileAndPValue:
         with pytest.raises(ValueError, match=f"^{kind!r} is not a valid StatKind$"):
             LimitLawTable(kind, None, [0.5, 1.0], 16, 2, 0)
 
+    def test_shift_is_none_or_a_mixture(self):
+        # any other shift claimed one that no simulation could have carried
+        for shift in (Gaussian(2.0), "laplace:4"):
+            message = f"^shift must be a Mixture, got {type(shift).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                LimitLawTable(SUP, shift, [0.1, 0.2], 16, 2, 0)
+        mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=100)
+        assert LimitLawTable(SUP, None, [0.1, 0.2], 16, 2, 0).shift is None
+        assert LimitLawTable(SUP, mixture, [0.1, 0.2], 16, 2, 0).shift is mixture
+
 
 class TestSimulation:
     def test_same_seed_reproduces(self):

@@ -355,6 +355,11 @@ class TestValidation:
         with pytest.raises(TypeError, match="burn_in"):
             _size_spec(burn_in=10)
 
+    def test_model_must_be_an_ar_model(self):
+        # its order was read first, and a string had none
+        with pytest.raises(TypeError, match="^model must be an ArModel, got str$"):
+            _size_spec(model="ar1")
+
     def test_grid_size_and_seed(self):
         with pytest.raises(ValueError, match="grid_size must be at least 2, got 1"):
             _size_spec(grid_size=1)
@@ -442,3 +447,18 @@ class TestCsvOutput:
         assert float(rec["critical_value"]) == 0.8826
         assert int(rec["n_reps"]) == 1000
         assert int(rec["seed"]) == 7
+
+    def test_alternative_with_a_comma_is_quoted(self):
+        # a bare comma split student:df,v into two fields of a 12-field row
+        report = PowerReport(0.09, 0.0286, 0.085, 0.0197, 0.9575)
+        spec = _power_spec(n=100, n_reps=100, seed=3)
+        buf = io.StringIO()
+        write_power_csv([("student:5,4.0", spec, dict.fromkeys(BOTH, report))], file=buf)
+        lines = buf.getvalue().splitlines()
+        assert [len(row) for row in csv.reader(lines)] == [11, 11, 11]
+        records = list(csv.DictReader(lines))
+        assert [rec["alternative"] for rec in records] == ["student:5,4.0"] * 2
+        assert [rec["statistic"] for rec in records] == ["kolmogorov", "omega2"]
+        assert lines[1] == (
+            '100,"student:5,4.0",kolmogorov,0.05,0.09,0.0286,0.085,0.0197,0.9575,100,3'
+        )

@@ -1,11 +1,14 @@
-"""The README's ``python`` examples run as written, and every ``arnorm.``
-path it names exists."""
+"""The README's ``python`` examples run as written, every ``arnorm.`` path
+it names exists, and its list of law descriptors is the grammar's."""
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from arnorm.ar_process import _LAW_FAMILIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
@@ -35,3 +38,12 @@ def test_named_path_imports(path):
     obj = importlib.import_module(f"{package}.{module}")
     for attr in attrs:
         obj = getattr(obj, attr)
+
+
+def test_law_grammar_forms_match_the_family_table():
+    # a family added to or dropped from the grammar changes this list too
+    listing = re.search(r"one text grammar for laws\s*\((.*?)\)", TEXT, re.S).group(1)
+    forms = dict(re.findall(r"`([\w-]+):([\w,]+)`", listing))
+    assert sorted(forms) == sorted(["gauss-scale", *_LAW_FAMILIES])
+    for family, law in _LAW_FAMILIES.items():
+        assert len(forms[family].split(",")) == len(dataclasses.fields(law))
