@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -66,10 +67,14 @@ def _require_positive(name: str, value) -> None:
 
 def _require_scale(name: str, value) -> None:
     """Reject a scale that is not positive and finite or whose square, the
-    variance, overflows."""
+    variance, overflows or falls below the smallest normal double."""
     _require_positive(name, value)
-    if not float(value) * float(value) < math.inf:
+    variance = float(value) * float(value)
+    if not variance < math.inf:
         raise ValueError(f"{name} must have a finite variance {name}**2, got {value!r}")
+    if variance < sys.float_info.min:
+        raise ValueError(f"{name} must have a variance {name}**2 of at least "
+                         f"{sys.float_info.min!r}, got {value!r}")
 
 
 def _check_order(p: int) -> None:
@@ -308,11 +313,13 @@ def parse_alternative_law(text: str, sigma0: float) -> ZeroMeanLaw:
             _require_positive("scale", params[0])
             # name the product the user wrote, not Gaussian's sigma field
             sigma = params[0] * sigma0
+            product = f"got {params[0]!r} * {sigma0!r} = {sigma!r}"
             if not (sigma > 0.0 and sigma * sigma < math.inf):
-                raise ValueError(
-                    "c * sigma0 must be positive with a finite variance (c * sigma0)**2, "
-                    f"got {params[0]!r} * {sigma0!r} = {sigma!r}"
-                )
+                raise ValueError("c * sigma0 must be positive with a finite variance "
+                                 f"(c * sigma0)**2, {product}")
+            if sigma * sigma < sys.float_info.min:
+                raise ValueError("c * sigma0 must have a variance (c * sigma0)**2 of at least "
+                                 f"{sys.float_info.min!r}, {product}")
             return Gaussian(sigma)
         if law is not None and len(params) == len(fields(law)):
             return law(*params)

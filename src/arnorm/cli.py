@@ -13,9 +13,9 @@ instead); identical invocations produce byte-identical output.  The
 ``--workers`` flag changes wall time only, never output bytes.  ``--out`` is
 opened before any work, so a bad path fails at once, and it may not name an
 input file.  Exit codes:
-0 success, 2 invalid input or configuration, 3 degenerate data (the fit
-refuses the series: its normal equations are singular, or its residuals
-are zero or rounding noise).
+0 success, 2 invalid input or configuration, or a size that memory cannot
+hold, 3 degenerate data (the fit refuses the series: its normal equations
+are singular, or its residuals are zero or rounding noise).
 """
 
 from __future__ import annotations
@@ -190,6 +190,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"arnorm: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python's own names none
+        print(f"arnorm: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
+        return 2
 
 
 def _header_lines(config: dict, seed: int | None) -> list[str]:
@@ -270,16 +274,9 @@ def _cmd_test(args, out) -> int:
     header = _header_lines(config, None)
     body = [f"n={sample.n} p={sample.p} mean_hat={fit.mean_hat!r} s_hat={fit.s_hat!r}"]
     for kind in StatKind:
-        table = tables[kind]
-        provenance = {
-            "kind": kind.value,
-            "source": sources[kind],
-            "grid_size": table.grid_size,
-            "n_reps": table.n_reps,
-            "seed": table.seed,
-        }
+        provenance = {**limit_law._table_identity(tables[kind]), "source": sources[kind]}
         header.append("table: " + json.dumps(provenance, sort_keys=True))
-        res = _gof_result(transforms, table, args.alpha)
+        res = _gof_result(transforms, tables[kind], args.alpha)
         verdict = "rejected" if res.rejected else "not-rejected"
         body.append(
             f"statistic={res.kind.value} value={res.value!r} "

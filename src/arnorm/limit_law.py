@@ -125,36 +125,36 @@ def _ndtri(t):
 
 
 def _pdf_terms(t):
-    """``pdf(q_t)`` and ``q_t * pdf(q_t)`` with ``q_t`` the normal quantile of ``t``.
-
-    Both are extended by continuity to 0 at t in {0, 1}.
-    """
-    t = np.asarray(t, dtype=float)
+    """The interior ``0 < t < 1`` of a grid, the normal quantiles ``q_t`` of
+    its interior points, and ``a = pdf(q_t)`` and ``b = q_t * pdf(q_t)`` on
+    the whole grid, extended by continuity to 0 at t in {0, 1}."""
     interior = (t > 0.0) & (t < 1.0)
     a = np.zeros_like(t)
     b = np.zeros_like(t)
     q = _ndtri(t[interior])
     a[interior] = _normal_pdf(q)
     b[interior] = q * a[interior]
-    return a, b
+    return interior, q, a, b
 
 
-def _check_unit_interval(t: np.ndarray) -> None:
-    """Refuse points outside [0, 1], NaN among them, naming the first."""
+def _unit_grid(name: str, t) -> np.ndarray:
+    """``t`` as a one-dimensional float vector of points in [0, 1]; another
+    shape is refused, and so is a point outside, NaN among them, naming it."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"{name} must be a one-dimensional vector, got shape {t.shape}")
     bad = t[~((t >= 0.0) & (t <= 1.0))]
     if bad.size:
         raise ValueError(f"t must lie in [0, 1], got {float(bad[0])!r}")
+    return t
 
 
 def cov_matrix(t_grid) -> np.ndarray:
     """Covariance kernel ``c(t_i, t_j)`` of the limiting process on a grid
     of points in [0, 1]."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"t_grid must be a one-dimensional vector, got shape {t.shape}")
-    _check_unit_interval(t)
+    t = _unit_grid("t_grid", t_grid)
     s, u = t[:, None], t[None, :]
-    a, b = _pdf_terms(t)
+    _, _, a, b = _pdf_terms(t)
     return np.minimum(s, u) - s * u - a[:, None] * a[None, :] - 0.5 * b[:, None] * b[None, :]
 
 
@@ -164,32 +164,26 @@ def _check_shift(shift) -> None:
 
 
 def local_shift(mixture: Mixture, t):
-    """Deterministic mean shift of the limiting process at ``t`` in [0, 1].
+    """Deterministic mean shift of the limiting process on a grid ``t`` in [0, 1].
 
-    ``shift(t) = h.cdf(sigma0 * q_t) - t
-    + 0.5 * q_t * pdf(q_t) * (h.variance / sigma0**2 - 1)``
-    with ``h`` and ``sigma0`` the root-n ``mixture``'s and ``q_t`` the standard
-    normal quantile: the first-order term in ``n**-0.5``, so ``mixture.n`` is
+    ``shift(t) = h.cdf(sigma0 * q_t) - t + 0.5 * b(t) * (h.variance / sigma0**2 - 1)``
+    with ``h`` and ``sigma0`` the root-n ``mixture``'s and ``q_t`` and ``b`` as
+    in the kernel: the first-order term in ``n**-0.5``, so ``mixture.n`` is
     not used.  The value is 0 at both endpoints by continuity (enforced
     exactly).  Identically zero when ``h`` is the null law ``N(0, sigma0**2)``.
     """
     _check_shift(mixture)
-    t_arr = np.asarray(t, dtype=float)
-    _check_unit_interval(t_arr)
-    out = np.zeros_like(t_arr)
+    t = _unit_grid("t", t)
+    out = np.zeros_like(t)
     # Mixing the innovation law with itself changes nothing; keep exact zeros
     # instead of round-trip noise so downstream tables stay bit-reproducible
     # against the unshifted ones.
     if not (isinstance(mixture.h, Gaussian) and mixture.h.sigma == mixture.sigma0):
-        interior = (t_arr > 0.0) & (t_arr < 1.0)
-        q = _ndtri(t_arr[interior])
+        interior, q, _, b = _pdf_terms(t)
         ratio = mixture.h.variance / mixture.sigma0**2
-        out[interior] = (
-            mixture.h.cdf(mixture.sigma0 * q)
-            - t_arr[interior]
-            + 0.5 * q * _normal_pdf(q) * (ratio - 1.0)
-        )
-    return float(out) if out.ndim == 0 else out
+        out[interior] = (mixture.h.cdf(mixture.sigma0 * q) - t[interior]
+                         + 0.5 * b[interior] * (ratio - 1.0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,7 +238,7 @@ def _path_weights(grid_size: int, shift: Mixture | None = None):
     """
     m = grid_size
     t = np.arange(m + 1) / m
-    a, b = _pdf_terms(t)
+    _, _, a, b = _pdf_terms(t)
     root_m = math.sqrt(m)
     wa = root_m * (a[:-1] - a[1:])
     wb = root_m * (b[:-1] - b[1:])
@@ -363,7 +357,6 @@ def quantile(table: LimitLawTable, alpha: float) -> float:
     """Upper ``alpha`` critical value: nearest-rank (1 - alpha) quantile."""
     _check_alpha(alpha)
     rank = math.ceil((1.0 - alpha) * table.n_reps)
-    rank = min(max(rank, 1), table.n_reps)
     return float(table.samples[rank - 1])
 
 
@@ -389,6 +382,14 @@ _TABLE_MAGIC = "limit-table v2"
 # Tables of earlier releases: the same header with a ``shift`` field, then one
 # ``repr`` sample per line.
 _TABLE_MAGIC_V1 = "limit-table v1"
+# The fields that name a table, in the order of its file's first line, each
+# with the parser of its text there; with its shift they reproduce a table.
+_TABLE_FIELDS = {"kind": str, "grid_size": int, "n_reps": int, "seed": int}
+
+
+def _table_identity(table: LimitLawTable) -> dict:
+    """The :data:`_TABLE_FIELDS` of ``table``, its kind by name."""
+    return {name: getattr(table, name) for name in _TABLE_FIELDS} | {"kind": table.kind.value}
 
 
 def _data_line(n_reps: int) -> bytes:
@@ -425,10 +426,8 @@ def _table_header(table: LimitLawTable, comments) -> bytes:
     if table.shift is not None:
         raise ValueError("only null tables can be saved; this one is shifted")
     data_line = _data_line(table.n_reps)
-    lines = [
-        f"# {_TABLE_MAGIC} kind={table.kind.value} grid_size={table.grid_size} "
-        f"n_reps={table.n_reps} seed={table.seed}\n".encode()
-    ]
+    fields = " ".join(f"{name}={value}" for name, value in _table_identity(table).items())
+    lines = [f"# {_TABLE_MAGIC} {fields}\n".encode()]
     for comment in comments:
         line = f"# {comment}\n".encode()
         if "\n" in comment or line == data_line:
@@ -538,10 +537,7 @@ def load_table(path) -> LimitLawTable:
     with open(path, "rb") as fh:
         magic, fields = _header_fields(fh.readline(), path)
         try:
-            kind = fields["kind"]
-            grid_size = int(fields["grid_size"])
-            n_reps = int(fields["n_reps"])
-            seed = int(fields["seed"])
+            identity = {name: parse(fields[name]) for name, parse in _TABLE_FIELDS.items()}
             shift_text = fields["shift"] if magic == _TABLE_MAGIC_V1 else "none"
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed table header: {exc}") from None
@@ -550,9 +546,8 @@ def load_table(path) -> LimitLawTable:
         if magic == _TABLE_MAGIC_V1:
             samples = _read_numbers(path)
         else:
-            samples = _read_samples(fh, path, n_reps)
+            samples = _read_samples(fh, path, identity["n_reps"])
     try:
-        return LimitLawTable(kind=kind, shift=None, samples=samples, grid_size=grid_size,
-                             n_reps=n_reps, seed=seed)
+        return LimitLawTable(shift=None, samples=samples, **identity)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

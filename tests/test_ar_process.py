@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -425,6 +427,26 @@ class TestZeroMeanLaws:
         # Python float's ** raised OverflowError wherever it was read
         with pytest.raises(ValueError, match="finite"):
             build()
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [(lambda: Gaussian(1e-170), "sigma"), (lambda: TwoPointLaw(1e-170), "a"),
+         (lambda: Mixture(sigma0=1e-170, h=LaplaceLaw(1.0), n=100), "sigma0")],
+        ids=["Gaussian", "TwoPointLaw", "Mixture"],
+    )
+    def test_underflowing_variance_rejected(self, build, name):
+        # a square below the least normal double loses bits or is flushed
+        # to zero, and the local shift divides by sigma0**2
+        message = (f"{name} must have a variance {name}**2 of at least "
+                   f"2.2250738585072014e-308, got 1e-170")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_least_scale_with_a_normal_variance_accepted(self):
+        # 2**-511 squared is the least normal double itself
+        assert Gaussian(2.0**-511).variance == sys.float_info.min
+        with pytest.raises(ValueError, match="of at least"):
+            Gaussian(math.nextafter(2.0**-511, 0.0))
 
     @pytest.mark.parametrize("df", [2.5, 3.0, 4.0, 5.0, 30.0, 1e6])
     def test_student_cdf_is_scipy_t_cdf_bitwise(self, df):

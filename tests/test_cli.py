@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,67 @@ def small_tables(tmp_path_factory):
         assert code == 0
         paths[kind] = str(out)
     return paths
+
+
+_LEAST_NORMAL = "2.2250738585072014e-308"  # sys.float_info.min
+
+# Flags that ``simulate`` refuses before it simulates, after ``--n 30``, with
+# the message of each.
+_SIMULATE_BAD_FLAGS = [
+    pytest.param(["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2, got 1 (--n)",
+                 id="n-mixture"),
+    pytest.param(["--n", "3", "--beta", "0.1,0.1,0.1"],
+                 "series too short: requires n >= p + 1, got n = 3 and p = 3 (--n)",
+                 id="n-below-order"),
+    pytest.param(["--beta", "0.5,nan"], "coeffs must be finite, got nan at index 1 (--beta)",
+                 id="beta-nan"),
+    pytest.param(["--sigma0", "1e200"],
+                 "sigma0 must have a finite variance sigma0**2, got 1e+200 (--sigma0)",
+                 id="sigma0-overflow"),
+    pytest.param(["--sigma0", "1e154", "--h", "gauss-scale:2"],
+                 "invalid law descriptor 'gauss-scale:2': c * sigma0 must be positive with a "
+                 "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154",
+                 id="scale-product-overflow"),
+    pytest.param(["--h", "student:2,1"],
+                 "invalid law descriptor 'student:2,1': df must be finite and exceed 2 for a "
+                 "finite variance, got 2.0",
+                 id="student-df"),
+    pytest.param(["--sigma0", "1e-300"],
+                 f"sigma0 must have a variance sigma0**2 of at least {_LEAST_NORMAL}, "
+                 "got 1e-300 (--sigma0)",
+                 id="sigma0-underflow"),
+    pytest.param(["--sigma0", "1e-150", "--h", "gauss-scale:1e-10"],
+                 "invalid law descriptor 'gauss-scale:1e-10': c * sigma0 must have a variance "
+                 f"(c * sigma0)**2 of at least {_LEAST_NORMAL}, got 1e-10 * 1e-150 = 1e-160",
+                 id="scale-product-underflow"),
+    pytest.param(["--h", "gauss:1e-170"],
+                 "invalid law descriptor 'gauss:1e-170': sigma must have a variance sigma**2 "
+                 f"of at least {_LEAST_NORMAL}, got 1e-170",
+                 id="gauss-underflow"),
+    pytest.param(["--h", "twopoint:1e-170"],
+                 "invalid law descriptor 'twopoint:1e-170': a must have a variance a**2 "
+                 f"of at least {_LEAST_NORMAL}, got 1e-170",
+                 id="twopoint-underflow"),
+]
+
+# Table flags that ``test`` and ``quantiles`` refuse, with the message of each.
+_TABLE_BAD_FLAGS = [
+    pytest.param("--grid", "1", "grid_size must be at least 2, got 1 (--grid)", id="grid-1"),
+    pytest.param("--reps", "0", "n_reps must be at least 1, got 0 (--reps)", id="reps-0"),
+    pytest.param("--workers", "0", "workers must be at least 1, got 0 (--workers)",
+                 id="workers-0"),
+    pytest.param("--seed", "-1", "seed must be a non-negative integer, got -1 (--seed)",
+                 id="seed-negative"),
+]
+
+# Sizes whose arrays numpy refuses at once: 8 * 10**15 bytes exceed any
+# address space, so nothing is allocated.  A config is written for power.
+_HUGE = "1000000000000000"
+_OVERSIZED = [
+    pytest.param(["simulate", "--n", _HUGE], None, id="simulate-n"),
+    pytest.param(["quantiles", "--kind", "omega2", "--grid", _HUGE], None, id="quantiles-grid"),
+    pytest.param(["power"], {"n": int(_HUGE)}, id="power-n"),
+]
 
 
 class TestSimulate:
@@ -146,23 +208,7 @@ class TestSimulate:
         assert f"arnorm: {message}" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [(["--n", "1", "--h", "laplace:4"], "n must be an integer >= 2, got 1 (--n)"),
-         (["--n", "3", "--beta", "0.1,0.1,0.1"],
-          "series too short: requires n >= p + 1, got n = 3 and p = 3 (--n)"),
-         (["--beta", "0.5,nan"], "coeffs must be finite, got nan at index 1 (--beta)"),
-         (["--sigma0", "1e200"],
-          "sigma0 must have a finite variance sigma0**2, got 1e+200 (--sigma0)"),
-         (["--sigma0", "1e154", "--h", "gauss-scale:2"],
-          "invalid law descriptor 'gauss-scale:2': c * sigma0 must be positive with a "
-          "finite variance (c * sigma0)**2, got 2.0 * 1e+154 = 2e+154"),
-         (["--h", "student:2,1"],
-          "invalid law descriptor 'student:2,1': df must be finite and exceed 2 for a "
-          "finite variance, got 2.0")],
-        ids=["n-mixture", "n-below-order", "beta-nan", "sigma0-overflow",
-             "scale-product-overflow", "student-df"],
-    )
+    @pytest.mark.parametrize("flags, message", _SIMULATE_BAD_FLAGS)
     def test_bad_flag_named_before_simulating(self, capsys, monkeypatch, flags, message):
         def must_not_run(*args, **kwargs):
             raise AssertionError("simulated with a bad flag")
@@ -460,6 +506,23 @@ class TestTest:
             {"kind": "omega2", "source": paths["omega2"], "grid_size": 64,
              "n_reps": 5000, "seed": 3},
         ]
+
+    def test_table_line_names_a_loaded_table_as_its_file_does(self, tmp_path, capsys,
+                                                              small_tables):
+        # one list of fields names a table on its file's first line and on
+        # the report's "# table:" line, which adds the table's source
+        series = tmp_path / "series.txt"
+        _write_series(series, substream(138).normal(size=300))
+        assert main(["test", str(series), "--table", small_tables["kolmogorov"],
+                     "--table", small_tables["omega2"]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        reported = [json.loads(l[len("# table: "):]) for l in lines if l.startswith("# table: ")]
+        assert len(reported) == 2
+        for provenance in reported:
+            with open(provenance.pop("source"), "rb") as fh:
+                _, fields = limit_law._header_fields(fh.readline(), "table")
+            assert list(fields) == list(limit_law._TABLE_FIELDS)
+            assert {name: str(value) for name, value in provenance.items()} == fields
 
     def test_duplicate_table_kind_rejected(self, tmp_path, capsys, small_tables):
         series = tmp_path / "series.txt"
@@ -1050,14 +1113,7 @@ class TestEntryPoint:
         assert "No such file or directory" in captured.err and str(out) in captured.err
 
     @pytest.mark.parametrize("command", ["test", "quantiles"])
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--grid", "1", "grid_size must be at least 2, got 1 (--grid)"),
-         ("--reps", "0", "n_reps must be at least 1, got 0 (--reps)"),
-         ("--workers", "0", "workers must be at least 1, got 0 (--workers)"),
-         ("--seed", "-1", "seed must be a non-negative integer, got -1 (--seed)")],
-        ids=["grid-1", "reps-0", "workers-0", "seed-negative"],
-    )
+    @pytest.mark.parametrize("flag, value, message", _TABLE_BAD_FLAGS)
     def test_bad_table_flag_exits_2_before_the_series_is_read(self, tmp_path, capsys, command,
                                                               flag, value, message):
         # a constant series would exit 3 once read: the table flags are
@@ -1133,6 +1189,16 @@ class TestEntryPoint:
         if command != "power":
             assert "got -1 (--seed)" in captured.err
         assert "verdict=" not in captured.out
+
+    @pytest.mark.parametrize("argv, config", _OVERSIZED)
+    def test_oversized_size_exits_2_out_of_memory(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            argv = [*argv, str(_power_config(tmp_path, **config))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("arnorm: out of memory: Unable to allocate ")
+        assert captured.err.count("\n") == 1
 
     def test_module_invocation(self):
         proc = _run_cli(["--help"], cwd=None)
@@ -1261,37 +1327,43 @@ def _message(check) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize(
-    "owner, argv, config, config_owner",
-    [
-        (lambda: limit_law._check_grid_size(1),
-         ["quantiles", "--kind", "omega2", "--grid", "1"], {"grid": 1}, None),
-        (lambda: rng._check_count("n_reps", 0),
-         ["quantiles", "--kind", "omega2", "--reps", "0"], {"limit_reps": 0},
-         lambda: rng._check_count("limit_reps", 0)),
-        (lambda: rng._check_count("workers", 0),
-         ["power", "missing.json", "--workers", "0"], None, None),
-        (lambda: rng._checked_seed(-1), ["simulate", "--n", "30", "--seed", "-1"],
-         {"seed": -1}, None),
-        (lambda: ar_process._check_order(-1), ["test", "missing.txt", "--p", "-1"], None, None),
-        (lambda: estimation._check_max_order(21), ["test", "missing.txt", "--p", "21"],
-         {"beta": [0.01] * 21}, None),
-        (lambda: limit_law._check_alpha(1.5), ["test", "missing.txt", "--alpha", "1.5"],
-         {"alpha": 1.5}, None),
-        (lambda: ArModel((0.9999999,), 0.0, Gaussian(1.0)),
-         ["simulate", "--n", "30", "--beta", "0.9999999"], {"beta": [0.9999999]}, None),
-        (lambda: ar_process._check_length(3, 3),
-         ["simulate", "--beta", "0.1,0.1,0.1", "--n", "3"], None, None),
-        (lambda: Mixture(1.0, LaplaceLaw(4.0), 1), ["simulate", "--h", "laplace:4", "--n", "1"],
-         {"n": [1], "h": "laplace:4"}, None),
-        (lambda: ar_process._require_finite("mu", float("nan")),
-         ["simulate", "--n", "30", "--mu", "nan"], {"mu": float("nan")}, None),
-        (lambda: ar_process._require_scale("sigma0", 1e200),
-         ["simulate", "--n", "30", "--sigma0", "1e200"], {"sigma0": 1e200}, None),
-    ],
-    ids=["grid", "reps", "workers", "seed", "p-negative", "p-above-limit", "alpha", "burn-in",
-         "n-below-order", "n-mixture", "mu", "sigma0"],
-)
+# Each rule's owner, a command line that breaks it, and a power config that
+# breaks it (or None), with the config's owner where another owns it.
+_RULES = {
+    "grid": (lambda: limit_law._check_grid_size(1),
+             ["quantiles", "--kind", "omega2", "--grid", "1"], {"grid": 1}, None),
+    "reps": (lambda: rng._check_count("n_reps", 0),
+             ["quantiles", "--kind", "omega2", "--reps", "0"], {"limit_reps": 0},
+             lambda: rng._check_count("limit_reps", 0)),
+    "workers": (lambda: rng._check_count("workers", 0),
+                ["power", "missing.json", "--workers", "0"], None, None),
+    "seed": (lambda: rng._checked_seed(-1), ["simulate", "--n", "30", "--seed", "-1"],
+             {"seed": -1}, None),
+    "p-negative": (lambda: ar_process._check_order(-1),
+                   ["test", "missing.txt", "--p", "-1"], None, None),
+    "p-above-limit": (lambda: estimation._check_max_order(21),
+                      ["test", "missing.txt", "--p", "21"], {"beta": [0.01] * 21}, None),
+    "alpha": (lambda: limit_law._check_alpha(1.5), ["test", "missing.txt", "--alpha", "1.5"],
+              {"alpha": 1.5}, None),
+    "burn-in": (lambda: ArModel((0.9999999,), 0.0, Gaussian(1.0)),
+                ["simulate", "--n", "30", "--beta", "0.9999999"], {"beta": [0.9999999]}, None),
+    "n-below-order": (lambda: ar_process._check_length(3, 3),
+                      ["simulate", "--beta", "0.1,0.1,0.1", "--n", "3"], None, None),
+    "n-mixture": (lambda: Mixture(1.0, LaplaceLaw(4.0), 1),
+                  ["simulate", "--h", "laplace:4", "--n", "1"], {"n": [1], "h": "laplace:4"},
+                  None),
+    "mu": (lambda: ar_process._require_finite("mu", float("nan")),
+           ["simulate", "--n", "30", "--mu", "nan"], {"mu": float("nan")}, None),
+    "sigma0": (lambda: ar_process._require_scale("sigma0", 1e200),
+               ["simulate", "--n", "30", "--sigma0", "1e200"], {"sigma0": 1e200}, None),
+    # the config's mixture alternative divided by sigma0**2, which was 0
+    "sigma0-underflow": (lambda: ar_process._require_scale("sigma0", 1e-170),
+                         ["simulate", "--n", "30", "--sigma0", "1e-170"],
+                         {"sigma0": 1e-170, "h": "gauss-scale:3"}, None),
+}
+
+
+@pytest.mark.parametrize("owner, argv, config, config_owner", _RULES.values(), ids=list(_RULES))
 def test_one_message_per_rule(tmp_path, capsys, monkeypatch, owner, argv, config,
                               config_owner):
     # the owner's message, with the flag after it on the command line and
@@ -1312,3 +1384,36 @@ def test_one_message_per_rule(tmp_path, capsys, monkeypatch, owner, argv, config
         assert main(["power", str(path)]) == 2
         message = _message(config_owner or owner)
         assert capsys.readouterr().err == f"arnorm: {path}: {message}\n"
+
+
+# Every refusal above, on the command line and in a power config, and the
+# oversized sizes.  The series and config of a bad flag need not exist, as
+# flags are checked first.
+_REFUSALS = (
+    [pytest.param(["simulate", "--n", "30", *case.values[0]], None, id=f"simulate-{case.id}")
+     for case in _SIMULATE_BAD_FLAGS]
+    + [pytest.param([*argv, case.values[0], case.values[1]], None, id=f"{argv[0]}-{case.id}")
+       for case in _TABLE_BAD_FLAGS
+       for argv in (["test", "missing.txt"], ["quantiles", "--kind", "omega2"])]
+    + [pytest.param(argv, None, id=f"rule-{name}") for name, (_, argv, _, _) in _RULES.items()]
+    + [pytest.param(["power"], config, id=f"config-{name}")
+       for name, (_, _, config, _) in _RULES.items() if config is not None]
+    + _OVERSIZED
+)
+
+
+@pytest.mark.parametrize("argv, config", _REFUSALS)
+def test_refusal_is_one_message_not_a_traceback(tmp_path, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = [*argv, str(_power_config(tmp_path, **config))]
+    try:
+        code = main(argv)
+    except Exception:  # the console script would print this as a traceback
+        pytest.fail(f"main({argv}) raised:\n{traceback.format_exc()}")
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("arnorm: ") and line[len("arnorm: "):].strip()

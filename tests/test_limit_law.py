@@ -138,19 +138,26 @@ class TestLocalShift:
         mixture = Mixture(sigma0=1.0, h=Gaussian(2.0), n=2000)
         expected = (ndtr(0.5) - ndtr(1.0)
                     + 1.5 * np.exp(-0.5) / np.sqrt(2.0 * np.pi))
-        got = local_shift(mixture, float(ndtr(1.0)))
+        (got,) = local_shift(mixture, [float(ndtr(1.0))])
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.213074, abs=5e-6)
 
     def test_endpoints_exactly_zero(self):
         mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=2000)
-        assert local_shift(mixture, 0.0) == 0.0
-        assert local_shift(mixture, 1.0) == 0.0
+        assert local_shift(mixture, [0.0, 1.0]).tolist() == [0.0, 0.0]
 
     def test_domain_checked(self):
         mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=2000)
-        with pytest.raises(ValueError):
-            local_shift(mixture, 1.5)
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\], got 1\.5$"):
+            local_shift(mixture, [1.5])
+
+    @pytest.mark.parametrize("t", [0.5, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "matrix"])
+    def test_grid_must_be_a_vector(self, t):
+        # the rule and message of cov_matrix's grid, worded for t
+        mixture = Mixture(sigma0=1.0, h=LaplaceLaw(4.0), n=2000)
+        message = f"t must be a one-dimensional vector, got shape {np.shape(t)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            local_shift(mixture, t)
 
     @pytest.mark.parametrize("t, bad", [([0.2, 1.5, -1.0], 1.5), ([0.0, -0.25], -0.25),
                                         ([0.5, np.nan], np.nan)])

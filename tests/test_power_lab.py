@@ -113,11 +113,13 @@ class TestPipelineStatistics:
         pipeline_statistics(model, 50, BOTH, 200, seed=34)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("exponent", [510, -540])
+    @pytest.mark.parametrize("exponent", [510, -511])
     def test_statistics_free_of_series_scale(self, exponent):
         # each row is scaled by a power of two before the fit, so a series at
-        # 2**510 scale (whose squares overflow) or at 2**-540 (whose squares
-        # underflow) gives the bits of the same series at unit scale
+        # 2**510 scale (whose squares overflow) or at 2**-511 (the least
+        # scale whose square is a normal double, so that the squares of most
+        # of the series underflow) gives the bits of the same series at unit
+        # scale
         scale = 2.0**exponent
         models = [
             ArModel(coeffs=(0.5,), mean=0.7 * s, innovation=Mixture(s, Gaussian(2.0 * s), 50))

@@ -4,7 +4,8 @@
 * a number file (table or series) reads as one ``float()`` per line would
   read it: the same bits, or the same message naming the same bad line;
 * a Monte Carlo p-value lies in (0, 1] and does not increase with the
-  observed value;
+  observed value, and a critical value is the nearest-rank sample even at
+  levels whose ``1 - alpha`` rounds to 1 or is 2**-53;
 * both statistics are invariant under ``a + 2**k * x``: bit for bit in the
   power-of-two scale, to rounding in the shift;
 * the fit refuses a noiseless series at every scale and shift: a ramp or
@@ -18,9 +19,12 @@ Examples are derandomized, so every run checks the same cases, and capped so
 the module stays within a few seconds.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arnorm import (
     ArModel,
@@ -39,7 +43,7 @@ from arnorm.gof_tests import (
     omega2_from_transforms,
     probability_transforms,
 )
-from arnorm.limit_law import LimitLawTable, _read_numbers, mc_p_value
+from arnorm.limit_law import LimitLawTable, _read_numbers, mc_p_value, quantile
 from arnorm.power_lab import pipeline_statistics
 from oracles import read_numbers_by_float
 
@@ -127,6 +131,19 @@ def test_p_value_in_unit_interval_and_nonincreasing(table, values):
     p_values = [mc_p_value(table, v) for v in sorted(values)]
     assert all(0.0 < p <= 1.0 for p in p_values)
     assert all(a >= b for a, b in zip(p_values, p_values[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(alpha=st.sampled_from([2.0**-60, 1e-300, 0.5, 1.0 - 2.0**-53]),
+       n_reps=st.integers(1, 10**6))
+@example(alpha=1.0 - 2.0**-53, n_reps=1)
+@example(alpha=2.0**-60, n_reps=10**6)
+def test_quantile_is_the_nearest_rank_sample(alpha, n_reps):
+    # the sample of rank k holds k; the exact nearest rank is the least k
+    # with k / n_reps >= 1 - alpha
+    samples = np.arange(1.0, n_reps + 1.0)
+    table = LimitLawTable(StatKind.OMEGA2, None, samples, 2, n_reps, 0)
+    assert quantile(table, alpha) == math.ceil((1 - Fraction(alpha)) * n_reps)
 
 
 _MODELS = [(), (0.5,), (0.4, 0.25), (0.3, -0.2, 0.1)]
